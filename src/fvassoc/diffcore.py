@@ -3,7 +3,9 @@
 All training math runs on 2-D row-major float64 numpy arrays. Randomness
 flows through `make_rng(seed)`, which is a numpy PCG64 generator: the same
 seed yields the same stream on every platform, so training runs and dropout
-masks are bit-reproducible.
+masks are bit-reproducible within one numpy/BLAS build (other builds may
+round matrix products differently). Cross-attention training also depends
+on `PYTHONHASHSEED`, since its pair sampler walks a set of speaker ids.
 
 Includes a central finite-difference oracle used by the test suite to check
 every analytic gradient in the project.

@@ -142,69 +142,108 @@ def shuffle_speaker_labels(dataset, rng):
 # Trials
 
 
+class _HeldOutRecords:
+    """Held-out faces and voices with per-face pair counts.
+
+    Speakers get int codes; `same_per_face[f]` is the number of voices that
+    share face f's speaker. The pair pools themselves are never built.
+    """
+
+    def __init__(self, dataset, held):
+        self.faces = [c for c in dataset.face_inputs if c.speaker_id in held]
+        self.voices = [c for c in dataset.voice_inputs if c.speaker_id in held]
+        code = {}
+
+        def codes(inputs):
+            return np.array(
+                [code.setdefault(c.speaker_id, len(code)) for c in inputs],
+                dtype=np.int64,
+            )
+
+        self.face_code = codes(self.faces)
+        self.voice_code = codes(self.voices)
+        self.n_voices = np.bincount(self.voice_code, minlength=len(code))
+        self.same_per_face = self.n_voices[self.face_code]
+        self.n_same = int(self.same_per_face.sum())
+        self.n_cross = len(self.faces) * len(self.voices) - self.n_same
+
+
+def _locate(per_face, idx):
+    """(face, k) of each sorted pool index: the k-th pair of that face."""
+    end = np.cumsum(per_face)
+    face = np.searchsorted(end, idx, side="right")
+    return face, idx - (end[face] - per_face[face])
+
+
 def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
     """Sample same-speaker and cross-speaker (face, voice) trials.
 
     Sampling is without replacement over the full pair pool; asking for more
     trials than the pool contains is an error. No speaker outside
     `held_out_speakers` ever appears.
+
+    Each pool is ordered by face (dataset order), then by voice (dataset
+    order), and the trials of each pool come out in pool order, target
+    trials first. The pools are indexed by arithmetic over per-speaker
+    record counts, so time and memory grow with faces + voices + trials,
+    not with faces x voices.
     """
     held = set(held_out_speakers)
-    faces = [c for c in dataset.face_inputs if c.speaker_id in held]
-    voices = [c for c in dataset.voice_inputs if c.speaker_id in held]
-    spk_with_face = {c.speaker_id for c in faces}
-    spk_with_voice = {c.speaker_id for c in voices}
+    rec = _HeldOutRecords(dataset, held)
+    spk_with_face = {c.speaker_id for c in rec.faces}
+    spk_with_voice = {c.speaker_id for c in rec.voices}
     for s in held:
         if s not in spk_with_face or s not in spk_with_voice:
             raise SamplingError(f"held-out speaker {s} lacks a modality")
 
-    same_pool = [
-        (f.owner_id, v.owner_id)
-        for f in faces
-        for v in voices
-        if f.speaker_id == v.speaker_id
-    ]
-    cross_pool = [
-        (f.owner_id, v.owner_id)
-        for f in faces
-        for v in voices
-        if f.speaker_id != v.speaker_id
-    ]
-    if n_target > len(same_pool):
+    if n_target > rec.n_same:
         raise SamplingError(
-            f"requested {n_target} target trials, only {len(same_pool)} possible"
+            f"requested {n_target} target trials, only {rec.n_same} possible"
         )
-    if n_nontarget > len(cross_pool):
+    if n_nontarget > rec.n_cross:
         raise SamplingError(
             f"requested {n_nontarget} non-target trials, "
-            f"only {len(cross_pool)} possible"
+            f"only {rec.n_cross} possible"
         )
-    same_idx = rng.choice(len(same_pool), size=n_target, replace=False)
-    cross_idx = rng.choice(len(cross_pool), size=n_nontarget, replace=False)
-    trials = [Trial(*same_pool[i], True) for i in sorted(same_idx)]
-    trials += [Trial(*cross_pool[i], False) for i in sorted(cross_idx)]
-    return trials
+    same_idx = rng.choice(rec.n_same, size=n_target, replace=False)
+    cross_idx = rng.choice(rec.n_cross, size=n_nontarget, replace=False)
+
+    # Voices grouped by speaker, each group in voice order; group s occupies
+    # slots start[s] .. start[s] + n_voices[s] - 1 of `by_spk`.
+    by_spk = np.argsort(rec.voice_code, kind="stable")
+    start = np.cumsum(rec.n_voices) - rec.n_voices
+
+    # Same-speaker: the k-th pair of face f is the k-th voice of its speaker.
+    f_same, k = _locate(rec.same_per_face, np.sort(same_idx))
+    v_same = by_spk[start[rec.face_code[f_same]] + k]
+
+    # Cross-speaker: if speaker s's voices sit at p_0 < p_1 < ..., the k-th
+    # voice not of s is at k + #{i : p_i - i <= k}. `key` holds p_i - i
+    # offset by s * (n_v + 1), so one search counts within s's voices only.
+    n_v = len(rec.voices)
+    f_cross, k = _locate(n_v - rec.same_per_face, np.sort(cross_idx))
+    slot_spk = rec.voice_code[by_spk]
+    key = slot_spk * (n_v + 1) + by_spk - (np.arange(n_v) - start[slot_spk])
+    s = rec.face_code[f_cross]
+    v_cross = k + np.searchsorted(key, s * (n_v + 1) + k, side="right") - start[s]
+
+    def trials(f_idx, v_idx, label):
+        return [
+            Trial(rec.faces[f].owner_id, rec.voices[v].owner_id, label)
+            for f, v in zip(f_idx.tolist(), v_idx.tolist())
+        ]
+
+    return trials(f_same, v_same, True) + trials(f_cross, v_cross, False)
 
 
 def default_dev_trials(dataset, held_out_speakers, cfg, rng):
     """Dev trials capped at the available pair pool."""
-    held = set(held_out_speakers)
-    faces = {}
-    voices = {}
-    for c in dataset.face_inputs:
-        if c.speaker_id in held:
-            faces[c.speaker_id] = faces.get(c.speaker_id, 0) + 1
-    for c in dataset.voice_inputs:
-        if c.speaker_id in held:
-            voices[c.speaker_id] = voices.get(c.speaker_id, 0) + 1
-    n_same = sum(faces.get(s, 0) * voices.get(s, 0) for s in held)
-    total = sum(faces.values()) * sum(voices.values())
-    n_cross = total - n_same
+    rec = _HeldOutRecords(dataset, set(held_out_speakers))
     return generate_trials(
         dataset,
         held_out_speakers,
-        min(cfg.n_dev_target, n_same),
-        min(cfg.n_dev_nontarget, n_cross),
+        min(cfg.n_dev_target, rec.n_same),
+        min(cfg.n_dev_nontarget, rec.n_cross),
         rng,
     )
 
@@ -262,16 +301,25 @@ def compute_eer(scores, labels):
     )
 
 
-def score_trials(head_face, head_voice, trials, dataset):
-    """Cosine scores of trials in eval mode (no dropout), trial order kept."""
+def _trial_inputs(trials, dataset):
+    """Stacked (face, voice) input rows of the trials, trial order kept."""
     try:
         xf = np.stack([dataset.face_by_id[t.face_id].vector for t in trials])
         xv = np.stack([dataset.voice_by_id[t.voice_id].vector for t in trials])
     except KeyError as exc:
         raise LookupError_(f"unknown trial record id {exc.args[0]}") from exc
+    return xf, xv
+
+
+def _score_inputs(head_face, head_voice, xf, xv):
     yf, _ = head_forward(head_face, xf, train=False)
     yv, _ = head_forward(head_voice, xv, train=False)
     return score_batch(yf, yv)
+
+
+def score_trials(head_face, head_voice, trials, dataset):
+    """Cosine scores of trials in eval mode (no dropout), trial order kept."""
+    return _score_inputs(head_face, head_voice, *_trial_inputs(trials, dataset))
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +377,10 @@ def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
     xf, yf, xv, yv = train_ds.matrices(speaker_index)
     rng = make_rng(cfg.seed)
     labels = [t.label for t in dev_trials]
+    xf_dev, xv_dev = _trial_inputs(dev_trials, eval_ds)
 
     def evaluate():
-        scores = score_trials(params.head_face, params.head_voice, dev_trials, eval_ds)
+        scores = _score_inputs(params.head_face, params.head_voice, xf_dev, xv_dev)
         return compute_eer(scores, labels)
 
     log = []
@@ -609,9 +658,8 @@ class XAttnTrainConfig:
             raise ConfigError("bad cross-attention training config")
 
 
-def _sample_pairs(dataset, speakers, batch_size, rng):
-    """Half same-speaker, half cross-speaker (face, voice) training pairs."""
-    spk = list(speakers)
+def _records_by_speaker(dataset, speakers):
+    """Face and voice inputs of each speaker in `speakers`, dataset order."""
     faces_by_spk = {}
     for c in dataset.face_inputs:
         if c.speaker_id in speakers:
@@ -620,6 +668,11 @@ def _sample_pairs(dataset, speakers, batch_size, rng):
     for c in dataset.voice_inputs:
         if c.speaker_id in speakers:
             voices_by_spk.setdefault(c.speaker_id, []).append(c)
+    return faces_by_spk, voices_by_spk
+
+
+def _sample_pairs(spk, faces_by_spk, voices_by_spk, batch_size, rng):
+    """Half same-speaker, half cross-speaker (face, voice) training pairs."""
     xf, xv, y = [], [], []
     for i in range(batch_size):
         same = i % 2 == 0
@@ -639,11 +692,7 @@ def _sample_pairs(dataset, speakers, batch_size, rng):
 
 
 def score_trials_xattn(model, trials, dataset):
-    try:
-        xf = np.stack([dataset.face_by_id[t.face_id].vector for t in trials])
-        xv = np.stack([dataset.voice_by_id[t.voice_id].vector for t in trials])
-    except KeyError as exc:
-        raise LookupError_(f"unknown trial record id {exc.args[0]}") from exc
+    xf, xv = _trial_inputs(trials, dataset)
     logits, _ = xattn_forward(model, xv, xf, train=False)
     return logits
 
@@ -672,7 +721,11 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
     }
     opt["out_b"] = AdamState.for_param(np.zeros((1, 1)), lr=cfg.lr)
     speakers = set(train_ds.speakers())
+    # the speaker list keeps set iteration order, as the rng draws index it
+    spk = list(speakers)
+    faces_by_spk, voices_by_spk = _records_by_speaker(train_ds, speakers)
     labels = [t.label for t in dev_trials]
+    xf_dev, xv_dev = _trial_inputs(dev_trials, eval_ds)
 
     def snapshot():
         arrays = {name: arr.copy() for name, arr in model.param_items()}
@@ -680,7 +733,7 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
         return arrays
 
     def evaluate():
-        scores = score_trials_xattn(model, dev_trials, eval_ds)
+        scores, _ = xattn_forward(model, xv_dev, xf_dev, train=False)
         return compute_eer(scores, labels)
 
     log = []
@@ -689,7 +742,9 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
     log.append({"step": 0, "dev_eer": report.eer})
     no_improve = 0
     for step in range(1, cfg.max_steps + 1):
-        xf, xv, y = _sample_pairs(train_ds, speakers, cfg.batch_size, rng)
+        xf, xv, y = _sample_pairs(
+            spk, faces_by_spk, voices_by_spk, cfg.batch_size, rng
+        )
         logits, cache = xattn_forward(model, xv, xf, train=True, rng=rng)
         loss, g_logits = xattn_loss(logits, y)
         grads, _, _ = xattn_backward(model, cache, g_logits)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvassoc.diffcore import make_rng
 from fvassoc.embedstore import (
+    ConcatInput,
     Manifest,
     ManifestEntry,
     ModalityKind,
@@ -21,6 +23,7 @@ from fvassoc.synthgen import SynthConfig, generate
 from fvassoc.traineval import (
     PairedDataset,
     TrainConfig,
+    Trial,
     audit_manifest,
     compute_eer,
     cross_validate,
@@ -63,6 +66,143 @@ def quick_cfg(**kw):
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def _reference_generate_trials(dataset, held_out_speakers, n_target,
+                               n_nontarget, rng):
+    """Oracle: the sampler that builds both pair pools as lists of tuples."""
+    held = set(held_out_speakers)
+    faces = [c for c in dataset.face_inputs if c.speaker_id in held]
+    voices = [c for c in dataset.voice_inputs if c.speaker_id in held]
+    spk_with_face = {c.speaker_id for c in faces}
+    spk_with_voice = {c.speaker_id for c in voices}
+    for s in held:
+        if s not in spk_with_face or s not in spk_with_voice:
+            raise SamplingError(f"held-out speaker {s} lacks a modality")
+
+    same_pool = [
+        (f.owner_id, v.owner_id)
+        for f in faces
+        for v in voices
+        if f.speaker_id == v.speaker_id
+    ]
+    cross_pool = [
+        (f.owner_id, v.owner_id)
+        for f in faces
+        for v in voices
+        if f.speaker_id != v.speaker_id
+    ]
+    if n_target > len(same_pool):
+        raise SamplingError(
+            f"requested {n_target} target trials, only {len(same_pool)} possible"
+        )
+    if n_nontarget > len(cross_pool):
+        raise SamplingError(
+            f"requested {n_nontarget} non-target trials, "
+            f"only {len(cross_pool)} possible"
+        )
+    same_idx = rng.choice(len(same_pool), size=n_target, replace=False)
+    cross_idx = rng.choice(len(cross_pool), size=n_nontarget, replace=False)
+    trials = [Trial(*same_pool[i], True) for i in sorted(same_idx)]
+    trials += [Trial(*cross_pool[i], False) for i in sorted(cross_idx)]
+    return trials
+
+
+def _inputs(kind, speaker_codes):
+    """One 2-wide input per entry, owned by speaker `s<code>`, in list order."""
+    return [
+        ConcatInput(f"{kind}{i}", f"s{s}", "en", f"{kind}{i}i", f"{kind}{i}a",
+                    np.array([float(i), 1.0]))
+        for i, s in enumerate(speaker_codes)
+    ]
+
+
+def _dataset(face_speakers, voice_speakers):
+    return PairedDataset(_inputs("f", face_speakers), _inputs("v", voice_speakers))
+
+
+def _pool_sizes(face_speakers, voice_speakers, held):
+    faces = [s for s in face_speakers if f"s{s}" in held]
+    voices = [s for s in voice_speakers if f"s{s}" in held]
+    n_same = sum(voices.count(s) for s in faces)
+    return n_same, len(faces) * len(voices) - n_same
+
+
+def _outcome(sampler, *args):
+    try:
+        return [(t.face_id, t.voice_id, t.label) for t in sampler(*args)]
+    except SamplingError as exc:
+        return ("SamplingError", str(exc))
+
+
+@st.composite
+def _draw_request(draw, pool):
+    """A trial count: none, the whole pool, one too many, or in between."""
+    mode = draw(st.sampled_from(["zero", "all", "over", "some"]))
+    if mode == "some":
+        return draw(st.integers(0, pool))
+    return {"zero": 0, "all": pool, "over": pool + 1}[mode]
+
+
+class TestGenerateTrialsMatchesOracle:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_same_trials_as_tuple_pools(self, data):
+        n_spk = data.draw(st.integers(1, 6))
+        codes = st.lists(st.integers(0, n_spk - 1), max_size=14)
+        face_spk = data.draw(codes)
+        voice_spk = data.draw(codes)
+        held = data.draw(
+            st.lists(st.sampled_from([f"s{i}" for i in range(n_spk)]),
+                     unique=True)
+        )
+        n_same, n_cross = _pool_sizes(face_spk, voice_spk, held)
+        n_target = data.draw(_draw_request(n_same))
+        n_nontarget = data.draw(_draw_request(n_cross))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ds = _dataset(face_spk, voice_spk)
+        args = (ds, held, n_target, n_nontarget)
+        assert _outcome(generate_trials, *args, make_rng(seed)) == _outcome(
+            _reference_generate_trials, *args, make_rng(seed)
+        )
+
+    @pytest.mark.parametrize("extra_target, extra_nontarget", [
+        (0, 0), (1, 0), (0, 1),
+    ])
+    def test_whole_pool_and_one_past_it(self, extra_target, extra_nontarget):
+        # interleaved, unevenly sized speakers in both modalities
+        face_spk = [2, 0, 1, 0, 2, 2, 1, 0, 3]
+        voice_spk = [0, 0, 1, 2, 3, 0, 2, 1, 1, 0]
+        held = ["s0", "s1", "s2", "s3"]
+        n_same, n_cross = _pool_sizes(face_spk, voice_spk, held)
+        args = (_dataset(face_spk, voice_spk), held,
+                n_same + extra_target, n_cross + extra_nontarget)
+        got = _outcome(generate_trials, *args, make_rng(4))
+        assert got == _outcome(_reference_generate_trials, *args, make_rng(4))
+        if extra_target or extra_nontarget:
+            assert got[0] == "SamplingError"
+            assert str(n_same if extra_target else n_cross) in got[1]
+        else:
+            assert len(got) == len(face_spk) * len(voice_spk)  # every pair
+
+    def test_held_out_speaker_without_a_voice(self):
+        ds = _dataset([0, 1, 2], [0, 1, 0])
+        with pytest.raises(SamplingError, match="s2 lacks a modality"):
+            generate_trials(ds, ["s0", "s1", "s2"], 1, 1, make_rng(0))
+
+    def test_draw_from_5000_speakers(self):
+        spk = np.repeat(np.arange(5000), 10)
+        ds = _dataset(spk, spk[::-1])
+        held = [f"s{i}" for i in range(5000)]
+        trials = generate_trials(ds, held, 10_000, 10_000, make_rng(0))
+        assert sum(t.label for t in trials) == 10_000
+        assert len({(t.face_id, t.voice_id) for t in trials}) == 20_000
+        held_set = set(held)
+        for t in trials:
+            fs = ds.face_by_id[t.face_id].speaker_id
+            vs = ds.voice_by_id[t.voice_id].speaker_id
+            assert t.label == (fs == vs)
+            assert fs in held_set and vs in held_set
 
 
 class TestGenerateTrials:
