@@ -454,6 +454,11 @@ def cmd_eval(args):
         ["checkpoint", "data", "trials"],
     )
     arrays, meta = load_checkpoint(raw["checkpoint"])
+    if meta.get("architecture") != "mapping-heads":
+        raise SchemaError(
+            f"eval scores mapping-heads checkpoints, got architecture "
+            f"{meta.get('architecture')!r}"
+        )
     _, ds, _ = load_dataset(raw["data"])
     if meta.get("face_in_dim") != ds.face_dim or meta.get("voice_in_dim") != ds.voice_dim:
         raise SchemaError(
@@ -466,14 +471,6 @@ def cmd_eval(args):
         raise MetricError("empty trial file")
     head_f = head_from_arrays(arrays, "head_face", p_drop=0.0)
     head_v = head_from_arrays(arrays, "head_voice", p_drop=0.0)
-    missing = [
-        rid
-        for t in trials
-        for rid in (t.face_id, t.voice_id)
-        if rid not in ds.face_by_id and rid not in ds.voice_by_id
-    ]
-    if missing:
-        raise LookupError_(f"unknown trial records: {', '.join(sorted(set(missing)))}")
     scores = score_trials(head_f, head_v, trials, ds)
     report = compute_eer(scores, [t.label for t in trials])
     out = Path(args.out)

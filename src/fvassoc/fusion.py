@@ -98,17 +98,6 @@ def head_backward(head, cache, grad_y):
     return grad_w, grad_b, grad_x
 
 
-def score_pair(face_y, voice_y):
-    """Cosine similarity between two projected vectors."""
-    a = np.asarray(face_y, dtype=np.float64).ravel()
-    b = np.asarray(voice_y, dtype=np.float64).ravel()
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na <= 1e-12 or nb <= 1e-12:
-        raise DegenerateVectorError("cannot score a zero vector")
-    return float(a @ b / (na * nb))
-
-
 def score_batch(face_y, voice_y):
     """Row-wise cosine similarity of two (n, d) matrices."""
     a = as_mat(face_y)

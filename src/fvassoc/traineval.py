@@ -19,7 +19,7 @@ import numpy as np
 
 from .aamloss import AamConfig, JointParams, init_classifier, joint_step
 from .diffcore import AdamState, adam_step, make_rng
-from .embedstore import FoldPlan, split_folds
+from .embedstore import split_folds
 from .errors import (
     ConfigError,
     LookupError_,
@@ -33,7 +33,6 @@ from .fusion import (
     XAttnModel,
     head_forward,
     head_from_arrays,
-    head_to_arrays,
     score_batch,
     xattn_backward,
     xattn_forward,
@@ -301,20 +300,59 @@ def compute_eer(scores, labels):
     )
 
 
+# Trials scored per gather-and-score block: scoring memory grows with the
+# distinct records plus one block, not with the number of trials.
+_SCORE_BLOCK = 16384
+
+
+def _first_seen_rows(ids):
+    """Distinct ids in first-seen order, and each id's row among them."""
+    row_of = {}
+    rows = np.array([row_of.setdefault(i, len(row_of)) for i in ids],
+                    dtype=np.int64)
+    return list(row_of), rows
+
+
 def _trial_inputs(trials, dataset):
-    """Stacked (face, voice) input rows of the trials, trial order kept."""
-    try:
-        xf = np.stack([dataset.face_by_id[t.face_id].vector for t in trials])
-        xv = np.stack([dataset.voice_by_id[t.voice_id].vector for t in trials])
-    except KeyError as exc:
-        raise LookupError_(f"unknown trial record id {exc.args[0]}") from exc
-    return xf, xv
+    """Distinct input rows of the trials and each trial's row in them.
+
+    Returns (xf, face_row, xv, voice_row): xf stacks every distinct face of
+    the trials once, in first-seen order, and xf[face_row[i]] is trial i's
+    face input; likewise for voices. A face id must name a face record and
+    a voice id a voice record; every unknown id is reported, sorted.
+    """
+    face_ids, face_row = _first_seen_rows([t.face_id for t in trials])
+    voice_ids, voice_row = _first_seen_rows([t.voice_id for t in trials])
+    unknown = sorted(f"face {i}" for i in face_ids if i not in dataset.face_by_id)
+    unknown += sorted(
+        f"voice {i}" for i in voice_ids if i not in dataset.voice_by_id
+    )
+    if unknown:
+        raise LookupError_(f"unknown trial record ids: {', '.join(unknown)}")
+
+    def stack(ids, by_id, dim):
+        if not ids:
+            return np.empty((0, dim))
+        return np.stack([by_id[rid].vector for rid in ids])
+
+    xf = stack(face_ids, dataset.face_by_id, dataset.face_dim)
+    xv = stack(voice_ids, dataset.voice_by_id, dataset.voice_dim)
+    return xf, face_row, xv, voice_row
 
 
-def _score_inputs(head_face, head_voice, xf, xv):
+def _score_inputs(head_face, head_voice, xf, face_row, xv, voice_row):
+    """Cosine scores of trials given as rows of distinct inputs.
+
+    Each distinct input is projected once; the projected rows are gathered
+    and scored `_SCORE_BLOCK` trials at a time.
+    """
     yf, _ = head_forward(head_face, xf, train=False)
     yv, _ = head_forward(head_voice, xv, train=False)
-    return score_batch(yf, yv)
+    scores = np.empty(len(face_row))
+    for start in range(0, len(face_row), _SCORE_BLOCK):
+        block = slice(start, start + _SCORE_BLOCK)
+        scores[block] = score_batch(yf[face_row[block]], yv[voice_row[block]])
+    return scores
 
 
 def score_trials(head_face, head_voice, trials, dataset):
@@ -360,14 +398,14 @@ def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
     cfg.validate()
     if not dev_trials:
         raise ConfigError("dev trial list is empty")
+    dev_inputs = _trial_inputs(dev_trials, eval_ds)
     speakers = train_ds.speakers()
     train_spk = set(speakers)
     for t in dev_trials:
-        face = eval_ds.face_by_id.get(t.face_id)
-        voice = eval_ds.voice_by_id.get(t.voice_id)
-        if face is None or voice is None:
-            raise LookupError_(f"dev trial references unknown record")
-        if face.speaker_id in train_spk or voice.speaker_id in train_spk:
+        if (
+            eval_ds.face_by_id[t.face_id].speaker_id in train_spk
+            or eval_ds.voice_by_id[t.voice_id].speaker_id in train_spk
+        ):
             raise ConfigError("dev trials must be speaker-disjoint from training")
 
     speaker_index = {s: i for i, s in enumerate(speakers)}
@@ -377,10 +415,9 @@ def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
     xf, yf, xv, yv = train_ds.matrices(speaker_index)
     rng = make_rng(cfg.seed)
     labels = [t.label for t in dev_trials]
-    xf_dev, xv_dev = _trial_inputs(dev_trials, eval_ds)
 
     def evaluate():
-        scores = _score_inputs(params.head_face, params.head_voice, xf_dev, xv_dev)
+        scores = _score_inputs(params.head_face, params.head_voice, *dev_inputs)
         return compute_eer(scores, labels)
 
     log = []
@@ -691,8 +728,14 @@ def _sample_pairs(spk, faces_by_spk, voices_by_spk, batch_size, rng):
     return np.stack(xf), np.stack(xv), np.array(y)
 
 
+def _pair_rows(trials, dataset):
+    """Per-trial (face, voice) input rows; cross-attention scores pairs jointly."""
+    xf, face_row, xv, voice_row = _trial_inputs(trials, dataset)
+    return xf[face_row], xv[voice_row]
+
+
 def score_trials_xattn(model, trials, dataset):
-    xf, xv = _trial_inputs(trials, dataset)
+    xf, xv = _pair_rows(trials, dataset)
     logits, _ = xattn_forward(model, xv, xf, train=False)
     return logits
 
@@ -725,7 +768,7 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
     spk = list(speakers)
     faces_by_spk, voices_by_spk = _records_by_speaker(train_ds, speakers)
     labels = [t.label for t in dev_trials]
-    xf_dev, xv_dev = _trial_inputs(dev_trials, eval_ds)
+    xf_dev, xv_dev = _pair_rows(dev_trials, eval_ds)
 
     def snapshot():
         arrays = {name: arr.copy() for name, arr in model.param_items()}

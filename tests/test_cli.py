@@ -246,6 +246,48 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
 
+    def test_voice_id_in_face_column_exit_4(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        train_cfg = write_config(
+            tmp_path / "t.json",
+            {"data": data, "dev_fraction": 0.25,
+             "train": quick_train_block(max_steps=20)},
+        )
+        run = tmp_path / "run"
+        assert main(["train", "--config", train_cfg, "--out", str(run)]) == 0
+        trials = tmp_path / "trials.tsv"
+        trials.write_text(
+            "face_record_id\tvoice_record_id\tlabel\n"
+            "s000:f000\ts000:v000\tsame\n"
+            "s001:v000\ts000:v001\tdifferent\n"
+        )
+        cfg = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(run / "checkpoint.fvh"), "data": data,
+             "trials": str(trials)},
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "face s001:v000" in capsys.readouterr().err
+
+    def test_cross_attention_checkpoint_exit_4(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        xattn_cfg = write_config(
+            tmp_path / "x.json",
+            {"data": data, "dev_fraction": 0.25,
+             "train": {"d_model": 8, "max_steps": 2, "eval_every": 1}},
+        )
+        run = tmp_path / "run"
+        assert main(["xattn", "--config", xattn_cfg, "--out", str(run)]) == 0
+        cfg = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(run / "checkpoint.fvh"), "data": data,
+             "trials": str(run / "dev_trials.tsv")},
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "'cross-attention'" in capsys.readouterr().err
+
 def scenario_dirs(tmp_path):
     langs = {"en": 0.4, "de": 0.4, "fr": 0.2}
     full = make_data(tmp_path, sub="full", n_speakers=14, languages=langs)

@@ -15,7 +15,7 @@ from fvassoc.fusion import (
     head_to_arrays,
     load_checkpoint,
     save_checkpoint,
-    score_pair,
+    score_batch,
     tokenize,
     xattn_backward,
     xattn_forward,
@@ -84,25 +84,38 @@ class TestMappingHead:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def cosine(a, b):
+    """score_batch of one (face, voice) pair, as a float."""
+    (score,) = score_batch(np.atleast_2d(a), np.atleast_2d(b))
+    return float(score)
+
+
 class TestScorePair:
     def test_self_similarity(self):
         v = make_rng(0).standard_normal(8)
-        assert score_pair(v, v) == pytest.approx(1.0)
+        assert cosine(v, v) == pytest.approx(1.0)
+        m = make_rng(3).standard_normal((5, 8))
+        assert np.allclose(score_batch(m, m), 1.0, rtol=0, atol=1e-12)
 
     def test_orthogonal(self):
         a = np.zeros(8)
         b = np.zeros(8)
         a[0] = 1.0
         b[1] = 1.0
-        assert score_pair(a, b) == 0.0
+        assert cosine(a, b) == 0.0
 
     def test_antipodal(self):
         v = make_rng(1).standard_normal(8)
-        assert score_pair(v, -v) == pytest.approx(-1.0)
+        assert cosine(v, -v) == pytest.approx(-1.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateVectorError):
-            score_pair(np.zeros(4), np.ones(4))
+            cosine(np.zeros(4), np.ones(4))
+        rows = np.ones((3, 4))
+        zero_row = rows.copy()
+        zero_row[1] = 0.0
+        with pytest.raises(DegenerateVectorError):
+            score_batch(rows, zero_row)
 
     def test_symmetric_and_scale_invariant(self):
         rng = make_rng(2)
@@ -110,8 +123,8 @@ class TestScorePair:
             x = rng.standard_normal(6)
             y = rng.standard_normal(6)
             a, b = rng.uniform(0.1, 10.0, size=2)
-            assert abs(score_pair(x, y) - score_pair(y, x)) <= 1e-12
-            assert abs(score_pair(a * x, b * y) - score_pair(x, y)) <= 1e-12
+            assert abs(cosine(x, y) - cosine(y, x)) <= 1e-12
+            assert abs(cosine(a * x, b * y) - cosine(x, y)) <= 1e-12
 
 
 def toy_model(seed=3, d_model=4, voice_in=11, face_in=9):

@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fvassoc import traineval
 from fvassoc.diffcore import make_rng
 from fvassoc.embedstore import (
+    FULL_DIMS,
     ConcatInput,
     Manifest,
     ManifestEntry,
@@ -15,9 +18,17 @@ from fvassoc.embedstore import (
 )
 from fvassoc.errors import (
     ConfigError,
+    LookupError_,
     MetricError,
     ProtocolViolationError,
     SamplingError,
+)
+from fvassoc.fusion import (
+    MappingHead,
+    XAttnModel,
+    head_forward,
+    score_batch,
+    xattn_forward,
 )
 from fvassoc.synthgen import SynthConfig, generate
 from fvassoc.traineval import (
@@ -31,6 +42,8 @@ from fvassoc.traineval import (
     generate_trials,
     pretrain_then_finetune,
     run_scenarios,
+    score_trials,
+    score_trials_xattn,
     shuffle_speaker_labels,
     train_with_early_stopping,
 )
@@ -313,6 +326,128 @@ class TestComputeEer:
         a = compute_eer(scores, labels).eer
         b = compute_eer(np.exp(scores) + 3.0, labels).eer
         assert abs(a - b) <= 1e-12
+
+
+def _reference_score_trials(head_face, head_voice, trials, dataset):
+    """Oracle: the scorer that stacks and projects both rows of every trial."""
+    xf = np.stack([dataset.face_by_id[t.face_id].vector for t in trials])
+    xv = np.stack([dataset.voice_by_id[t.voice_id].vector for t in trials])
+    yf, _ = head_forward(head_face, xf, train=False)
+    yv, _ = head_forward(head_voice, xv, train=False)
+    return score_batch(yf, yv)
+
+
+def _scoring_case(n_faces, n_voices, face_dim, voice_dim, seed, out_dim=192):
+    """Random records of both modalities and two eval-mode heads."""
+    rng = make_rng(seed)
+
+    def inputs(kind, n, dim):
+        return [
+            ConcatInput(f"{kind}{i}", f"s{i}", "en", "", "",
+                        rng.standard_normal(dim))
+            for i in range(n)
+        ]
+
+    ds = PairedDataset(inputs("f", n_faces, face_dim),
+                       inputs("v", n_voices, voice_dim))
+    head_f = MappingHead.init(rng, face_dim, out_dim, p_drop=0.0)
+    head_v = MappingHead.init(rng, voice_dim, out_dim, p_drop=0.0)
+    return ds, head_f, head_v
+
+
+def _random_trials(ds, n, rng):
+    """n trials over the dataset's records, ids repeated, in random order."""
+    f = rng.integers(0, len(ds.face_inputs), size=n)
+    v = rng.integers(0, len(ds.voice_inputs), size=n)
+    return [
+        Trial(ds.face_inputs[i].owner_id, ds.voice_inputs[j].owner_id, i == j)
+        for i, j in zip(f.tolist(), v.tolist())
+    ]
+
+
+class TestScoreTrialsMatchesOracle:
+    # Scores of small cases are compared with rtol 1e-12, not exactly: with
+    # OpenBLAS 0.3.31 (Haswell kernels) a matmul of up to 6 rows at small
+    # widths, or of 1 row at FULL_DIMS widths, takes a different kernel, so
+    # a projected row's low bits depend on how many rows share the call.
+    # The stack-every-row scorer already depends on the trial count in the
+    # same way. atol covers cosines near 0, where rtol alone is too strict.
+    # From 8 distinct records per modality and hundreds of trials upward,
+    # both sides take the same kernel and must agree exactly.
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_stacked_scoring(self, data):
+        block = data.draw(st.integers(1, 6))
+        mode = data.draw(st.sampled_from(["below", "at", "above", "any"]))
+        n = {"below": block - 1, "at": block, "above": block + 1}.get(mode)
+        if n is None or n == 0:
+            n = data.draw(st.integers(1, 4 * block))
+        ds, head_f, head_v = _scoring_case(
+            n_faces=data.draw(st.integers(1, 5)),
+            n_voices=data.draw(st.integers(1, 5)),
+            face_dim=data.draw(st.integers(1, 9)),
+            voice_dim=data.draw(st.integers(1, 9)),
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+            out_dim=data.draw(st.integers(1, 6)),
+        )
+        trials = _random_trials(ds, n, make_rng(data.draw(st.integers(0, 99))))
+        with mock.patch.object(traineval, "_SCORE_BLOCK", block):
+            got = score_trials(head_f, head_v, trials, ds)
+        want = _reference_score_trials(head_f, head_v, trials, ds)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_exact_around_the_real_block(self, offset):
+        n = traineval._SCORE_BLOCK + offset
+        ds, head_f, head_v = _scoring_case(40, 30, 56, 80, seed=11)
+        trials = _random_trials(ds, n, make_rng(12))
+        got = score_trials(head_f, head_v, trials, ds)
+        assert np.array_equal(got, _reference_score_trials(head_f, head_v,
+                                                           trials, ds))
+
+    @pytest.mark.parametrize("block", [7, 64, 299, 300, 301])
+    def test_exact_at_full_dims_over_several_blocks(self, block):
+        face_dim = FULL_DIMS[ModalityKind.FACE_IDENTITY] + FULL_DIMS[
+            ModalityKind.FACE_AGE_GENDER]
+        voice_dim = FULL_DIMS[ModalityKind.VOICE_SPEAKER] + FULL_DIMS[
+            ModalityKind.VOICE_AGE_GENDER]
+        ds, head_f, head_v = _scoring_case(8, 9, face_dim, voice_dim, seed=21)
+        trials = _random_trials(ds, 300, make_rng(22))
+        with mock.patch.object(traineval, "_SCORE_BLOCK", block):
+            got = score_trials(head_f, head_v, trials, ds)
+        assert np.array_equal(got, _reference_score_trials(head_f, head_v,
+                                                           trials, ds))
+
+    def test_trial_order_only_permutes_scores(self):
+        ds, head_f, head_v = _scoring_case(12, 10, 56, 80, seed=31)
+        trials = _random_trials(ds, 500, make_rng(32))
+        order = make_rng(33).permutation(len(trials))
+        scores = score_trials(head_f, head_v, trials, ds)
+        shuffled = score_trials(head_f, head_v, [trials[i] for i in order], ds)
+        assert np.array_equal(shuffled, scores[order])
+
+    def test_xattn_scores_the_same_pair_rows(self):
+        ds, _, _ = _scoring_case(8, 9, 11, 13, seed=41)
+        trials = _random_trials(ds, 200, make_rng(42))
+        model = XAttnModel.init(make_rng(43), voice_in_dim=13, face_in_dim=11,
+                                d_model=4)
+        xf = np.stack([ds.face_by_id[t.face_id].vector for t in trials])
+        xv = np.stack([ds.voice_by_id[t.voice_id].vector for t in trials])
+        want, _ = xattn_forward(model, xv, xf, train=False)
+        assert np.array_equal(score_trials_xattn(model, trials, ds), want)
+
+    def test_unknown_ids_are_checked_per_modality(self):
+        ds, head_f, head_v = _scoring_case(3, 3, 4, 4, seed=51)
+        trials = [Trial("f0", "v0", True), Trial("v1", "v2", False),
+                  Trial("f1", "ghost", False), Trial("f0", "f2", False)]
+        with pytest.raises(LookupError_) as exc:
+            score_trials(head_f, head_v, trials, ds)
+        assert str(exc.value).endswith("face v1, voice f2, voice ghost")
+
+    def test_no_trials_give_no_scores(self):
+        ds, head_f, head_v = _scoring_case(2, 2, 4, 4, seed=61)
+        assert score_trials(head_f, head_v, [], ds).shape == (0,)
 
 
 class TestTraining:
