@@ -123,24 +123,34 @@ _TRAIN_KEYS = {
 }
 
 
+def _get(obj, key, default, kind):
+    """obj[key] (or `default`) converted by `kind`; a value it cannot convert,
+    such as "abc" or null for a number, is a ConfigError naming the key."""
+    value = obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
+
+
 def parse_train_config(obj, seed_override=None):
     _check_keys(obj, _TRAIN_KEYS, "train config")
-    aam = AamConfig(
-        scale=float(obj.get("scale", 30.0)), margin=float(obj.get("margin", 0.2))
-    )
     cfg = TrainConfig(
-        lr=float(obj.get("lr", 1e-2)),
-        batch_size=int(obj.get("batch_size", 32)),
-        max_steps=int(obj.get("max_steps", 500)),
-        patience=int(obj.get("patience", 5)),
-        eval_every=int(obj.get("eval_every", 25)),
-        seed=int(obj.get("seed", 0)),
-        aam=aam,
-        p_drop=float(obj.get("p_drop", 0.9)),
-        out_dim=int(obj.get("out_dim", 192)),
-        classifier_reinit=bool(obj.get("classifier_reinit", True)),
-        n_dev_target=int(obj.get("n_dev_target", 1000)),
-        n_dev_nontarget=int(obj.get("n_dev_nontarget", 1000)),
+        lr=_get(obj, "lr", 1e-2, float),
+        batch_size=_get(obj, "batch_size", 32, int),
+        max_steps=_get(obj, "max_steps", 500, int),
+        patience=_get(obj, "patience", 5, int),
+        eval_every=_get(obj, "eval_every", 25, int),
+        seed=_get(obj, "seed", 0, int),
+        aam=AamConfig(
+            scale=_get(obj, "scale", 30.0, float),
+            margin=_get(obj, "margin", 0.2, float),
+        ),
+        p_drop=_get(obj, "p_drop", 0.9, float),
+        out_dim=_get(obj, "out_dim", 192, int),
+        classifier_reinit=_get(obj, "classifier_reinit", True, bool),
+        n_dev_target=_get(obj, "n_dev_target", 1000, int),
+        n_dev_nontarget=_get(obj, "n_dev_nontarget", 1000, int),
     )
     if seed_override is not None:
         cfg.seed = seed_override
@@ -503,15 +513,15 @@ def cmd_xattn(args):
     obj = raw.get("train", {})
     _check_keys(obj, _XATTN_KEYS, "xattn train config")
     cfg = XAttnTrainConfig(
-        d_model=int(obj.get("d_model", 16)),
-        lr=float(obj.get("lr", 1e-3)),
-        batch_size=int(obj.get("batch_size", 32)),
-        max_steps=int(obj.get("max_steps", 500)),
-        patience=int(obj.get("patience", 5)),
-        eval_every=int(obj.get("eval_every", 25)),
-        seed=int(obj.get("seed", 0)),
-        p_drop=float(obj.get("p_drop", 0.0)),
-        residual=bool(obj.get("residual", True)),
+        d_model=_get(obj, "d_model", 16, int),
+        lr=_get(obj, "lr", 1e-3, float),
+        batch_size=_get(obj, "batch_size", 32, int),
+        max_steps=_get(obj, "max_steps", 500, int),
+        patience=_get(obj, "patience", 5, int),
+        eval_every=_get(obj, "eval_every", 25, int),
+        seed=_get(obj, "seed", 0, int),
+        p_drop=_get(obj, "p_drop", 0.0, float),
+        residual=_get(obj, "residual", True, bool),
     )
     if args.seed is not None:
         cfg.seed = args.seed

@@ -117,6 +117,9 @@ def apply_dropout(x, mask):
     return x * mask
 
 
+_ADAM_BLOCK = 16384  # elements per block of the in-place Adam update
+
+
 @dataclass
 class AdamState:
     """Per-parameter Adam moments; step counter increments once per update."""
@@ -131,9 +134,12 @@ class AdamState:
 
     @classmethod
     def for_param(cls, param, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        # C-contiguous whatever the param's layout, so the flat views that
+        # adam_step updates are always views, never copies
+        shape = np.shape(param)
         return cls(
-            m=np.zeros_like(param, dtype=np.float64),
-            v=np.zeros_like(param, dtype=np.float64),
+            m=np.zeros(shape),
+            v=np.zeros(shape),
             lr=lr,
             beta1=beta1,
             beta2=beta2,
@@ -142,12 +148,22 @@ class AdamState:
 
 
 def adam_step(param, grad, state):
-    """One Adam update with bias correction. Returns the new parameter.
+    """One Adam update with bias correction, done in place. Returns `param`.
 
-    Mutates `state` (moments and step count). Deterministic.
+    The parameter and the moments `state.m`/`state.v` are updated in place,
+    `_ADAM_BLOCK` elements at a time through two block-sized scratch buffers,
+    and `state.step` is incremented. The moments must be C-contiguous, as
+    `AdamState.for_param` makes them. A parameter that is not C-contiguous
+    float64 is copied first, and the updated copy is returned, so callers
+    must keep the return value. The shape and finiteness checks cover the
+    whole gradient before anything is mutated. Every element goes through
+    the same operations in the same order as the textbook formula
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    param -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so results are bit-identical
+    to an update that allocates each intermediate. Deterministic.
     """
-    param = np.asarray(param, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
+    param = np.asarray(param, dtype=np.float64, order="C")
+    grad = np.asarray(grad, dtype=np.float64, order="C")
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(
             f"adam_step: param {param.shape}, grad {grad.shape}, "
@@ -156,11 +172,33 @@ def adam_step(param, grad, state):
     check_finite(grad, "adam gradient")
     state.step += 1
     t = state.step
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1**t)
-    v_hat = state.v / (1.0 - state.beta2**t)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    c1, c2 = 1.0 - b1, 1.0 - b2
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    p, g = param.reshape(-1), grad.reshape(-1)
+    m, v = state.m.reshape(-1), state.v.reshape(-1)
+    n = p.size
+    s1 = np.empty(min(n, _ADAM_BLOCK))
+    s2 = np.empty_like(s1)
+    for lo in range(0, n, _ADAM_BLOCK):
+        hi = min(lo + _ADAM_BLOCK, n)
+        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        a, b = s1[: hi - lo], s2[: hi - lo]
+        mb *= b1
+        np.multiply(gb, c1, out=a)
+        mb += a  # m = b1*m + (1-b1)*g
+        vb *= b2
+        np.multiply(gb, c2, out=a)
+        a *= gb
+        vb += a  # v = b2*v + ((1-b2)*g)*g
+        np.divide(mb, bc1, out=a)
+        a *= lr  # lr * m_hat
+        np.divide(vb, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += eps  # sqrt(v_hat) + eps
+        a /= b
+        pb -= a
+    return param
 
 
 def finite_difference_grad(f, x, h=1e-5):

@@ -49,12 +49,9 @@ class MappingHead:
         return self.weight.shape[0]
 
     @classmethod
-    def init(cls, rng, in_dim, out_dim=192, p_drop=0.9, use_bias=True):
+    def init(cls, rng, in_dim, out_dim=192, p_drop=0.9):
         w = rng.standard_normal((out_dim, in_dim)) / np.sqrt(in_dim)
-        b = np.zeros(out_dim)
-        head = cls(weight=w, bias=b, p_drop=p_drop)
-        head.use_bias = use_bias
-        return head
+        return cls(weight=w, bias=np.zeros(out_dim), p_drop=p_drop)
 
     def copy(self):
         h = MappingHead(self.weight.copy(), self.bias.copy(), self.p_drop)
@@ -324,11 +321,20 @@ def load_checkpoint(path):
     data = Path(path).read_bytes()
     if data[:4] != CKPT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {data[:4]!r}")
+    if len(data) < 12:
+        raise FormatError(f"{path}: truncated checkpoint header")
     version, meta_len = struct.unpack_from("<II", data, 4)
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     off = 12
-    meta = json.loads(data[off : off + meta_len].decode("utf-8"))
+    if off + meta_len + 4 > len(data):
+        raise FormatError(f"{path}: truncated checkpoint at byte {len(data)}")
+    try:
+        meta = json.loads(data[off : off + meta_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: bad checkpoint meta block: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: checkpoint meta is not a JSON object")
     off += meta_len
     (n_arrays,) = struct.unpack_from("<I", data, off)
     off += 4
@@ -338,7 +344,10 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: truncated checkpoint at byte {off}")
         name_len, rows, cols = struct.unpack_from("<HII", data, off)
         off += 10
-        name = data[off : off + name_len].decode("utf-8")
+        try:
+            name = data[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: bad array name at byte {off}") from exc
         off += name_len
         nbytes = rows * cols * 8
         if off + nbytes > len(data):

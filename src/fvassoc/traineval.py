@@ -13,6 +13,7 @@ corpora with fine-tuning, and every manifest consumed by an unheard run is
 audited for excluded-language leakage (hard failure on any hit).
 """
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -58,6 +59,12 @@ class EvalReport:
         return asdict(self)
 
 
+def _check_lr(lr):
+    # 0 is allowed: a frozen run keeps its initial weights
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"lr must be finite and >= 0, got {lr}")
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-2
@@ -74,6 +81,7 @@ class TrainConfig:
     n_dev_nontarget: int = 1000
 
     def validate(self):
+        _check_lr(self.lr)
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:
@@ -691,6 +699,7 @@ class XAttnTrainConfig:
     residual: bool = True
 
     def validate(self):
+        _check_lr(self.lr)
         if self.patience < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ConfigError("bad cross-attention training config")
 

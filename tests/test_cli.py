@@ -129,6 +129,47 @@ class TestTrain:
         assert reports_equal_modulo_timestamp(load_report(out_a), load_report(out_b))
 
 
+_BAD_LR = [-0.01, "abc", float("nan"), float("inf")]
+
+
+def _bad_lr_config(tmp_path, data, lr, command):
+    train = quick_train_block(lr=lr) if command == "train" else {
+        "d_model": 8, "lr": lr, "max_steps": 2, "eval_every": 1}
+    return write_config(
+        tmp_path / "bad_lr.json",
+        {"data": data, "dev_fraction": 0.25, "train": train},
+    )
+
+
+@pytest.mark.parametrize("lr", _BAD_LR)
+@pytest.mark.parametrize("command", ["train", "xattn"])
+def test_bad_lr_exits_2(tmp_path, capsys, command, lr):
+    data = make_data(tmp_path)
+    cfg = _bad_lr_config(tmp_path, data, lr, command)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "lr" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "xattn"])
+def test_zero_lr_still_trains(tmp_path, command):
+    data = make_data(tmp_path)
+    cfg = _bad_lr_config(tmp_path, data, 0.0, command)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("key", ["batch_size", "seed", "scale"])
+def test_non_numeric_train_value_exits_2(tmp_path, key):
+    data = make_data(tmp_path)
+    cfg = write_config(
+        tmp_path / "t.json",
+        {"data": data, "train": quick_train_block(**{key: "x"})},
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 class TestCrossval:
     def test_report_structure(self, tmp_path):
         data = make_data(tmp_path, n_speakers=14)
@@ -269,6 +310,33 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         assert "face s001:v000" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exit_4(self, tmp_path):
+        data = make_data(tmp_path)
+        train_cfg = write_config(
+            tmp_path / "t.json",
+            {"data": data, "dev_fraction": 0.25,
+             "train": quick_train_block(max_steps=2)},
+        )
+        run = tmp_path / "run"
+        assert main(["train", "--config", train_cfg, "--out", str(run)]) == 0
+        blob = (run / "checkpoint.fvh").read_bytes()
+        meta_len = int.from_bytes(blob[8:12], "little")
+        trials = tmp_path / "trials.tsv"
+        trials.write_text(
+            "face_record_id\tvoice_record_id\tlabel\n"
+            "s000:f000\ts000:v001\tsame\n"
+            "s000:f001\ts001:v000\tdifferent\n"
+        )
+        for cut in (6, 12, 12 + meta_len // 2, 12 + meta_len, len(blob) - 1):
+            ckpt = tmp_path / "cut.fvh"
+            ckpt.write_bytes(blob[:cut])
+            cfg = write_config(
+                tmp_path / "e.json",
+                {"checkpoint": str(ckpt), "data": data, "trials": str(trials)},
+            )
+            code = main(["eval", "--config", cfg, "--out", str(tmp_path / "o")])
+            assert code == 4, cut
 
     def test_cross_attention_checkpoint_exit_4(self, tmp_path, capsys):
         data = make_data(tmp_path)

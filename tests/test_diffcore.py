@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvassoc.diffcore import (
+    _ADAM_BLOCK,
     AdamState,
     adam_step,
     apply_dropout,
+    check_finite,
     dropout_mask,
     finite_difference_grad,
     l2_normalize_rows,
@@ -105,12 +108,125 @@ class TestDropout:
             dropout_mask(make_rng(0), (2, 2), 1.0)
 
 
+def _reference_adam_step(param, grad, state):
+    """The allocate-per-operation Adam update, kept only as the test oracle."""
+    param = np.asarray(param, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    if param.shape != grad.shape or param.shape != state.m.shape:
+        raise ShapeError(
+            f"adam_step: param {param.shape}, grad {grad.shape}, "
+            f"state {state.m.shape}"
+        )
+    check_finite(grad, "adam gradient")
+    state.step += 1
+    t = state.step
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / (1.0 - state.beta1**t)
+    v_hat = state.v / (1.0 - state.beta2**t)
+    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def _run_both(param, grads, lr=1e-3, transpose=False):
+    """Apply `grads` in turn with the oracle and with adam_step."""
+    if transpose:
+        param = param.T
+    ref_p, ref_s = param.copy(), AdamState.for_param(param, lr=lr)
+    p, s = param.copy(order="K"), AdamState.for_param(param, lr=lr)
+    for g in grads:
+        g = g.T if transpose else g
+        ref_p = _reference_adam_step(ref_p, g, ref_s)
+        p = adam_step(p, g, s)
+    return (ref_p, ref_s), (p, s)
+
+
+def _assert_same(ref, got):
+    (ref_p, ref_s), (p, s) = ref, got
+    assert p.shape == ref_p.shape
+    assert np.array_equal(p, ref_p)
+    assert np.array_equal(s.m, ref_s.m)
+    assert np.array_equal(s.v, ref_s.v)
+    assert s.step == ref_s.step
+
+
+_ADAM_SIZES = [1, _ADAM_BLOCK - 1, _ADAM_BLOCK, _ADAM_BLOCK + 1, 2 * _ADAM_BLOCK + 3]
+
+
+class TestAdamMatchesOracle:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_bit_identical_over_steps(self, data):
+        size = data.draw(st.sampled_from(_ADAM_SIZES), label="size")
+        divisors = [d for d in range(1, 400) if size % d == 0 and d < size]
+        rows = data.draw(st.sampled_from([None] + divisors), label="rows")
+        shape = (size,) if rows is None else (rows, size // rows)
+        transpose = rows is not None and data.draw(st.booleans(), label="F-order")
+        n_steps = data.draw(st.integers(1, 4), label="steps")
+        lr = data.draw(st.sampled_from([0.0, 1e-3, 0.01, 0.3]), label="lr")
+        rng = make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scale = 10.0 ** rng.integers(-6, 4, size=shape)
+        param = rng.standard_normal(shape)
+        grads = [rng.standard_normal(shape) * scale for _ in range(n_steps)]
+        ref, got = _run_both(param, grads, lr=lr, transpose=transpose)
+        _assert_same(ref, got)
+
+    def test_full_width_voice_head(self):
+        rng = make_rng(21)
+        param = rng.standard_normal((192, 7680)) / np.sqrt(7680)
+        grads = [rng.standard_normal((192, 7680)) * 1e-3 for _ in range(3)]
+        _assert_same(*_run_both(param, grads, lr=0.01))
+
+    def test_updates_in_place_and_returns_param(self):
+        p = make_rng(2).standard_normal((3, _ADAM_BLOCK + 5))
+        state = AdamState.for_param(p)
+        m, v = state.m, state.v
+        out = adam_step(p, np.ones_like(p), state)
+        assert out is p and state.m is m and state.v is v
+        assert m.any() and v.any()
+
+    def test_transposed_param_is_copied_and_returned(self):
+        p = make_rng(3).standard_normal((5, 7)).T
+        before = p.copy()
+        state = AdamState.for_param(p)
+        assert state.m.flags.c_contiguous
+        out = adam_step(p, np.ones_like(p), state)
+        assert out.flags.c_contiguous and out.shape == (7, 5)
+        assert np.array_equal(p, before)
+        assert (out < before).all()
+
+
 class TestAdam:
     def test_zero_grad_leaves_param(self):
         p = np.array([[1.0, 2.0]])
+        before = p.copy()
         state = AdamState.for_param(p)
         out = adam_step(p, np.zeros_like(p), state)
-        assert np.array_equal(out, p)
+        assert np.array_equal(out, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, _ADAM_BLOCK + 2])
+    def test_nonfinite_grad_rejected_before_any_update(self, bad, where):
+        rng = make_rng(4)
+        p = rng.standard_normal((2, _ADAM_BLOCK))
+        state = AdamState.for_param(p)
+        adam_step(p, rng.standard_normal(p.shape), state)
+        before = (p.copy(), state.m.copy(), state.v.copy(), state.step)
+        grad = rng.standard_normal(p.shape)
+        grad.reshape(-1)[where] = bad
+        with pytest.raises(NumericError):
+            adam_step(p, grad, state)
+        assert np.array_equal(p, before[0])
+        assert np.array_equal(state.m, before[1])
+        assert np.array_equal(state.v, before[2])
+        assert state.step == before[3]
+
+    def test_shape_mismatch_rejected_before_any_update(self):
+        p = np.ones((2, 3))
+        state = AdamState.for_param(p)
+        with pytest.raises(ShapeError):
+            adam_step(p, np.ones((3, 2)), state)
+        assert state.step == 0 and not state.m.any()
+        assert np.array_equal(p, np.ones((2, 3)))
 
     def test_scalar_first_step(self):
         p = np.array([[1.0]])

@@ -257,3 +257,42 @@ class TestCheckpoint:
 
         with pytest.raises(SchemaError):
             head_from_arrays(arrays, "h", p_drop=0.0, expect_in_dim=99)
+
+    def _saved(self, tmp_path):
+        head = MappingHead.init(make_rng(8), in_dim=7, out_dim=3)
+        save_checkpoint(
+            tmp_path / "c.fvh", head_to_arrays(head, "h"), {"architecture": "x"}
+        )
+        data = (tmp_path / "c.fvh").read_bytes()
+        meta_len = int.from_bytes(data[8:12], "little")
+        return data, meta_len
+
+    @pytest.mark.parametrize(
+        "cut", ["header", "after_header", "mid_meta", "after_meta", "mid_count",
+                "mid_array"]
+    )
+    def test_truncated_checkpoint_is_format_error(self, tmp_path, cut):
+        data, meta_len = self._saved(tmp_path)
+        at = {
+            "header": 6,
+            "after_header": 12,
+            "mid_meta": 12 + meta_len // 2,
+            "after_meta": 12 + meta_len,
+            "mid_count": 12 + meta_len + 2,
+            "mid_array": len(data) - 5,
+        }[cut]
+        (tmp_path / "cut.fvh").write_bytes(data[:at])
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(tmp_path / "cut.fvh")
+
+    @pytest.mark.parametrize("meta", [b'{"a": "\xff"}', b"[1, 2]", b"{not json"])
+    def test_bad_meta_block_is_format_error(self, tmp_path, meta):
+        data, meta_len = self._saved(tmp_path)
+        bad = (
+            data[:8] + len(meta).to_bytes(4, "little") + meta
+            + data[12 + meta_len:]
+        )
+        (tmp_path / "bad.fvh").write_bytes(bad)
+        with pytest.raises(FormatError):
+            load_checkpoint(tmp_path / "bad.fvh")
+
