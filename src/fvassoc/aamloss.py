@@ -171,13 +171,6 @@ class JointParams:
     def snapshot(self):
         return {name: arr.copy() for name, arr in self.named_params()}
 
-    def restore(self, arrays):
-        self.head_face.weight = arrays["head_face.weight"].copy()
-        self.head_face.bias = arrays["head_face.bias"].copy()
-        self.head_voice.weight = arrays["head_voice.weight"].copy()
-        self.head_voice.bias = arrays["head_voice.bias"].copy()
-        self.clf_weight = arrays["clf.weight"].copy()
-
 
 def joint_step(params, face_x, face_targets, voice_x, voice_targets, cfg, rng):
     """One joint optimization step on L_face + L_voice.

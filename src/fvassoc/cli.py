@@ -2,29 +2,41 @@
 
 Commands: synth, train, crossval, pretrain-finetune, scenarios, eval, xattn.
 Every command takes --config <json>, --out <dir>, and an optional --seed
-that overrides the config's seed. Reports are JSON, written atomically
-(temp file + rename); the only non-deterministic field is "timestamp".
+that overrides the seed of every config block. Reports are JSON, written
+atomically (temp file + rename); the only non-deterministic field is
+"timestamp".
+
+CONFIG_SCHEMA describes each command's config keys; `load_config` and the
+--help epilog both read it. A top-level key maps to its default (whose JSON
+type is the key's type), to the type of a required key (`str` for a path,
+`dict` for the scenarios table), or to a config dataclass whose block is
+parsed from its fields. Types are strict: a bool takes only true/false, an
+int only a JSON integer, a float an integer or a finite number. Ranges are
+checked by each dataclass's validate() and, for top-level numbers, by the
+traineval function that uses them.
 
 Exit statuses: 0 success, 2 config/parse error, 3 protocol violation
-(unheard-language leakage), 4 data/schema error, 5 internal numeric error.
+(unheard-language leakage), 4 data/schema error, 5 internal numeric error
+or an exception nobody mapped (printed with its type name).
 """
 
 import argparse
 import json
 import os
 import sys
+import textwrap
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 from . import embedstore, synthgen, traineval
-from .aamloss import AamConfig
 from .embedstore import ModalityKind, read_store
 from .errors import (
     ConfigError,
     DegenerateVectorError,
     EmptyDatasetError,
     FormatError,
+    FvError,
     LookupError_,
     MetricError,
     NumericError,
@@ -35,6 +47,7 @@ from .errors import (
 )
 from .diffcore import make_rng
 from .fusion import head_from_arrays, load_checkpoint, save_checkpoint
+from .synthgen import SynthConfig
 from .traineval import (
     PairedDataset,
     TrainConfig,
@@ -64,7 +77,7 @@ _EXIT_BY_ERROR = [
             MetricError,
             ShapeError,
             DegenerateVectorError,
-            FileNotFoundError,
+            OSError,  # an input path that is missing, a directory, unreadable
         ),
         EXIT_DATA,
     ),
@@ -78,26 +91,24 @@ def _exit_code(exc):
     return EXIT_NUMERIC
 
 
-def load_config(path, allowed, required=()):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config parse error at line {exc.lineno} col {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(set(required) - set(cfg))
-    if missing:
-        raise ConfigError(f"missing config keys: {', '.join(missing)}")
-    return cfg
+CONFIG_SCHEMA = {
+    "synth": {"synth": SynthConfig, "dataset_name": "synthetic"},
+    "train": {"data": str, "dev_fraction": 0.05, "train": TrainConfig},
+    "crossval": {"data": str, "n_folds": 7, "train": TrainConfig},
+    "pretrain-finetune": {
+        "pretrain_data": str, "finetune_data": str, "n_folds": 7,
+        "dev_fraction": 0.05, "pretrain": TrainConfig, "finetune": TrainConfig,
+    },
+    "scenarios": {
+        "test_data": str, "scenarios": dict, "n_trials_target": 200,
+        "n_trials_nontarget": 200, "dev_fraction": 0.1, "train": TrainConfig,
+    },
+    "eval": {"checkpoint": str, "data": str, "trials": str},
+    "xattn": {"data": str, "dev_fraction": 0.1, "train": XAttnTrainConfig},
+}
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string", dict: "a JSON object"}
 
 
 def _check_keys(obj, allowed, where):
@@ -106,96 +117,151 @@ def _check_keys(obj, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
-_TRAIN_KEYS = {
-    "lr",
-    "batch_size",
-    "max_steps",
-    "patience",
-    "eval_every",
-    "seed",
-    "p_drop",
-    "out_dim",
-    "scale",
-    "margin",
-    "classifier_reinit",
-    "n_dev_target",
-    "n_dev_nontarget",
+def _check_type(value, kind, where):
+    """`value` if JSON gave it as a `kind` (a float may be given as an
+    integer and comes back a float), else a ConfigError naming `where`.
+    A `kind` that is not a type is the parser of a hand-parsed field."""
+    if kind not in _TYPE_NAMES:
+        return kind(value, where)
+    if kind is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is kind:
+        return value
+    raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _parse_dims(value, where):
+    if value == "small":
+        return dict(synthgen.SMALL_DIMS)
+    if value == "full":
+        return dict(embedstore.FULL_DIMS)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be 'small', 'full', or a mapping")
+    _check_keys(value, {k.tag for k in ModalityKind}, where)
+    return {
+        ModalityKind.from_tag(t): _check_type(d, int, f"{where}.{t}")
+        for t, d in value.items()
+    }
+
+
+def _parse_languages(value, where):
+    return {
+        tag: _check_type(p, float, f"{where}.{tag}")
+        for tag, p in _check_type(value, dict, where).items()
+    }
+
+
+# SynthConfig fields with a JSON spelling of their own -> (parser, default).
+# The CLI's default corpus speaks one language, not SynthConfig's en/de mix.
+_HAND_PARSED = {
+    "dims": (_parse_dims, "small"),
+    "languages": (_parse_languages, {"en": 1.0}),
 }
 
 
-def _get(obj, key, default, kind):
-    """obj[key] (or `default`) converted by `kind`; a value it cannot convert,
-    such as "abc" or null for a number, is a ConfigError naming the key."""
-    value = obj.get(key, default)
+def _block_keys(cls):
+    """JSON key -> (type, default) of a `cls` block; the fields of a nested
+    config (TrainConfig.aam) are flat keys of the block."""
+    keys = {}
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            keys.update(_block_keys(f.type))
+        else:
+            keys[f.name] = _HAND_PARSED.get(f.name, (f.type, f.default))
+    return keys
+
+
+def _build(cls, values):
+    return cls(**{
+        f.name: _build(f.type, values) if is_dataclass(f.type) else values[f.name]
+        for f in fields(cls)
+    })
+
+
+def _parse_block(cls, obj, where, seed_override):
+    keys = _block_keys(cls)
+    _check_keys(_check_type(obj, dict, where), keys, where)
+    values = {
+        key: _check_type(obj.get(key, default), kind, f"{where}.{key}")
+        for key, (kind, default) in keys.items()
+    }
+    if seed_override is not None:
+        values["seed"] = seed_override
+    cfg = _build(cls, values)
+    cfg.validate()
+    return cfg
+
+
+def load_config(command, path, seed_override=None):
+    """The config of `command` read from the JSON file at `path`: every key
+    of CONFIG_SCHEMA[command] with its default filled in, and each block a
+    validated dataclass whose seed is `seed_override` when one is given."""
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
-
-
-def parse_train_config(obj, seed_override=None):
-    _check_keys(obj, _TRAIN_KEYS, "train config")
-    cfg = TrainConfig(
-        lr=_get(obj, "lr", 1e-2, float),
-        batch_size=_get(obj, "batch_size", 32, int),
-        max_steps=_get(obj, "max_steps", 500, int),
-        patience=_get(obj, "patience", 5, int),
-        eval_every=_get(obj, "eval_every", 25, int),
-        seed=_get(obj, "seed", 0, int),
-        aam=AamConfig(
-            scale=_get(obj, "scale", 30.0, float),
-            margin=_get(obj, "margin", 0.2, float),
-        ),
-        p_drop=_get(obj, "p_drop", 0.9, float),
-        out_dim=_get(obj, "out_dim", 192, int),
-        classifier_reinit=_get(obj, "classifier_reinit", True, bool),
-        n_dev_target=_get(obj, "n_dev_target", 1000, int),
-        n_dev_nontarget=_get(obj, "n_dev_nontarget", 1000, int),
-    )
-    if seed_override is not None:
-        cfg.seed = seed_override
-    cfg.validate()
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise ConfigError(f"config parse error: {exc}") from exc
+    schema = CONFIG_SCHEMA[command]
+    _check_keys(_check_type(raw, dict, "config root"), schema, "config")
+    cfg = {}
+    for key, spec in schema.items():
+        if is_dataclass(spec):
+            cfg[key] = _parse_block(spec, raw.get(key, {}), key, seed_override)
+        elif spec in (str, dict):
+            if key not in raw:
+                raise ConfigError(f"missing config key: {key}")
+            cfg[key] = _check_type(raw[key], spec, key)
+        else:
+            cfg[key] = _check_type(raw.get(key, spec), type(spec), key)
     return cfg
 
 
-_SYNTH_KEYS = {
-    "n_speakers",
-    "latent_dim",
-    "dims",
-    "noise_sigma",
-    "records_per_speaker",
-    "seed",
-    "languages",
-}
+def _help_entry(key, spec):
+    if is_dataclass(spec):
+        return f"{key}={{{spec.__name__}}}"
+    if spec is str:
+        return key
+    if spec is dict:
+        return f"{key}={{...}}"
+    return f"{key}={json.dumps(spec, separators=(',', ':'))}"
 
 
-def parse_synth_config(obj, seed_override=None):
-    _check_keys(obj, _SYNTH_KEYS, "synth config")
-    dims = obj.get("dims", "small")
-    if dims == "small":
-        dims = dict(synthgen.SMALL_DIMS)
-    elif dims == "full":
-        dims = dict(embedstore.FULL_DIMS)
-    elif isinstance(dims, dict):
-        _check_keys(dims, {k.tag for k in ModalityKind}, "synth dims")
-        dims = {ModalityKind.from_tag(t): int(d) for t, d in dims.items()}
-    else:
-        raise ConfigError(f"dims must be 'small', 'full', or a mapping")
-    cfg = synthgen.SynthConfig(
-        n_speakers=int(obj.get("n_speakers", 30)),
-        latent_dim=int(obj.get("latent_dim", 16)),
-        dims=dims,
-        noise_sigma=float(obj.get("noise_sigma", 0.01)),
-        records_per_speaker=int(obj.get("records_per_speaker", 10)),
-        seed=int(obj.get("seed", 0)),
-        languages={
-            str(k): float(v) for k, v in obj.get("languages", {"en": 1.0}).items()
-        },
+def _help_lines(label, entries):
+    return textwrap.fill(
+        ", ".join(entries), width=79, initial_indent=f"  {label:<19}",
+        subsequent_indent=" " * 21, break_long_words=False,
+        break_on_hyphens=False,
     )
-    if seed_override is not None:
-        cfg.seed = seed_override
-    cfg.validate()
-    return cfg
+
+
+def _help_epilog():
+    """The --help text on config keys, generated from CONFIG_SCHEMA."""
+    blocks = dict.fromkeys(
+        spec for schema in CONFIG_SCHEMA.values() for spec in schema.values()
+        if is_dataclass(spec)
+    )
+    notes = (
+        "dims is \"small\", \"full\" or {tag: int} for the tags "
+        + ", ".join(k.tag for k in ModalityKind)
+        + "; languages maps a language tag to its probability. scenarios maps "
+        + ", ".join(traineval.SCENARIOS)
+        + ' each to {"pretrain": path, "finetune": path}; finetune is needed '
+        "where the recipe fine-tunes."
+    )
+    return "\n".join([
+        "config keys by command: key=default (the key takes the JSON type of",
+        "its default), a bare key is a required path, key={...} a required",
+        "object and key={Class} an object of the keys of Class below:",
+        *(_help_lines(command, [_help_entry(k, s) for k, s in schema.items()])
+          for command, schema in CONFIG_SCHEMA.items()),
+        "config blocks:",
+        *(_help_lines(cls.__name__, [
+            _help_entry(k, default) for k, (_, default) in _block_keys(cls).items()
+        ]) for cls in blocks),
+        textwrap.fill(notes, width=79),
+    ]) + "\n"
 
 
 def atomic_write_json(path, payload):
@@ -231,51 +297,40 @@ def _strip_arrays(obj):
     return obj
 
 
+def _save_heads(path, arrays, ds, cfg, **extra):
+    """Save a mapping-heads checkpoint; `extra` (stage, fold) joins its meta."""
+    meta = {"architecture": "mapping-heads", "face_in_dim": ds.face_dim,
+            "voice_in_dim": ds.voice_dim, "out_dim": cfg.out_dim, **extra}
+    save_checkpoint(path, arrays, meta)
+
+
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the resolved config and the output directory
 
 
-def cmd_synth(args):
-    raw = load_config(args.config, {"synth", "dataset_name"})
-    cfg = parse_synth_config(raw.get("synth", {}), args.seed)
-    out = Path(args.out)
+def cmd_synth(cfg, out):
+    synth = cfg["synth"]
     out.mkdir(parents=True, exist_ok=True)
-    manifest, records, _ = synthgen.write_dataset(
-        cfg, out, dataset_name=raw.get("dataset_name", "synthetic")
+    _, records, _ = synthgen.write_dataset(
+        synth, out, dataset_name=cfg["dataset_name"]
     )
-    dims = "/".join(str(cfg.dims[k]) for k in ModalityKind)
+    dims = "/".join(str(synth.dims[k]) for k in ModalityKind)
     print(
-        f"synth: {cfg.n_speakers} speakers, {len(records)} records, dims {dims}"
+        f"synth: {synth.n_speakers} speakers, {len(records)} records, dims {dims}"
     )
     return EXIT_OK
 
 
-def _resolved_train_echo(cfg):
-    d = asdict(cfg)
-    return d
-
-
-def cmd_train(args):
-    raw = load_config(args.config, {"data", "train", "dev_fraction"}, ["data"])
-    cfg = parse_train_config(raw.get("train", {}), args.seed)
-    _, ds, skipped = load_dataset(raw["data"])
+def cmd_train(cfg, out):
+    train = cfg["train"]
+    _, ds, skipped = load_dataset(cfg["data"])
     best, log, dev_spk = traineval.pretrain(
-        ds, cfg, dev_fraction=float(raw.get("dev_fraction", 0.05))
+        ds, train, dev_fraction=cfg["dev_fraction"]
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(
-        out / "checkpoint.fvh",
-        best["arrays"],
-        {
-            "architecture": "mapping-heads",
-            "face_in_dim": ds.face_dim,
-            "voice_in_dim": ds.voice_dim,
-            "out_dim": cfg.out_dim,
-        },
-    )
+    _save_heads(out / "checkpoint.fvh", best["arrays"], ds, train)
     report = make_report(
-        {"train": _resolved_train_echo(cfg), "data": raw["data"]},
+        {"train": asdict(train), "data": cfg["data"]},
         {
             "dev_eer": best["dev_eer"],
             "best_step": best["step"],
@@ -289,28 +344,16 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_crossval(args):
-    raw = load_config(args.config, {"data", "train", "n_folds"}, ["data"])
-    cfg = parse_train_config(raw.get("train", {}), args.seed)
-    n_folds = int(raw.get("n_folds", 7))
-    _, ds, _ = load_dataset(raw["data"])
-    cv = traineval.cross_validate(ds, cfg, n_folds=n_folds)
-    out = Path(args.out)
+def cmd_crossval(cfg, out):
+    train, n_folds = cfg["train"], cfg["n_folds"]
+    _, ds, _ = load_dataset(cfg["data"])
+    cv = traineval.cross_validate(ds, train, n_folds=n_folds)
     out.mkdir(parents=True, exist_ok=True)
     for entry in cv["folds"]:
-        save_checkpoint(
-            out / f"fold{entry['fold']}.fvh",
-            entry["arrays"],
-            {
-                "architecture": "mapping-heads",
-                "fold": entry["fold"],
-                "face_in_dim": ds.face_dim,
-                "voice_in_dim": ds.voice_dim,
-                "out_dim": cfg.out_dim,
-            },
-        )
+        _save_heads(out / f"fold{entry['fold']}.fvh", entry["arrays"], ds, train,
+                    fold=entry["fold"])
     report = make_report(
-        {"train": _resolved_train_echo(cfg), "data": raw["data"], "n_folds": n_folds},
+        {"train": asdict(train), "data": cfg["data"], "n_folds": n_folds},
         _strip_arrays(cv),
     )
     atomic_write_json(out / "report.json", report)
@@ -321,57 +364,30 @@ def cmd_crossval(args):
     return EXIT_OK
 
 
-def cmd_pretrain_finetune(args):
-    raw = load_config(
-        args.config,
-        {"pretrain_data", "finetune_data", "pretrain", "finetune", "n_folds",
-         "dev_fraction"},
-        ["pretrain_data", "finetune_data"],
-    )
-    cfg_pre = parse_train_config(raw.get("pretrain", {}), args.seed)
-    cfg_ft = parse_train_config(raw.get("finetune", {}), args.seed)
-    _, pre_ds, _ = load_dataset(raw["pretrain_data"])
-    _, ft_ds, _ = load_dataset(raw["finetune_data"])
+def cmd_pretrain_finetune(cfg, out):
+    cfg_pre, cfg_ft = cfg["pretrain"], cfg["finetune"]
+    _, pre_ds, _ = load_dataset(cfg["pretrain_data"])
+    _, ft_ds, _ = load_dataset(cfg["finetune_data"])
     result = traineval.pretrain_then_finetune(
         pre_ds,
         ft_ds,
         cfg_pre,
         cfg_ft,
-        n_folds=int(raw.get("n_folds", 7)),
-        dev_fraction=float(raw.get("dev_fraction", 0.05)),
+        n_folds=cfg["n_folds"],
+        dev_fraction=cfg["dev_fraction"],
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(
-        out / "pretrained.fvh",
-        result["pretrain"]["arrays"],
-        {
-            "architecture": "mapping-heads",
-            "stage": "pretrain",
-            "face_in_dim": pre_ds.face_dim,
-            "voice_in_dim": pre_ds.voice_dim,
-            "out_dim": cfg_pre.out_dim,
-        },
-    )
+    _save_heads(out / "pretrained.fvh", result["pretrain"]["arrays"], pre_ds,
+                cfg_pre, stage="pretrain")
     for entry in result["finetune"]["folds"]:
-        save_checkpoint(
-            out / f"finetuned_fold{entry['fold']}.fvh",
-            entry["arrays"],
-            {
-                "architecture": "mapping-heads",
-                "stage": "finetune",
-                "fold": entry["fold"],
-                "face_in_dim": ft_ds.face_dim,
-                "voice_in_dim": ft_ds.voice_dim,
-                "out_dim": cfg_ft.out_dim,
-            },
-        )
+        _save_heads(out / f"finetuned_fold{entry['fold']}.fvh", entry["arrays"],
+                    ft_ds, cfg_ft, stage="finetune", fold=entry["fold"])
     report = make_report(
         {
-            "pretrain": _resolved_train_echo(cfg_pre),
-            "finetune": _resolved_train_echo(cfg_ft),
-            "pretrain_data": raw["pretrain_data"],
-            "finetune_data": raw["finetune_data"],
+            "pretrain": asdict(cfg_pre),
+            "finetune": asdict(cfg_ft),
+            "pretrain_data": cfg["pretrain_data"],
+            "finetune_data": cfg["finetune_data"],
         },
         _strip_arrays(result),
     )
@@ -384,39 +400,35 @@ def cmd_pretrain_finetune(args):
     return EXIT_OK
 
 
-def cmd_scenarios(args):
-    raw = load_config(
-        args.config,
-        {"test_data", "scenarios", "train", "n_trials_target",
-         "n_trials_nontarget", "dev_fraction"},
-        ["test_data", "scenarios"],
-    )
-    cfg = parse_train_config(raw.get("train", {}), args.seed)
-    _check_keys(raw["scenarios"], set(traineval.SCENARIOS), "scenarios")
-    missing = sorted(set(traineval.SCENARIOS) - set(raw["scenarios"]))
+def cmd_scenarios(cfg, out):
+    train, scenarios = cfg["train"], cfg["scenarios"]
+    _check_keys(scenarios, traineval.SCENARIOS, "scenarios")
+    missing = sorted(set(traineval.SCENARIOS) - set(scenarios))
     if missing:
         raise ConfigError(f"missing scenario entries: {', '.join(missing)}")
     corpora = {}
-    for name, entry in raw["scenarios"].items():
-        _check_keys(entry, {"pretrain", "finetune"}, f"scenario {name}")
+    for name, entry in scenarios.items():
+        where = f"scenarios.{name}"
+        _check_keys(_check_type(entry, dict, where), {"pretrain", "finetune"}, where)
+        for stage in sorted(entry.keys() | {"pretrain"}):
+            _check_type(entry.get(stage), str, f"{where}.{stage}")
         pre_manifest, pre_ds, _ = load_dataset(entry["pretrain"])
         ft = None
         if "finetune" in entry:
             ft_manifest, ft_ds, _ = load_dataset(entry["finetune"])
             ft = (ft_manifest, ft_ds)
         corpora[name] = {"pretrain": (pre_manifest, pre_ds), "finetune": ft}
-    _, test_ds, _ = load_dataset(raw["test_data"])
+    _, test_ds, _ = load_dataset(cfg["test_data"])
     table = traineval.run_scenarios(
         corpora,
         test_ds,
-        cfg,
-        n_trials_target=int(raw.get("n_trials_target", 200)),
-        n_trials_nontarget=int(raw.get("n_trials_nontarget", 200)),
-        dev_fraction=float(raw.get("dev_fraction", 0.1)),
+        train,
+        n_trials_target=cfg["n_trials_target"],
+        n_trials_nontarget=cfg["n_trials_nontarget"],
+        dev_fraction=cfg["dev_fraction"],
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = make_report({"train": _resolved_train_echo(cfg)}, table)
+    report = make_report({"train": asdict(train)}, table)
     atomic_write_json(out / "report.json", report)
     for name, row in table["scenarios"].items():
         print(f"{name}: EER {row['eer']:.4f}")
@@ -428,7 +440,10 @@ TRIALS_HEADER = "face_record_id\tvoice_record_id\tlabel"
 
 
 def read_trials_file(path):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: trials file is not UTF-8 text") from exc
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != TRIALS_HEADER:
         raise FormatError(f"{path}: bad trials header")
@@ -458,36 +473,31 @@ def write_score_file(path, trials, scores):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_eval(args):
-    raw = load_config(
-        args.config, {"checkpoint", "data", "trials"},
-        ["checkpoint", "data", "trials"],
-    )
-    arrays, meta = load_checkpoint(raw["checkpoint"])
+def cmd_eval(cfg, out):
+    arrays, meta = load_checkpoint(cfg["checkpoint"])
     if meta.get("architecture") != "mapping-heads":
         raise SchemaError(
             f"eval scores mapping-heads checkpoints, got architecture "
             f"{meta.get('architecture')!r}"
         )
-    _, ds, _ = load_dataset(raw["data"])
+    _, ds, _ = load_dataset(cfg["data"])
     if meta.get("face_in_dim") != ds.face_dim or meta.get("voice_in_dim") != ds.voice_dim:
         raise SchemaError(
             f"checkpoint dims ({meta.get('face_in_dim')}, "
             f"{meta.get('voice_in_dim')}) do not match stores "
             f"({ds.face_dim}, {ds.voice_dim})"
         )
-    trials = read_trials_file(raw["trials"])
+    trials = read_trials_file(cfg["trials"])
     if not trials:
         raise MetricError("empty trial file")
     head_f = head_from_arrays(arrays, "head_face", p_drop=0.0)
     head_v = head_from_arrays(arrays, "head_voice", p_drop=0.0)
     scores = score_trials(head_f, head_v, trials, ds)
     report = compute_eer(scores, [t.label for t in trials])
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_score_file(out / "scores.tsv", trials, scores)
     payload = make_report(
-        {"checkpoint": raw["checkpoint"], "data": raw["data"], "trials": raw["trials"]},
+        {"checkpoint": cfg["checkpoint"], "data": cfg["data"], "trials": cfg["trials"]},
         {"eval": report.to_dict(), "score_file": "scores.tsv"},
     )
     atomic_write_json(out / "report.json", payload)
@@ -495,61 +505,31 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-_XATTN_KEYS = {
-    "d_model",
-    "lr",
-    "batch_size",
-    "max_steps",
-    "patience",
-    "eval_every",
-    "seed",
-    "p_drop",
-    "residual",
-}
-
-
-def cmd_xattn(args):
-    raw = load_config(args.config, {"data", "train", "dev_fraction"}, ["data"])
-    obj = raw.get("train", {})
-    _check_keys(obj, _XATTN_KEYS, "xattn train config")
-    cfg = XAttnTrainConfig(
-        d_model=_get(obj, "d_model", 16, int),
-        lr=_get(obj, "lr", 1e-3, float),
-        batch_size=_get(obj, "batch_size", 32, int),
-        max_steps=_get(obj, "max_steps", 500, int),
-        patience=_get(obj, "patience", 5, int),
-        eval_every=_get(obj, "eval_every", 25, int),
-        seed=_get(obj, "seed", 0, int),
-        p_drop=_get(obj, "p_drop", 0.0, float),
-        residual=_get(obj, "residual", True, bool),
-    )
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.validate()
-    _, ds, _ = load_dataset(raw["data"])
-    split_rng = make_rng(cfg.seed + 0xD5)
+def cmd_xattn(cfg, out):
+    train = cfg["train"]
+    _, ds, _ = load_dataset(cfg["data"])
+    split_rng = make_rng(train.seed + 0xD5)
     train_spk, dev_spk = traineval._dev_speaker_split(
-        ds.speakers(), float(raw.get("dev_fraction", 0.1)), split_rng
+        ds.speakers(), cfg["dev_fraction"], split_rng
     )
-    tc = TrainConfig(seed=cfg.seed)
-    trials = traineval.default_dev_trials(ds, dev_spk, tc, make_rng(cfg.seed + 0xDE))
-    model, best, log = traineval.train_xattn(ds.subset(train_spk), trials, ds, cfg)
-    out = Path(args.out)
+    tc = TrainConfig(seed=train.seed)
+    trials = traineval.default_dev_trials(ds, dev_spk, tc, make_rng(train.seed + 0xDE))
+    model, best, log = traineval.train_xattn(ds.subset(train_spk), trials, ds, train)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         out / "checkpoint.fvh",
         best["arrays"],
         {
             "architecture": "cross-attention",
-            "d_model": cfg.d_model,
+            "d_model": train.d_model,
             "face_in_dim": ds.face_dim,
             "voice_in_dim": ds.voice_dim,
-            "residual": cfg.residual,
+            "residual": train.residual,
         },
     )
     write_trials_file(out / "dev_trials.tsv", trials)
     report = make_report(
-        {"train": asdict(cfg), "data": raw["data"]},
+        {"train": asdict(train), "data": cfg["data"]},
         {
             "architecture": "cross-attention",
             "dev_eer": best["dev_eer"],
@@ -564,62 +544,43 @@ def cmd_xattn(args):
     return EXIT_OK
 
 
-CONFIG_KEY_HELP = """\
-config keys by command:
-  synth              synth.{n_speakers,latent_dim,dims,noise_sigma,
-                     records_per_speaker,seed,languages}, dataset_name
-  train              data, dev_fraction, train.{lr,batch_size,max_steps,
-                     patience,eval_every,seed,p_drop,out_dim,scale,margin,
-                     classifier_reinit,n_dev_target,n_dev_nontarget}
-  crossval           data, n_folds, train.{...as train}
-  pretrain-finetune  pretrain_data, finetune_data, n_folds, dev_fraction,
-                     pretrain.{...}, finetune.{...}
-  scenarios          test_data, n_trials_target, n_trials_nontarget,
-                     dev_fraction, train.{...},
-                     scenarios.<name>.{pretrain,finetune} for
-                     english_heard, german_heard, english_unheard,
-                     german_unheard
-  eval               checkpoint, data, trials
-  xattn              data, dev_fraction, train.{d_model,lr,batch_size,
-                     max_steps,patience,eval_every,seed,p_drop,residual}
-"""
+COMMANDS = {
+    "synth": cmd_synth,
+    "train": cmd_train,
+    "crossval": cmd_crossval,
+    "pretrain-finetune": cmd_pretrain_finetune,
+    "scenarios": cmd_scenarios,
+    "eval": cmd_eval,
+    "xattn": cmd_xattn,
+}
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fvassoc",
         description="Face-voice association training and evaluation toolkit.",
-        epilog=CONFIG_KEY_HELP,
+        epilog=_help_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "synth": cmd_synth,
-        "train": cmd_train,
-        "crossval": cmd_crossval,
-        "pretrain-finetune": cmd_pretrain_finetune,
-        "scenarios": cmd_scenarios,
-        "eval": cmd_eval,
-        "xattn": cmd_xattn,
-    }
-    for name, fn in commands.items():
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument(
             "--seed", type=int, default=None, help="seed override (u64)"
         )
-        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = load_config(args.command, args.config, args.seed)
+        return COMMANDS[args.command](cfg, Path(args.out))
     except Exception as exc:  # mapped to the stable exit-status contract
-        print(f"error: {exc}", file=sys.stderr)
+        unmapped = "" if isinstance(exc, FvError) else f"{type(exc).__name__}: "
+        print(f"error: {unmapped}{exc}", file=sys.stderr)
         return _exit_code(exc)
 
 

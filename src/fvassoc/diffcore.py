@@ -45,27 +45,6 @@ def check_finite(x, what="result"):
     return x
 
 
-def matmul(a, b):
-    a = as_mat(a)
-    b = as_mat(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} x {b.shape} incompatible")
-    return check_finite(a @ b, "matmul output")
-
-
-def matmul_backward(a, b, grad_out):
-    """Gradients of matmul: grad_a = g @ b.T, grad_b = a.T @ g."""
-    a = as_mat(a)
-    b = as_mat(b)
-    g = as_mat(grad_out)
-    if g.shape != (a.shape[0], b.shape[1]):
-        raise ShapeError(
-            f"matmul_backward: grad {g.shape} does not match output "
-            f"shape {(a.shape[0], b.shape[1])}"
-        )
-    return g @ b.T, a.T @ g
-
-
 def l2_normalize_rows(x):
     """Divide each row by its Euclidean norm.
 

@@ -162,7 +162,10 @@ def read_store_file(path):
         end = off + id_len + 4 * dim
         if end > len(data):
             raise FormatError(f"{path}: truncated record at byte {off}")
-        rid = data[off : off + id_len].decode("utf-8")
+        try:
+            rid = data[off : off + id_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: record id at byte {off} is not UTF-8") from exc
         off += id_len
         vec = np.frombuffer(data[off : off + 4 * dim], dtype="<f4").copy()
         off += 4 * dim
@@ -180,7 +183,10 @@ def write_manifest(manifest, path):
 
 
 def read_manifest(path, dataset_name=None):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not UTF-8 text") from exc
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != MANIFEST_HEADER:
         raise FormatError(f"{path}: bad manifest header")
@@ -190,9 +196,11 @@ def read_manifest(path, dataset_name=None):
         if len(parts) != 5:
             raise FormatError(f"{path}: bad manifest row {ln!r}")
         rid, spk, lang, tag, dim = parts
-        entries.append(
-            ManifestEntry(rid, spk, lang, ModalityKind.from_tag(tag), int(dim))
-        )
+        try:
+            dim = int(dim)
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad dim in manifest row {ln!r}") from exc
+        entries.append(ManifestEntry(rid, spk, lang, ModalityKind.from_tag(tag), dim))
     name = dataset_name if dataset_name is not None else Path(path).parent.name
     return Manifest(dataset_name=name, entries=entries)
 

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all modules.
 
-Each class maps to one CLI exit status (see cli.EXIT_CODES):
+Each class maps to one CLI exit status (see cli._EXIT_BY_ERROR):
 config problems -> 2, protocol violations -> 3, data/schema problems -> 4,
 numeric failures -> 5.
 """
@@ -12,6 +12,14 @@ class FvError(Exception):
 
 class ConfigError(FvError):
     """Bad configuration value or malformed config file."""
+
+
+def check_min(cfg, **minimums):
+    """Raise ConfigError unless each field `name` of `cfg` is >= `low`."""
+    for name, low in minimums.items():
+        value = getattr(cfg, name)
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 class ShapeError(FvError):

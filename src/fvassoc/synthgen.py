@@ -21,12 +21,11 @@ from .diffcore import make_rng
 from .embedstore import (
     EmbeddingRecord,
     ModalityKind,
-    FULL_DIMS,
     write_store,
     write_store_file,
     read_store_file,
 )
-from .errors import ConfigError, LookupError_
+from .errors import ConfigError, check_min
 
 SMALL_DIMS = {
     ModalityKind.VOICE_SPEAKER: 64,
@@ -34,9 +33,6 @@ SMALL_DIMS = {
     ModalityKind.FACE_IDENTITY: 48,
     ModalityKind.FACE_AGE_GENDER: 8,
 }
-
-GROUND_TRUTH_DATASET = "__ground_truth__"
-
 
 @dataclass
 class SynthConfig:
@@ -50,24 +46,14 @@ class SynthConfig:
     languages: dict = field(default_factory=lambda: {"en": 0.5, "de": 0.5})
 
     def validate(self):
-        if self.n_speakers < 1:
-            raise ConfigError(f"n_speakers must be >= 1, got {self.n_speakers}")
-        if self.latent_dim < 1:
-            raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.records_per_speaker < 1:
-            raise ConfigError("records_per_speaker must be >= 1")
+        check_min(self, n_speakers=1, latent_dim=1, noise_sigma=0,
+                  records_per_speaker=1, seed=0)
         for kind in ModalityKind:
             if self.dims.get(kind, 0) < 1:
                 raise ConfigError(f"missing or bad dim for {kind.tag}")
-        total = sum(self.languages.values())
-        if not self.languages or abs(total - 1.0) > 1e-9:
-            raise ConfigError("language probabilities must sum to 1")
-
-    @classmethod
-    def full_scale(cls, **kw):
-        return cls(dims=dict(FULL_DIMS), **kw)
+        probs = self.languages.values()
+        if not probs or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
+            raise ConfigError("language probabilities must be >= 0 and sum to 1")
 
 
 @dataclass
@@ -162,34 +148,6 @@ def generate(cfg, base_truth=None, projection_jitter=0.0):
 
 
 _IDENTITY_KINDS = {ModalityKind.VOICE_SPEAKER, ModalityKind.FACE_IDENTITY}
-
-
-def oracle_trial_labels(truth, trials):
-    """Ground-truth same/different labels for (face_id, voice_id) pairs."""
-    labels = []
-    for face_id, voice_id in trials:
-        for rid in (face_id, voice_id):
-            base = rid.split("#", 1)[0]
-            if rid not in truth.record_to_speaker and not _owner_known(truth, base):
-                raise LookupError_(f"unknown record id {rid}")
-        fs = _speaker_of(truth, face_id)
-        vs = _speaker_of(truth, voice_id)
-        labels.append(fs == vs)
-    return labels
-
-
-def _owner_known(truth, owner):
-    return any(rid.startswith(owner + "#") for rid in truth.record_to_speaker)
-
-
-def _speaker_of(truth, rid):
-    if rid in truth.record_to_speaker:
-        return truth.record_to_speaker[rid]
-    # owner-level id (as used in trials): strip to the speaker prefix
-    for full, spk in truth.record_to_speaker.items():
-        if full.split("#", 1)[0] == rid:
-            return spk
-    raise LookupError_(f"unknown record id {rid}")
 
 
 def write_dataset(cfg, out_dir, dataset_name="synthetic", base_truth=None,

@@ -28,6 +28,7 @@ from .errors import (
     ProtocolViolationError,
     SamplingError,
     SchemaError,
+    check_min,
 )
 from .fusion import (
     MappingHead,
@@ -59,10 +60,16 @@ class EvalReport:
         return asdict(self)
 
 
-def _check_lr(lr):
+def _check_common(cfg, **minimums):
+    """Range checks shared by TrainConfig and XAttnTrainConfig, plus the
+    lower bound of each field named in `minimums`."""
     # 0 is allowed: a frozen run keeps its initial weights
-    if not (math.isfinite(lr) and lr >= 0):
-        raise ConfigError(f"lr must be finite and >= 0, got {lr}")
+    if not (math.isfinite(cfg.lr) and cfg.lr >= 0):
+        raise ConfigError(f"lr must be finite and >= 0, got {cfg.lr}")
+    if not 0.0 <= cfg.p_drop < 1.0:
+        raise ConfigError(f"p_drop must be in [0, 1), got {cfg.p_drop}")
+    check_min(cfg, seed=0, batch_size=1, max_steps=0, patience=1, eval_every=1,
+              **minimums)
 
 
 @dataclass
@@ -81,13 +88,7 @@ class TrainConfig:
     n_dev_nontarget: int = 1000
 
     def validate(self):
-        _check_lr(self.lr)
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
+        _check_common(self, out_dim=1, n_dev_target=1, n_dev_nontarget=1)
         self.aam.validate()
 
 
@@ -469,6 +470,8 @@ def cross_validate(dataset, cfg, n_folds=7, init_arrays=None):
     frozen-initialization baseline EER on the same trials is reported too.
     """
     cfg.validate()
+    if n_folds < 2:  # one fold would hold out every speaker
+        raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
     speakers = dataset.speakers()
     plan = split_folds(speakers, n_folds, make_rng(cfg.seed))
     fold_reports = []
@@ -514,6 +517,8 @@ def _with_seed(cfg, seed):
 
 
 def _dev_speaker_split(speakers, fraction, rng):
+    if not 0.0 <= fraction < 1.0:
+        raise ConfigError(f"dev_fraction must be in [0, 1), got {fraction}")
     speakers = list(speakers)
     # at least 2 dev speakers, else no cross-speaker dev trials exist
     n_dev = max(2, int(round(fraction * len(speakers))))
@@ -620,6 +625,8 @@ def run_scenarios(corpora, test_ds, cfg, n_trials_target=200,
     hard protocol violation.
     """
     cfg.validate()
+    if min(n_trials_target, n_trials_nontarget) < 1:
+        raise ConfigError("n_trials_target and n_trials_nontarget must be >= 1")
     results = {}
     for name, recipe in SCENARIOS.items():
         entry = corpora[name]
@@ -699,9 +706,7 @@ class XAttnTrainConfig:
     residual: bool = True
 
     def validate(self):
-        _check_lr(self.lr)
-        if self.patience < 1 or self.batch_size < 1 or self.eval_every < 1:
-            raise ConfigError("bad cross-attention training config")
+        _check_common(self, d_model=1)
 
 
 def _records_by_speaker(dataset, speakers):

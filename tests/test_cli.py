@@ -1,10 +1,12 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fvassoc.cli import main
+from fvassoc.cli import CONFIG_SCHEMA, build_parser, main
 from fvassoc.fusion import load_checkpoint
 
 
@@ -481,3 +483,379 @@ class TestXAttn:
             out_b / "checkpoint.fvh"
         ).read_bytes()
         assert reports_equal_modulo_timestamp(load_report(out_a), load_report(out_b))
+
+
+# ---------------------------------------------------------------------------
+# Config schema: strict JSON types, ranges, decode errors and --help
+
+
+SCHEMA_TRAIN = {
+    "lr": 0.01, "batch_size": 16, "max_steps": 2, "patience": 3,
+    "eval_every": 1, "seed": 5, "scale": 30.0, "margin": 0.2, "p_drop": 0.5,
+    "out_dim": 16, "classifier_reinit": True, "n_dev_target": 20,
+    "n_dev_nontarget": 20,
+}
+SCHEMA_BLOCKS = {"synth", "train", "pretrain", "finetune"}
+
+
+@pytest.fixture(scope="module")
+def schema_corpus(tmp_path_factory):
+    """A corpus with en/de/fr speakers, its no-en and no-de variants, a
+    checkpoint and a trial file: every command's base config runs on them."""
+    from fvassoc.embedstore import (
+        filter_records_exclude_language,
+        read_store,
+        write_store,
+    )
+
+    tmp = tmp_path_factory.mktemp("schema")
+    data = make_data(tmp, n_speakers=14,
+                     languages={"en": 0.4, "de": 0.4, "fr": 0.2})
+    _, records = read_store(data)
+    for lang in ("en", "de"):
+        kept = filter_records_exclude_language(records, lang)
+        write_store(kept, tmp / f"no_{lang}", dataset_name=f"no_{lang}")
+    train_cfg = write_config(
+        tmp / "ckpt.json",
+        {"data": data, "dev_fraction": 0.25, "train": SCHEMA_TRAIN},
+    )
+    assert main(["train", "--config", train_cfg, "--out", str(tmp / "ckpt")]) == 0
+    trials = tmp / "trials.tsv"
+    trials.write_text(
+        "face_record_id\tvoice_record_id\tlabel\n"
+        "s000:f000\ts000:v001\tsame\n"
+        "s000:f001\ts001:v000\tdifferent\n"
+    )
+    return tmp, data, str(tmp / "ckpt" / "checkpoint.fvh"), str(trials)
+
+
+def schema_base_configs(corpus):
+    """Each command's config with every key of its schema set to a valid
+    value, on the `schema_corpus` inputs."""
+    tmp, data, ckpt, trials = corpus
+    return {
+        "synth": {
+            "synth": {"n_speakers": 4, "latent_dim": 4, "dims": "small",
+                      "noise_sigma": 0.01, "records_per_speaker": 2,
+                      "seed": 1, "languages": {"en": 1.0}},
+            "dataset_name": "schema",
+        },
+        "train": {"data": data, "dev_fraction": 0.25, "train": SCHEMA_TRAIN},
+        "crossval": {"data": data, "n_folds": 2, "train": SCHEMA_TRAIN},
+        "pretrain-finetune": {
+            "pretrain_data": data, "finetune_data": data, "n_folds": 2,
+            "dev_fraction": 0.25, "pretrain": SCHEMA_TRAIN,
+            "finetune": SCHEMA_TRAIN,
+        },
+        "scenarios": {
+            "test_data": data, "n_trials_target": 10,
+            "n_trials_nontarget": 10, "dev_fraction": 0.25,
+            "train": SCHEMA_TRAIN,
+            "scenarios": {
+                "english_heard": {"pretrain": data},
+                "german_heard": {"pretrain": data},
+                "english_unheard": {"pretrain": str(tmp / "no_en"),
+                                    "finetune": str(tmp / "no_en")},
+                "german_unheard": {"pretrain": str(tmp / "no_de"),
+                                   "finetune": str(tmp / "no_de")},
+            },
+        },
+        "eval": {"checkpoint": ckpt, "data": data, "trials": trials},
+        "xattn": {
+            "data": data, "dev_fraction": 0.25,
+            "train": {"d_model": 8, "lr": 0.01, "batch_size": 16,
+                      "max_steps": 2, "patience": 3, "eval_every": 1,
+                      "seed": 5, "p_drop": 0.0, "residual": True},
+        },
+    }
+
+
+def schema_leaves(config):
+    """Key paths of `config`: each top-level key, and each key of a block."""
+    for key, value in config.items():
+        yield (key,)
+        if key in SCHEMA_BLOCKS:
+            for inner in value:
+                yield (key, inner)
+
+
+def with_value(config, path, value):
+    config = json.loads(json.dumps(config))
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return config
+
+
+def run_config(tmp_path, command, config, *extra):
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "probe_out"
+    code = main([command, "--config", str(cfg), "--out", str(out), *extra])
+    created = out.exists()
+    if created:
+        shutil.rmtree(out)
+    return code, created
+
+
+# the shape of the base configs, for drawing keys before the corpus exists
+_SHAPES = schema_base_configs((Path("."), "data", "ckpt", "trials"))
+_LEAVES = [
+    (command, path)
+    for command, config in _SHAPES.items()
+    for path in schema_leaves(config)
+]
+
+_ANY_LIST = st.lists(st.integers(), max_size=2)
+_ANY_DICT = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_WRONG_TYPE = {
+    bool: st.one_of(st.text(max_size=5), st.integers(), st.floats(),
+                    st.none(), _ANY_LIST, _ANY_DICT),
+    int: st.one_of(st.text(max_size=3), st.floats(), st.booleans(),
+                   st.none(), _ANY_LIST, _ANY_DICT),
+    float: st.one_of(st.text(max_size=3), _NON_FINITE, st.booleans(),
+                     st.none(), _ANY_LIST, _ANY_DICT),
+    str: st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                   _ANY_LIST, _ANY_DICT),
+    dict: st.one_of(st.text(max_size=3), st.integers(), st.floats(),
+                    st.booleans(), st.none(), _ANY_LIST),
+}
+_SMALL = {"vspk": 64, "vag": 16, "fid": 48, "fag": 8}
+_OUT_OF_RANGE = {
+    "lr": [-0.01, -1], "batch_size": [0, -4], "max_steps": [-1, -3],
+    "patience": [0], "eval_every": [0], "seed": [-1], "scale": [0.0, -1.0],
+    "margin": [-0.1, 1.6], "p_drop": [-0.1, 1.0, 1.5], "out_dim": [0],
+    "n_dev_target": [0, -1], "n_dev_nontarget": [0, -1], "d_model": [0, -1],
+    "n_speakers": [0], "latent_dim": [0], "noise_sigma": [-0.5],
+    "records_per_speaker": [0], "n_folds": [0, 1, -2, 99],
+    "dev_fraction": [-0.1, 1.0, 1.5], "n_trials_target": [0, -1],
+    "n_trials_nontarget": [0],
+    "dims": ["medium", dict(_SMALL, vspk=0), dict(_SMALL, vspk=2.5),
+             dict(_SMALL, vspk="64"), {"vspk": 64}, dict(_SMALL, xx=1)],
+    "languages": [{}, {"en": 0.5}, {"en": 1.5, "de": -0.5}, {"en": "1"},
+                  {"en": None}],
+    "scenarios": [{}, {"english_heard": {"pretrain": "x"}},
+                  {"nope": {"pretrain": "x"}}],
+}
+
+
+def bad_values(command, path):
+    """Strategy of JSON values that `path` of `command` must reject."""
+    key = path[-1]
+    base = _SHAPES[command]
+    for part in path:
+        base = base[part]
+    if key == "dims":  # "small", "full" or a mapping
+        wrong = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                          _ANY_LIST)
+    else:
+        wrong = _WRONG_TYPE[type(base)]
+    if key in _OUT_OF_RANGE:
+        return st.one_of(wrong, st.sampled_from(_OUT_OF_RANGE[key]))
+    return wrong
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_bad_config_value_exits_2(schema_corpus, tmp_path, data):
+    command, path = data.draw(st.sampled_from(_LEAVES), label="key")
+    bad = data.draw(bad_values(command, path), label="value")
+    config = with_value(schema_base_configs(schema_corpus)[command], path, bad)
+    code, created = run_config(tmp_path, command, config)
+    assert code == 2
+    assert not created
+
+
+_FIXED_WRONG = {
+    bool: [None, "false", 1], int: [None, 2.0, True, "7"],
+    float: [None, float("nan"), float("-inf"), "0.1"], str: [None, 5, []],
+    dict: [None, [], "x"],
+}
+
+
+def test_wrong_type_for_every_schema_key_exits_2(schema_corpus, tmp_path):
+    """test_any_bad_config_value_exits_2 for fixed wrong-type values of
+    every key of every command, so that no key is left to chance."""
+    failures = []
+    for command, path in _LEAVES:
+        base = _SHAPES[command]
+        for part in path:
+            base = base[part]
+        for bad in _FIXED_WRONG[type(base)]:
+            config = with_value(schema_base_configs(schema_corpus)[command],
+                                path, bad)
+            result = run_config(tmp_path, command, config)
+            if result != (2, False):
+                failures.append((command, path, bad, result))
+    assert not failures
+
+
+@pytest.mark.parametrize("command", list(CONFIG_SCHEMA))
+def test_schema_base_config_runs(schema_corpus, tmp_path, command):
+    config = schema_base_configs(schema_corpus)[command]
+    assert run_config(tmp_path, command, config) == (0, True)
+
+
+_PROBES = [
+    ("train", ("train", "seed"), -1),
+    ("train", ("train", "out_dim"), 0),
+    ("train", ("train", "n_dev_target"), -1),
+    ("train", ("train", "max_steps"), -3),
+    ("xattn", ("train", "d_model"), 0),
+    ("xattn", ("train", "max_steps"), -1),
+    ("synth", ("synth", "seed"), -1),
+    ("scenarios", ("n_trials_target",), 0),
+    ("scenarios", ("n_trials_nontarget",), 0),
+    ("train", ("dev_fraction",), -0.1),
+    ("xattn", ("dev_fraction",), -0.5),
+    ("crossval", ("n_folds",), "x"),
+    ("crossval", ("n_folds",), 1),
+    ("pretrain-finetune", ("n_folds",), 1),
+    ("train", ("dev_fraction",), "x"),
+    ("pretrain-finetune", ("n_folds",), "x"),
+    ("train", ("train", "classifier_reinit"), "false"),
+    ("xattn", ("train", "residual"), "false"),
+    ("train", ("train", "batch_size"), 2.7),
+    ("scenarios", ("scenarios", "german_heard"), {"finetune": "x"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,path,value", _PROBES,
+    ids=[f"{c}:{'.'.join(p)}={v!r}" for c, p, v in _PROBES])
+def test_out_of_range_or_mistyped_value_exits_2(schema_corpus, tmp_path,
+                                                command, path, value):
+    config = with_value(schema_base_configs(schema_corpus)[command], path, value)
+    assert run_config(tmp_path, command, config) == (2, False)
+
+
+@pytest.mark.parametrize("command", [
+    "synth", "train", "crossval", "pretrain-finetune", "scenarios", "xattn",
+])
+def test_negative_seed_override_exits_2(schema_corpus, tmp_path, command):
+    config = schema_base_configs(schema_corpus)[command]
+    assert run_config(tmp_path, command, config, "--seed", "-1") == (2, False)
+
+
+def _epilog_keys():
+    """Command -> every config key the --help epilog lists for it, a block's
+    keys as "block.key"."""
+    text = build_parser().epilog
+    head, blocks_text = text.split("config blocks:\n")
+
+    def entries(section):
+        out, label = {}, None
+        for line in section.split("\n"):
+            if line.startswith("  ") and line[2] != " ":
+                label = line[2:21].strip()
+                out[label] = []
+            elif not line.startswith(" " * 21):
+                label = None
+                continue
+            if label is not None:
+                out[label] += [e for e in line[21:].split(", ") if e]
+        return out
+
+    blocks = entries(blocks_text)
+    keys = {}
+    for command, items in entries(head).items():
+        keys[command] = set()
+        for item in (e.rstrip(",") for e in items):
+            key, _, value = item.partition("=")
+            if value.startswith("{") and value[1:-1] in blocks:
+                keys[command] |= {f"{key}.{e.rstrip(',').partition('=')[0]}"
+                                  for e in blocks[value[1:-1]]}
+            else:
+                keys[command].add(key)
+    return keys
+
+
+def test_help_epilog_lists_exactly_the_accepted_keys(schema_corpus):
+    configs = schema_base_configs(schema_corpus)
+    expected = {
+        command: {".".join(p) for p in schema_leaves(config)
+                  if len(p) == 2 or p[0] not in SCHEMA_BLOCKS}
+        for command, config in configs.items()
+    }
+    assert _epilog_keys() == expected
+
+
+def test_synth_without_languages_writes_one_language(tmp_path):
+    cfg = write_config(tmp_path / "s.json",
+                       {"synth": {"n_speakers": 4, "records_per_speaker": 2}})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    from fvassoc.embedstore import read_manifest
+
+    assert read_manifest(tmp_path / "d" / "manifest.tsv").languages() == ["en"]
+
+
+class TestDecodeErrors:
+    def test_non_utf8_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"synth": {"seed": 1}, "dataset_name": "\xff"}')
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_too_deeply_nested_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+
+    def test_data_path_that_is_a_file_exits_4(self, schema_corpus, tmp_path):
+        config = schema_base_configs(schema_corpus)["train"]
+        config = with_value(config, ("data",), schema_corpus[3])
+        assert run_config(tmp_path, "train", config) == (4, False)
+
+    def test_non_utf8_trials_file_exits_4(self, schema_corpus, tmp_path):
+        config = schema_base_configs(schema_corpus)["eval"]
+        trials = tmp_path / "t.tsv"
+        trials.write_bytes(
+            b"face_record_id\tvoice_record_id\tlabel\ns000:f000\xff\ts000:v001\tsame\n"
+        )
+        config = with_value(config, ("trials",), str(trials))
+        assert run_config(tmp_path, "eval", config) == (4, False)
+
+    def _corrupt_copy(self, corpus, tmp_path, name, edit):
+        data = tmp_path / "data"
+        shutil.copytree(corpus[1], data)
+        (data / name).write_bytes(edit((data / name).read_bytes()))
+        config = {"data": str(data), "dev_fraction": 0.25, "train": SCHEMA_TRAIN}
+        return run_config(tmp_path, "train", config)
+
+    def test_non_utf8_record_id_in_store_exits_4(self, schema_corpus, tmp_path,
+                                                 capsys):
+        # 17-byte header, u16 id length, then the first record id
+        code = self._corrupt_copy(
+            schema_corpus, tmp_path, "fid.fve",
+            lambda blob: blob[:19] + b"\xff" + blob[20:],
+        )
+        assert code == (4, False)
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_non_integer_manifest_dim_exits_4(self, schema_corpus, tmp_path):
+        def edit(blob):
+            lines = blob.split(b"\n")
+            lines[1] = lines[1].rsplit(b"\t", 1)[0] + b"\t6x"
+            return b"\n".join(lines)
+
+        assert self._corrupt_copy(
+            schema_corpus, tmp_path, "manifest.tsv", edit
+        ) == (4, False)
+
+    def test_unmapped_exception_exits_5_with_its_type_name(
+            self, schema_corpus, tmp_path, monkeypatch, capsys):
+        import fvassoc.cli
+
+        def boom(path):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(fvassoc.cli, "load_dataset", boom)
+        config = schema_base_configs(schema_corpus)["train"]
+        capsys.readouterr()
+        assert run_config(tmp_path, "train", config) == (5, False)
+        assert "error: KeyError: 'boom'" in capsys.readouterr().err

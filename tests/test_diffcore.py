@@ -13,8 +13,6 @@ from fvassoc.diffcore import (
     l2_normalize_rows,
     l2_normalize_rows_backward,
     make_rng,
-    matmul,
-    matmul_backward,
     rel_error,
 )
 from fvassoc.errors import (
@@ -23,41 +21,6 @@ from fvassoc.errors import (
     NumericError,
     ShapeError,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_hand_computed(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_backward_zero(self):
-        a, b = np.ones((2, 3)), np.ones((3, 2))
-        ga, gb = matmul_backward(a, b, np.zeros((2, 2)))
-        assert not ga.any() and not gb.any()
-
-    def test_backward_scalar(self):
-        ga, gb = matmul_backward([[2.0]], [[3.0]], [[1.0]])
-        assert ga[0, 0] == 3.0 and gb[0, 0] == 2.0
-
-    def test_backward_matches_finite_differences(self):
-        rng = make_rng(11)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        g = rng.standard_normal((3, 2))
-        ga, gb = matmul_backward(a, b, g)
-        fa = finite_difference_grad(lambda x: float((matmul(x, b) * g).sum()), a)
-        fb = finite_difference_grad(lambda x: float((matmul(a, x) * g).sum()), b)
-        assert rel_error(ga, fa) <= 1e-6
-        assert rel_error(gb, fb) <= 1e-6
 
 
 class TestL2Normalize:

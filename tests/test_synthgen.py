@@ -1,12 +1,9 @@
 import numpy as np
-import pytest
 
 from fvassoc.embedstore import ModalityKind, read_store
-from fvassoc.errors import LookupError_
 from fvassoc.synthgen import (
     SynthConfig,
     generate,
-    oracle_trial_labels,
     read_ground_truth_latents,
     write_dataset,
 )
@@ -86,23 +83,6 @@ def test_language_assignment_follows_config():
     assert langs <= {"en", "de", "fr"}
     for r in records:
         assert r.language == truth.speaker_language[r.speaker_id]
-
-
-class TestOracleLabels:
-    def test_same_speaker(self):
-        _, truth = generate(small_cfg())
-        labels = oracle_trial_labels(truth, [("s003:f000", "s003:v001")])
-        assert labels == [True]
-
-    def test_different_speakers(self):
-        _, truth = generate(small_cfg())
-        labels = oracle_trial_labels(truth, [("s001:f000", "s002:v000")])
-        assert labels == [False]
-
-    def test_unknown_record(self):
-        _, truth = generate(small_cfg())
-        with pytest.raises(LookupError_):
-            oracle_trial_labels(truth, [("nope:f000", "s001:v000")])
 
 
 def test_domain_shift_reuses_latents():
