@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffcore import (
+    EPS_NORM,
     AdamState,
     adam_step,
     as_mat,
@@ -91,13 +92,25 @@ def aam_logits(x, clf_weight, cfg, targets):
 def aam_loss_and_grad(x, clf_weight, cfg, targets):
     """Mean softmax cross-entropy over AAM logits with exact gradients.
 
-    Returns (loss, grad_x, grad_clf_weight).
+    Returns (loss, grad_x, grad_clf_weight). A row of `x` with norm at most
+    EPS_NORM has no direction: it adds zero loss and zero gradient but still
+    counts in the batch size that the mean divides by.
     """
     cfg.validate()
     x = as_mat(x)
     w = as_mat(clf_weight)
     n, n_classes = x.shape[0], w.shape[0]
     targets = _check_targets(targets, n, n_classes)
+    keep = np.linalg.norm(x, axis=1) > EPS_NORM
+    if not keep.all():
+        # dropout can zero a whole input row while the head bias is still 0
+        grad_x = np.zeros_like(x)
+        if not keep.any():
+            return 0.0, grad_x, np.zeros_like(w)
+        loss, grad_kept, grad_w = aam_loss_and_grad(x[keep], w, cfg, targets[keep])
+        frac = keep.sum() / n  # the kept rows' mean, re-divided by n
+        grad_x[keep] = grad_kept * frac
+        return float(loss * frac), grad_x, grad_w * frac
 
     xn = l2_normalize_rows(x)
     wn = l2_normalize_rows(w)
@@ -203,19 +216,6 @@ def joint_step(params, face_x, face_targets, voice_x, voice_targets, cfg, rng):
         "head_voice.bias": g_vb,
         "clf.weight": g_clf,
     }
-    params.head_face.weight = adam_step(
-        params.head_face.weight, grads["head_face.weight"], params.opt["head_face.weight"]
-    )
-    params.head_face.bias = adam_step(
-        params.head_face.bias, grads["head_face.bias"], params.opt["head_face.bias"]
-    )
-    params.head_voice.weight = adam_step(
-        params.head_voice.weight, grads["head_voice.weight"], params.opt["head_voice.weight"]
-    )
-    params.head_voice.bias = adam_step(
-        params.head_voice.bias, grads["head_voice.bias"], params.opt["head_voice.bias"]
-    )
-    params.clf_weight = adam_step(
-        params.clf_weight, grads["clf.weight"], params.opt["clf.weight"]
-    )
+    for name, arr in params.named_params():
+        adam_step(arr, grads[name], params.opt[name])
     return f_loss, v_loss, grads

@@ -113,8 +113,6 @@ class AdamState:
 
     @classmethod
     def for_param(cls, param, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        # C-contiguous whatever the param's layout, so the flat views that
-        # adam_step updates are always views, never copies
         shape = np.shape(param)
         return cls(
             m=np.zeros(shape),
@@ -127,21 +125,23 @@ class AdamState:
 
 
 def adam_step(param, grad, state):
-    """One Adam update with bias correction, done in place. Returns `param`.
+    """One Adam update with bias correction, in place only. Returns `param`.
 
-    The parameter and the moments `state.m`/`state.v` are updated in place,
-    `_ADAM_BLOCK` elements at a time through two block-sized scratch buffers,
-    and `state.step` is incremented. The moments must be C-contiguous, as
-    `AdamState.for_param` makes them. A parameter that is not C-contiguous
-    float64 is copied first, and the updated copy is returned, so callers
-    must keep the return value. The shape and finiteness checks cover the
-    whole gradient before anything is mutated. Every element goes through
-    the same operations in the same order as the textbook formula
-    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    param -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so results are bit-identical
-    to an update that allocates each intermediate. Deterministic.
+    `param` must be a C-contiguous float64 array (of any shape, 0-d
+    included); anything else raises ShapeError. The parameter and the
+    moments `state.m`/`state.v` are updated in place, `_ADAM_BLOCK` elements
+    at a time through two block-sized scratch buffers, and `state.step` is
+    incremented. The moments must be C-contiguous, as `AdamState.for_param`
+    makes them. The layout, shape and finiteness checks run before anything
+    is mutated. Every element goes through the same operations in the same
+    order as the textbook formula m = b1*m + (1-b1)*g,
+    v = b2*v + ((1-b2)*g)*g, param -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so
+    results are bit-identical to an update that allocates each
+    intermediate. Deterministic.
     """
-    param = np.asarray(param, dtype=np.float64, order="C")
+    if not (isinstance(param, np.ndarray) and param.dtype == np.float64
+            and param.flags.c_contiguous):
+        raise ShapeError("adam_step: param must be a C-contiguous float64 array")
     grad = np.asarray(grad, dtype=np.float64, order="C")
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(

@@ -141,7 +141,10 @@ def write_store_file(records, path):
 
 
 def read_store_file(path):
-    """Read one .fve file; returns (modality, dim, list of (id, float32 vec))."""
+    """Read one .fve file; returns (modality, dim, list of (id, float32 vec)).
+
+    A vector holding NaN or +-inf is a FormatError that names its record.
+    """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
@@ -154,7 +157,9 @@ def read_store_file(path):
         raise FormatError(f"{path}: bad modality code {modality_code}")
     off = 17
     out = []
-    for _ in range(count):
+    # no more rows than the file can hold; a larger count fails as truncated
+    vecs = np.empty((min(count, (len(data) - off) // (2 + 4 * dim)), dim), "<f4")
+    for i in range(count):
         if off + 2 > len(data):
             raise FormatError(f"{path}: truncated record header at byte {off}")
         (id_len,) = struct.unpack_from("<H", data, off)
@@ -167,9 +172,13 @@ def read_store_file(path):
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: record id at byte {off} is not UTF-8") from exc
         off += id_len
-        vec = np.frombuffer(data[off : off + 4 * dim], dtype="<f4").copy()
+        vecs[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
         off += 4 * dim
-        out.append((rid, vec))
+        out.append((rid, vecs[i]))
+    # a float64 sum of float32 values is non-finite only if one of them is
+    bad = np.flatnonzero(~np.isfinite(vecs.sum(axis=1, dtype=np.float64)))
+    if bad.size:
+        raise FormatError(f"{path}: record {out[bad[0]][0]} has a non-finite value")
     return ModalityKind(modality_code), dim, out
 
 
@@ -281,8 +290,6 @@ class ConcatInput:
     owner_id: str
     speaker_id: str
     language: str
-    identity_record_id: str
-    agegender_record_id: str
     vector: np.ndarray  # float64
 
 
@@ -311,8 +318,6 @@ def assemble_concat_inputs(records, identity_kind, agegender_kind):
                 owner_id=owner,
                 speaker_id=r.speaker_id,
                 language=r.language,
-                identity_record_id=r.record_id,
-                agegender_record_id=other.record_id,
                 vector=vec,
             )
         )

@@ -136,7 +136,7 @@ class XAttnModel:
     # two layers of (Wq, Wk, Wv, Wo), each (d_model, d_model)
     layers: list = field(default_factory=list)
     out_w: np.ndarray = None  # (d_model,)
-    out_b: float = 0.0
+    out_b: np.ndarray = None  # 0-d
     p_drop: float = 0.0
     residual: bool = True
 
@@ -157,7 +157,7 @@ class XAttnModel:
             face_in_dim=face_in_dim,
             layers=layers,
             out_w=rng.standard_normal(d_model) * scale,
-            out_b=0.0,
+            out_b=np.zeros(()),
             p_drop=p_drop,
             residual=residual,
         )
@@ -167,6 +167,7 @@ class XAttnModel:
             for name in ("wq", "wk", "wv", "wo"):
                 yield f"layer{i}.{name}", layer[name]
         yield "out_w", self.out_w
+        yield "out_b", self.out_b
 
 
 def _attn_forward(xq, xkv, layer, residual):
@@ -364,8 +365,16 @@ def head_to_arrays(head, prefix):
 
 
 def head_from_arrays(arrays, prefix, p_drop, expect_in_dim=None):
+    """The `prefix` head of a checkpoint's arrays; SchemaError unless they
+    hold a 2-D `prefix.weight` and a `prefix.bias` of its row count."""
+    missing = [n for n in (f"{prefix}.weight", f"{prefix}.bias") if n not in arrays]
+    if missing:
+        raise SchemaError(f"checkpoint has no array {', '.join(missing)}")
     w = arrays[f"{prefix}.weight"]
     b = arrays[f"{prefix}.bias"].ravel()
+    if w.ndim != 2 or b.shape != w.shape[:1]:
+        raise SchemaError(f"checkpoint {prefix}.weight {w.shape} and "
+                          f"{prefix}.bias {b.shape} do not form a head")
     if expect_in_dim is not None and w.shape[1] != expect_in_dim:
         raise SchemaError(
             f"checkpoint {prefix} in_dim {w.shape[1]} != expected {expect_in_dim}"

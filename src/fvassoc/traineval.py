@@ -6,6 +6,11 @@ same/different by speaker id. Scores are cosine similarities of the two
 projected vectors; EER is computed by a threshold sweep with linear
 interpolation between the bracketing operating points.
 
+Both architectures, mapping heads and cross-attention, train in one loop
+under one stopping rule (`_early_stopping`): dev EER before the first step
+and every `eval_every` steps, the best parameters kept, and a stop after
+more than `patience` evaluations without improvement.
+
 Scenario recipes mirror the challenge's heard/unheard model selection:
 heard scenarios evaluate the pretrained model (all-data for English,
 English-excluded for German), unheard scenarios use language-excluded
@@ -274,12 +279,15 @@ def _operating_points(tar, non):
 def compute_eer(scores, labels):
     """EER of a scored trial set, interpolated at the FAR/FRR crossing.
 
-    Ties in the crossing are broken toward the lower threshold.
+    Every score must be finite. Ties in the crossing are broken toward the
+    lower threshold.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape:
         raise MetricError("scores and labels differ in length")
+    if not np.isfinite(scores).all():
+        raise MetricError("EER needs finite scores")
     tar = scores[labels]
     non = scores[~labels]
     if len(tar) == 0 or len(non) == 0:
@@ -396,72 +404,78 @@ def _init_params(dataset, cfg, init_arrays=None, n_speakers=None):
     return JointParams.create(head_f, head_v, clf, cfg.lr)
 
 
+def _dev_inputs(cfg, train_ds, dev_trials, eval_ds):
+    """`_trial_inputs` of the dev trials, after the checks both trainers run
+    first: some trials, of records of `eval_ds`, and no training speaker."""
+    cfg.validate()
+    if not dev_trials:
+        raise ConfigError("dev trial list is empty")
+    inputs = _trial_inputs(dev_trials, eval_ds)
+    dev_spk = {eval_ds.face_by_id[t.face_id].speaker_id for t in dev_trials}
+    dev_spk |= {eval_ds.voice_by_id[t.voice_id].speaker_id for t in dev_trials}
+    if dev_spk & set(train_ds.speakers()):
+        raise ConfigError("dev trials must be speaker-disjoint from training")
+    return inputs
+
+
+def _early_stopping(cfg, dev_trials, step, score, named_params):
+    """The loop and stopping rule of both trainers; returns (best, log).
+
+    `step()` runs one training step and returns its loss fields; `score()`
+    scores `dev_trials`. Dev EER is logged as {"step", "dev_eer", **losses}
+    at step 0, every `eval_every` steps and at `max_steps`. best["arrays"]
+    copies `named_params()` at the first evaluation with the lowest EER;
+    training stops once more than `patience` evaluations in a row fail to
+    improve on it.
+    """
+    labels = [t.label for t in dev_trials]
+    log, best, no_improve, losses = [], None, 0, {}
+    for n in range(cfg.max_steps + 1):
+        if n > 0:
+            losses = step()
+            if n % cfg.eval_every and n != cfg.max_steps:
+                continue
+        eer = compute_eer(score(), labels).eer
+        log.append({"step": n, "dev_eer": eer, **losses})
+        if best is None or eer < best["dev_eer"]:
+            arrays = {name: arr.copy() for name, arr in named_params()}
+            best = {"arrays": arrays, "dev_eer": eer, "step": n}
+            no_improve = 0
+        else:
+            no_improve += 1
+            if no_improve > cfg.patience:
+                break
+    return best, log
+
+
 def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
                               init_arrays=None):
     """Train joint heads + shared classifier, keeping the best-dev checkpoint.
 
-    Dev trials are scored every `eval_every` steps (plus once before any
-    training step); training stops once the count of evaluations without
-    improvement exceeds `patience`. Deterministic under cfg.seed.
+    Dev trials are scored by cosine similarity under the stopping rule of
+    `_early_stopping`. Deterministic under cfg.seed.
     """
-    cfg.validate()
-    if not dev_trials:
-        raise ConfigError("dev trial list is empty")
-    dev_inputs = _trial_inputs(dev_trials, eval_ds)
+    dev_inputs = _dev_inputs(cfg, train_ds, dev_trials, eval_ds)
     speakers = train_ds.speakers()
-    train_spk = set(speakers)
-    for t in dev_trials:
-        if (
-            eval_ds.face_by_id[t.face_id].speaker_id in train_spk
-            or eval_ds.voice_by_id[t.voice_id].speaker_id in train_spk
-        ):
-            raise ConfigError("dev trials must be speaker-disjoint from training")
-
     speaker_index = {s: i for i, s in enumerate(speakers)}
     params = _init_params(
         train_ds, cfg, init_arrays, n_speakers=len(speakers)
     )
     xf, yf, xv, yv = train_ds.matrices(speaker_index)
     rng = make_rng(cfg.seed)
-    labels = [t.label for t in dev_trials]
 
-    def evaluate():
-        scores = _score_inputs(params.head_face, params.head_voice, *dev_inputs)
-        return compute_eer(scores, labels)
-
-    log = []
-    report = evaluate()
-    best = {"arrays": params.snapshot(), "dev_eer": report.eer, "step": 0}
-    log.append({"step": 0, "dev_eer": report.eer})
-    no_improve = 0
-    for step in range(1, cfg.max_steps + 1):
+    def step():
         fb = rng.integers(0, len(xf), size=min(cfg.batch_size, len(xf)))
         vb = rng.integers(0, len(xv), size=min(cfg.batch_size, len(xv)))
         f_loss, v_loss, _ = joint_step(
             params, xf[fb], yf[fb], xv[vb], yv[vb], cfg.aam, rng
         )
-        if step % cfg.eval_every == 0 or step == cfg.max_steps:
-            report = evaluate()
-            log.append(
-                {
-                    "step": step,
-                    "dev_eer": report.eer,
-                    "face_loss": f_loss,
-                    "voice_loss": v_loss,
-                }
-            )
-            if report.eer < best["dev_eer"]:
-                best = {
-                    "arrays": params.snapshot(),
-                    "dev_eer": report.eer,
-                    "step": step,
-                }
-                no_improve = 0
-            else:
-                no_improve += 1
-                if no_improve > cfg.patience:
-                    break
-    return best, log
+        return {"face_loss": f_loss, "voice_loss": v_loss}
+
+    def score():
+        return _score_inputs(params.head_face, params.head_voice, *dev_inputs)
+
+    return _early_stopping(cfg, dev_trials, step, score, params.named_params)
 
 
 def cross_validate(dataset, cfg, n_folds=7, init_arrays=None):
@@ -742,27 +756,23 @@ def _sample_pairs(spk, faces_by_spk, voices_by_spk, batch_size, rng):
     return np.stack(xf), np.stack(xv), np.array(y)
 
 
-def _pair_rows(trials, dataset):
-    """Per-trial (face, voice) input rows; cross-attention scores pairs jointly."""
-    xf, face_row, xv, voice_row = _trial_inputs(trials, dataset)
-    return xf[face_row], xv[voice_row]
-
-
 def score_trials_xattn(model, trials, dataset):
-    xf, xv = _pair_rows(trials, dataset)
-    logits, _ = xattn_forward(model, xv, xf, train=False)
+    """Cross-attention logits of trials, each (face, voice) pair jointly."""
+    xf, face_row, xv, voice_row = _trial_inputs(trials, dataset)
+    logits, _ = xattn_forward(model, xv[voice_row], xf[face_row], train=False)
     return logits
 
 
 def train_xattn(train_ds, dev_trials, eval_ds, cfg):
     """Train the cross-attention pair classifier with early stopping.
 
-    Dev trials are scored by the raw logit; EER tracking and the stopping
-    rule match train_with_early_stopping.
+    Dev trials are scored by the raw logit, under the same checks and
+    stopping rule (`_early_stopping`) as train_with_early_stopping.
     """
-    cfg.validate()
-    if not dev_trials:
-        raise ConfigError("dev trial list is empty")
+    xf_dev, face_row, xv_dev, voice_row = _dev_inputs(
+        cfg, train_ds, dev_trials, eval_ds
+    )
+    xf_dev, xv_dev = xf_dev[face_row], xv_dev[voice_row]
     rng = make_rng(cfg.seed)
     model = XAttnModel.init(
         make_rng(cfg.seed ^ 0x5EED),
@@ -776,52 +786,27 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
         name: AdamState.for_param(arr, lr=cfg.lr)
         for name, arr in model.param_items()
     }
-    opt["out_b"] = AdamState.for_param(np.zeros((1, 1)), lr=cfg.lr)
     speakers = set(train_ds.speakers())
     # the speaker list keeps set iteration order, as the rng draws index it
     spk = list(speakers)
     faces_by_spk, voices_by_spk = _records_by_speaker(train_ds, speakers)
-    labels = [t.label for t in dev_trials]
-    xf_dev, xv_dev = _pair_rows(dev_trials, eval_ds)
 
-    def snapshot():
-        arrays = {name: arr.copy() for name, arr in model.param_items()}
-        arrays["out_b"] = np.array([[model.out_b]])
-        return arrays
-
-    def evaluate():
-        scores, _ = xattn_forward(model, xv_dev, xf_dev, train=False)
-        return compute_eer(scores, labels)
-
-    log = []
-    report = evaluate()
-    best = {"arrays": snapshot(), "dev_eer": report.eer, "step": 0}
-    log.append({"step": 0, "dev_eer": report.eer})
-    no_improve = 0
-    for step in range(1, cfg.max_steps + 1):
+    def step():
         xf, xv, y = _sample_pairs(
             spk, faces_by_spk, voices_by_spk, cfg.batch_size, rng
         )
         logits, cache = xattn_forward(model, xv, xf, train=True, rng=rng)
         loss, g_logits = xattn_loss(logits, y)
         grads, _, _ = xattn_backward(model, cache, g_logits)
-        for i, layer in enumerate(model.layers):
-            for pname in ("wq", "wk", "wv", "wo"):
-                key = f"layer{i}.{pname}"
-                layer[pname] = adam_step(layer[pname], grads[f"layer{i}"][pname], opt[key])
-        model.out_w = adam_step(model.out_w, grads["out_w"], opt["out_w"]).ravel()
-        out_b = adam_step(
-            np.array([[model.out_b]]), np.array([[grads["out_b"]]]), opt["out_b"]
-        )
-        model.out_b = float(out_b[0, 0])
-        if step % cfg.eval_every == 0 or step == cfg.max_steps:
-            report = evaluate()
-            log.append({"step": step, "dev_eer": report.eer, "loss": loss})
-            if report.eer < best["dev_eer"]:
-                best = {"arrays": snapshot(), "dev_eer": report.eer, "step": step}
-                no_improve = 0
-            else:
-                no_improve += 1
-                if no_improve > cfg.patience:
-                    break
+        for i in range(len(model.layers)):  # named as param_items names them
+            for pname, g in grads.pop(f"layer{i}").items():
+                grads[f"layer{i}.{pname}"] = g
+        for name, arr in model.param_items():
+            adam_step(arr, grads[name], opt[name])
+        return {"loss": loss}
+
+    def score():
+        return xattn_forward(model, xv_dev, xf_dev, train=False)[0]
+
+    best, log = _early_stopping(cfg, dev_trials, step, score, model.param_items)
     return model, best, log

@@ -104,6 +104,36 @@ class TestAamLoss:
         assert rel_error(gx, fx) <= 1e-5
         assert rel_error(gw, fw) <= 1e-5
 
+    def test_zero_row_adds_zero_loss_and_counts_in_the_batch(self):
+        x, w, t = random_instance(60, batch=5, dim=16, n_classes=5)
+        x[2] = 0.0  # a face row that dropout zeroed, bias still 0
+        cfg = AamConfig(scale=30.0, margin=0.2)
+        loss, gx, gw = aam_loss_and_grad(x, w, cfg, t)
+        rest = np.arange(5) != 2
+        per_row = [aam_loss_and_grad(x[i:i + 1], w, cfg, t[i:i + 1])[0]
+                   for i in np.flatnonzero(rest)]
+        assert loss == pytest.approx(sum(per_row) / 5, rel=1e-12)
+        assert not gx[2].any()
+
+        def loss_of_rest(z):
+            full = x.copy()
+            full[rest] = z
+            return aam_loss_and_grad(full, w, cfg, t)[0]
+
+        fx = finite_difference_grad(loss_of_rest, x[rest])
+        fw = finite_difference_grad(
+            lambda z: aam_loss_and_grad(x, z, cfg, t)[0], w
+        )
+        assert rel_error(gx[rest], fx) <= 1e-5
+        assert rel_error(gw, fw) <= 1e-5
+
+    def test_batch_of_only_zero_rows_has_zero_loss(self):
+        _, w, _ = random_instance(61)
+        loss, gx, gw = aam_loss_and_grad(np.zeros((3, 12)), w, AamConfig(),
+                                         [0, 1, 2])
+        assert loss == 0.0 and not gx.any() and not gw.any()
+        assert gx.shape == (3, 12) and gw.shape == w.shape
+
     def test_margin_monotonicity_when_target_is_argmax(self):
         rng = make_rng(8)
         checked = 0

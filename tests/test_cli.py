@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fvassoc.cli import CONFIG_SCHEMA, build_parser, main
-from fvassoc.fusion import load_checkpoint
+from fvassoc.fusion import load_checkpoint, save_checkpoint
 
 
 def write_config(path, payload):
@@ -115,6 +115,21 @@ class TestTrain:
         assert "head_face.weight" in arrays and "clf.weight" in arrays
         report = load_report(out)
         assert "dev_eer" in report and "timestamp" in report
+
+    def test_default_dropout_zeroing_a_whole_row_still_trains(self, tmp_path):
+        # at seed 4 the default p_drop 0.9 drops every input of one face row
+        # on step 1, while the head bias is still zero
+        data = tmp_path / "data"
+        synth = write_config(tmp_path / "s.json", {})
+        assert main(["synth", "--config", synth, "--out", str(data)]) == 0
+        cfg = write_config(
+            tmp_path / "t.json",
+            {"data": str(data), "dev_fraction": 0.2, "train": {"max_steps": 3}},
+        )
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run),
+                     "--seed", "4"]) == 0
+        assert (run / "checkpoint.fvh").exists()
 
     def test_rerun_identical_modulo_timestamp(self, tmp_path):
         data = make_data(tmp_path)
@@ -846,6 +861,40 @@ class TestDecodeErrors:
         assert self._corrupt_copy(
             schema_corpus, tmp_path, "manifest.tsv", edit
         ) == (4, False)
+
+    @pytest.mark.parametrize("bad", [b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f",
+                                     b"\x00\x00\x80\xff"],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_store_value_exits_4(self, schema_corpus, tmp_path,
+                                            capsys, bad):
+        data = tmp_path / "data"
+        shutil.copytree(schema_corpus[1], data)
+        blob = (data / "fid.fve").read_bytes()
+        # 17-byte header, u16 id length, the first record id, then its vector
+        at = 19 + int.from_bytes(blob[17:19], "little")
+        (data / "fid.fve").write_bytes(blob[:at] + bad + blob[at + 4:])
+        config = with_value(schema_base_configs(schema_corpus)["eval"],
+                            ("data",), str(data))
+        capsys.readouterr()
+        assert run_config(tmp_path, "eval", config) == (4, False)
+        assert "has a non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a.pop("head_voice.bias"), "has no array head_voice.bias"),
+        (lambda a: a.update({"head_face.bias": a["head_face.bias"][:, :-1]}),
+         "do not form a head"),
+    ], ids=["no_bias", "short_bias"])
+    def test_malformed_checkpoint_arrays_exit_4(self, schema_corpus, tmp_path,
+                                                capsys, edit, message):
+        arrays, meta = load_checkpoint(schema_corpus[2])
+        edit(arrays)
+        ckpt = tmp_path / "edited.fvh"
+        save_checkpoint(ckpt, arrays, meta)
+        config = with_value(schema_base_configs(schema_corpus)["eval"],
+                            ("checkpoint",), str(ckpt))
+        capsys.readouterr()
+        assert run_config(tmp_path, "eval", config) == (4, False)
+        assert message in capsys.readouterr().err
 
     def test_unmapped_exception_exits_5_with_its_type_name(
             self, schema_corpus, tmp_path, monkeypatch, capsys):

@@ -91,11 +91,12 @@ def _reference_adam_step(param, grad, state):
 
 
 def _run_both(param, grads, lr=1e-3, transpose=False):
-    """Apply `grads` in turn with the oracle and with adam_step."""
+    """Apply `grads` in turn with the oracle and with adam_step; with
+    `transpose`, to a C-contiguous param.T through transposed gradients."""
     if transpose:
-        param = param.T
+        param = np.ascontiguousarray(param.T)
     ref_p, ref_s = param.copy(), AdamState.for_param(param, lr=lr)
-    p, s = param.copy(order="K"), AdamState.for_param(param, lr=lr)
+    p, s = param.copy(), AdamState.for_param(param, lr=lr)
     for g in grads:
         g = g.T if transpose else g
         ref_p = _reference_adam_step(ref_p, g, ref_s)
@@ -123,7 +124,8 @@ class TestAdamMatchesOracle:
         divisors = [d for d in range(1, 400) if size % d == 0 and d < size]
         rows = data.draw(st.sampled_from([None] + divisors), label="rows")
         shape = (size,) if rows is None else (rows, size // rows)
-        transpose = rows is not None and data.draw(st.booleans(), label="F-order")
+        transpose = rows is not None and data.draw(st.booleans(),
+                                                   label="transposed grads")
         n_steps = data.draw(st.integers(1, 4), label="steps")
         lr = data.draw(st.sampled_from([0.0, 1e-3, 0.01, 0.3]), label="lr")
         rng = make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -147,15 +149,13 @@ class TestAdamMatchesOracle:
         assert out is p and state.m is m and state.v is v
         assert m.any() and v.any()
 
-    def test_transposed_param_is_copied_and_returned(self):
-        p = make_rng(3).standard_normal((5, 7)).T
-        before = p.copy()
-        state = AdamState.for_param(p)
-        assert state.m.flags.c_contiguous
-        out = adam_step(p, np.ones_like(p), state)
-        assert out.flags.c_contiguous and out.shape == (7, 5)
-        assert np.array_equal(p, before)
-        assert (out < before).all()
+    def test_zero_d_param_matches_a_one_by_one_param(self):
+        p, q = np.array(1.0), np.array([[1.0]])
+        sp, sq = AdamState.for_param(p, lr=0.1), AdamState.for_param(q, lr=0.1)
+        for g in (1.0, -0.5, 2.0):
+            assert adam_step(p, g, sp) is p
+            adam_step(q, [[g]], sq)
+        assert p.shape == () and p == q[0, 0]
 
 
 class TestAdam:
@@ -190,6 +190,24 @@ class TestAdam:
             adam_step(p, np.ones((3, 2)), state)
         assert state.step == 0 and not state.m.any()
         assert np.array_equal(p, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("layout", ["transposed", "float32"])
+    def test_param_not_c_contiguous_float64_rejected_before_any_update(
+            self, layout):
+        rng = make_rng(3)
+        p = rng.standard_normal((5, 7))
+        p = p.T if layout == "transposed" else p.astype(np.float32)
+        state = AdamState.for_param(p)
+        state.m[...] = rng.standard_normal(state.m.shape)
+        state.v[...] = rng.random(state.v.shape)
+        state.step = 2
+        before = (p.copy(), state.m.copy(), state.v.copy())
+        with pytest.raises(ShapeError, match="C-contiguous float64"):
+            adam_step(p, np.ones(p.shape), state)
+        assert np.array_equal(p, before[0]) and p.dtype == before[0].dtype
+        assert np.array_equal(state.m, before[1])
+        assert np.array_equal(state.v, before[2])
+        assert state.step == 2
 
     def test_scalar_first_step(self):
         p = np.array([[1.0]])

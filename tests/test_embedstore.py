@@ -84,6 +84,25 @@ class TestStoreRoundTrip:
         with pytest.raises(FormatError, match="byte"):
             read_store(tmp_path / "ds")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_file_and_record(self, tmp_path, bad):
+        records = make_records()
+        records[7].vector[4] = bad  # the second face-identity record
+        write_store(records, tmp_path / "ds")
+        with pytest.raises(
+            FormatError, match="fid.fve: record b:f001#fid has a non-finite value"
+        ):
+            read_store(tmp_path / "ds")
+
+    def test_largest_finite_values_are_read(self, tmp_path):
+        records = make_records()
+        top = np.finfo(np.float32).max
+        records[7].vector[:] = top
+        records[8].vector[:] = -top
+        write_store(records, tmp_path / "ds")
+        _, back = read_store(tmp_path / "ds")
+        assert (back[7].vector == top).all() and (back[8].vector == -top).all()
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
             write_store([], tmp_path / "ds")

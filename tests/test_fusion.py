@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from fvassoc.diffcore import finite_difference_grad, make_rng, rel_error
-from fvassoc.errors import DegenerateVectorError, FormatError, ShapeError
+from fvassoc.errors import (
+    DegenerateVectorError,
+    FormatError,
+    SchemaError,
+    ShapeError,
+)
 from fvassoc.fusion import (
     MappingHead,
     XAttnModel,
@@ -257,6 +262,22 @@ class TestCheckpoint:
 
         with pytest.raises(SchemaError):
             head_from_arrays(arrays, "h", p_drop=0.0, expect_in_dim=99)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a.pop("h.bias"), "has no array h.bias"),
+        (lambda a: a.clear(), "has no array h.weight, h.bias"),
+        (lambda a: a.update({"h.weight": a["h.weight"].ravel()}),
+         "do not form a head"),
+        (lambda a: a.update({"h.bias": a["h.bias"][:, :-1]}),
+         "do not form a head"),
+    ], ids=["no_bias", "no_arrays", "weight_1d", "short_bias"])
+    def test_malformed_head_arrays_are_schema_errors(self, edit, message):
+        head = MappingHead.init(make_rng(8), in_dim=7, out_dim=3)
+        # as load_checkpoint returns them: every array 2-D
+        arrays = {k: np.atleast_2d(v) for k, v in head_to_arrays(head, "h").items()}
+        edit(arrays)
+        with pytest.raises(SchemaError, match=message):
+            head_from_arrays(arrays, "h", p_drop=0.0)
 
     def _saved(self, tmp_path):
         head = MappingHead.init(make_rng(8), in_dim=7, out_dim=3)

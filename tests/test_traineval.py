@@ -35,6 +35,7 @@ from fvassoc.traineval import (
     PairedDataset,
     TrainConfig,
     Trial,
+    XAttnTrainConfig,
     audit_manifest,
     compute_eer,
     cross_validate,
@@ -46,6 +47,7 @@ from fvassoc.traineval import (
     score_trials_xattn,
     shuffle_speaker_labels,
     train_with_early_stopping,
+    train_xattn,
 )
 
 
@@ -124,8 +126,7 @@ def _reference_generate_trials(dataset, held_out_speakers, n_target,
 def _inputs(kind, speaker_codes):
     """One 2-wide input per entry, owned by speaker `s<code>`, in list order."""
     return [
-        ConcatInput(f"{kind}{i}", f"s{s}", "en", f"{kind}{i}i", f"{kind}{i}a",
-                    np.array([float(i), 1.0]))
+        ConcatInput(f"{kind}{i}", f"s{s}", "en", np.array([float(i), 1.0]))
         for i, s in enumerate(speaker_codes)
     ]
 
@@ -297,6 +298,11 @@ class TestComputeEer:
         with pytest.raises(MetricError):
             compute_eer([0.1, 0.2], [True, True])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(MetricError, match="finite"):
+            compute_eer([0.9, bad, 0.7, 0.1], [True, True, False, False])
+
     def test_matches_brute_force(self):
         rng = make_rng(99)
         for _ in range(300):
@@ -343,8 +349,7 @@ def _scoring_case(n_faces, n_voices, face_dim, voice_dim, seed, out_dim=192):
 
     def inputs(kind, n, dim):
         return [
-            ConcatInput(f"{kind}{i}", f"s{i}", "en", "", "",
-                        rng.standard_normal(dim))
+            ConcatInput(f"{kind}{i}", f"s{i}", "en", rng.standard_normal(dim))
             for i in range(n)
         ]
 
@@ -450,6 +455,22 @@ class TestScoreTrialsMatchesOracle:
         assert score_trials(head_f, head_v, [], ds).shape == (0,)
 
 
+def _train_heads(train_ds, trials, eval_ds, **kw):
+    return train_with_early_stopping(train_ds, trials, eval_ds, quick_cfg(**kw))
+
+
+def _train_xattn(train_ds, trials, eval_ds, **kw):
+    defaults = dict(d_model=4, lr=1e-2, batch_size=16, max_steps=100,
+                    patience=3, eval_every=20, seed=7)
+    cfg = XAttnTrainConfig(**{**defaults, **kw})
+    _, best, log = train_xattn(train_ds, trials, eval_ds, cfg)
+    return best, log
+
+
+# both trainers, each returning (best, log)
+TRAINERS = {"heads": _train_heads, "xattn": _train_xattn}
+
+
 class TestTraining:
     def test_dev_trials_must_be_disjoint(self):
         ds, _, _ = make_dataset()
@@ -459,15 +480,24 @@ class TestTraining:
             # training set includes the dev speaker
             train_with_early_stopping(ds, trials, ds, cfg)
 
-    def test_best_checkpoint_is_min_over_evaluations(self):
+    def test_xattn_dev_trials_must_be_disjoint(self):
         ds, _, _ = make_dataset()
-        cfg = quick_cfg()
+        trials = default_dev_trials(ds, ["s000"], quick_cfg(), make_rng(0))
+        with pytest.raises(ConfigError, match="speaker-disjoint"):
+            # training set includes the dev speaker
+            _train_xattn(ds, trials, ds)
+
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_best_checkpoint_is_min_over_evaluations(self, trainer):
+        ds, _, _ = make_dataset()
         spk = ds.speakers()
-        trials = default_dev_trials(ds, spk[:2], cfg, make_rng(0))
-        best, log = train_with_early_stopping(
-            ds.subset(spk[2:]), trials, ds, cfg
-        )
+        trials = default_dev_trials(ds, spk[:2], quick_cfg(), make_rng(0))
+        best, log = TRAINERS[trainer](ds.subset(spk[2:]), trials, ds)
         assert best["dev_eer"] == min(e["dev_eer"] for e in log)
+        # the earliest evaluation that reached it
+        assert best["step"] == next(
+            e["step"] for e in log if e["dev_eer"] == best["dev_eer"]
+        )
 
     def test_determinism(self):
         ds, _, _ = make_dataset()
@@ -485,16 +515,19 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_with_early_stopping(ds, [], ds, quick_cfg())
 
-    def test_stops_once_patience_exceeded(self):
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_stops_once_patience_exceeded(self, trainer):
         ds, _, _ = make_dataset()
-        cfg = quick_cfg(patience=1, max_steps=1000, eval_every=5)
+        patience = 1
         spk = ds.speakers()
-        trials = default_dev_trials(ds, spk[:2], cfg, make_rng(0))
-        _, log = train_with_early_stopping(ds.subset(spk[2:]), trials, ds, cfg)
+        trials = default_dev_trials(ds, spk[:2], quick_cfg(), make_rng(0))
+        _, log = TRAINERS[trainer](ds.subset(spk[2:]), trials, ds,
+                                   patience=patience, max_steps=1000,
+                                   eval_every=5)
         # after the last improvement there are at most patience+1 evaluations
         eers = [e["dev_eer"] for e in log]
         best_idx = eers.index(min(eers))
-        assert len(eers) - 1 - best_idx <= cfg.patience + 1
+        assert len(eers) - 1 - best_idx <= patience + 1
 
 
 class TestCrossValidate:
