@@ -181,9 +181,6 @@ class JointParams:
             ("clf.weight", self.clf_weight),
         ]
 
-    def snapshot(self):
-        return {name: arr.copy() for name, arr in self.named_params()}
-
 
 def joint_step(params, face_x, face_targets, voice_x, voice_targets, cfg, rng):
     """One joint optimization step on L_face + L_voice.

@@ -25,13 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffcore import apply_dropout, as_mat, dropout_mask
-from .errors import (
-    ConfigError,
-    DegenerateVectorError,
-    FormatError,
-    SchemaError,
-    ShapeError,
-)
+from .errors import ConfigError, FormatError, SchemaError, ShapeError
 
 
 @dataclass
@@ -93,19 +87,6 @@ def head_backward(head, cache, grad_y):
     if mask is not None:
         grad_x = grad_x * mask
     return grad_w, grad_b, grad_x
-
-
-def score_batch(face_y, voice_y):
-    """Row-wise cosine similarity of two (n, d) matrices."""
-    a = as_mat(face_y)
-    b = as_mat(voice_y)
-    if a.shape != b.shape:
-        raise ShapeError(f"score_batch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if np.any(na <= 1e-12) or np.any(nb <= 1e-12):
-        raise DegenerateVectorError("cannot score a zero vector")
-    return (a * b).sum(axis=1) / (na * nb)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +157,11 @@ def _attn_forward(xq, xkv, layer, residual):
     q = xq @ layer["wq"]
     k = xkv @ layer["wk"]
     v = xkv @ layer["wv"]
-    s = np.einsum("bqd,bkd->bqk", q, k) / np.sqrt(d)
+    s = (q @ k.swapaxes(1, 2)) / np.sqrt(d)
     s = s - s.max(axis=-1, keepdims=True)
     e = np.exp(s)
     a = e / e.sum(axis=-1, keepdims=True)
-    c = np.einsum("bqk,bkd->bqd", a, v)
+    c = a @ v
     o = c @ layer["wo"]
     y = xq + o if residual else o
     return y, (xq, xkv, q, k, v, a, c)
@@ -192,17 +173,21 @@ def _attn_backward(grad_y, layer, cache, residual):
     grad_o = grad_y
     grad_xq = grad_y.copy() if residual else np.zeros_like(xq)
     grad_c = grad_o @ layer["wo"].T
-    g_wo = np.einsum("bqd,bqe->de", c, grad_o)
-    grad_a = np.einsum("bqd,bkd->bqk", grad_c, v)
-    grad_v = np.einsum("bqk,bqd->bkd", a, grad_c)
+    grad_a = grad_c @ v.swapaxes(1, 2)
+    grad_v = a.swapaxes(1, 2) @ grad_c
     # softmax backward along the key axis
     grad_s = a * (grad_a - (grad_a * a).sum(axis=-1, keepdims=True))
     grad_s = grad_s / np.sqrt(d)
-    grad_q = np.einsum("bqk,bkd->bqd", grad_s, k)
-    grad_k = np.einsum("bqk,bqd->bkd", grad_s, q)
-    g_wq = np.einsum("bqd,bqe->de", xq, grad_q)
-    g_wk = np.einsum("bkd,bke->de", xkv, grad_k)
-    g_wv = np.einsum("bkd,bke->de", xkv, grad_v)
+    grad_q = grad_s @ k
+    grad_k = grad_s.swapaxes(1, 2) @ q
+
+    def weight_grad(x, g):  # sum over batch and tokens of x_t^T g_t
+        return x.reshape(-1, d).T @ g.reshape(-1, d)
+
+    g_wq = weight_grad(xq, grad_q)
+    g_wk = weight_grad(xkv, grad_k)
+    g_wv = weight_grad(xkv, grad_v)
+    g_wo = weight_grad(c, grad_o)
     grad_xq = grad_xq + grad_q @ layer["wq"].T
     grad_xkv = grad_k @ layer["wk"].T + grad_v @ layer["wv"].T
     grads = {"wq": g_wq, "wk": g_wk, "wv": g_wv, "wo": g_wo}

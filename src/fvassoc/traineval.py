@@ -24,15 +24,17 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .aamloss import AamConfig, JointParams, init_classifier, joint_step
-from .diffcore import AdamState, adam_step, make_rng
+from .diffcore import EPS_NORM, AdamState, adam_step, make_rng
 from .embedstore import split_folds
 from .errors import (
     ConfigError,
+    DegenerateVectorError,
     LookupError_,
     MetricError,
     ProtocolViolationError,
     SamplingError,
     SchemaError,
+    ShapeError,
     check_min,
 )
 from .fusion import (
@@ -40,7 +42,6 @@ from .fusion import (
     XAttnModel,
     head_forward,
     head_from_arrays,
-    score_batch,
     xattn_backward,
     xattn_forward,
     xattn_loss,
@@ -360,15 +361,25 @@ def _trial_inputs(trials, dataset):
 def _score_inputs(head_face, head_voice, xf, face_row, xv, voice_row):
     """Cosine scores of trials given as rows of distinct inputs.
 
-    Each distinct input is projected once; the projected rows are gathered
-    and scored `_SCORE_BLOCK` trials at a time.
+    Each distinct input is projected once and its norm taken once; a
+    projected vector of norm <= EPS_NORM cannot be scored. The projected
+    rows and their norms are gathered and scored `_SCORE_BLOCK` trials at a
+    time.
     """
     yf, _ = head_forward(head_face, xf, train=False)
     yv, _ = head_forward(head_voice, xv, train=False)
+    if yf.shape[1] != yv.shape[1]:
+        raise ShapeError(f"cannot score {yf.shape[1]}-dim face projections "
+                         f"against {yv.shape[1]}-dim voice projections")
+    norm_f = np.linalg.norm(yf, axis=1)
+    norm_v = np.linalg.norm(yv, axis=1)
+    if np.any(norm_f <= EPS_NORM) or np.any(norm_v <= EPS_NORM):
+        raise DegenerateVectorError("cannot score a zero vector")
     scores = np.empty(len(face_row))
     for start in range(0, len(face_row), _SCORE_BLOCK):
         block = slice(start, start + _SCORE_BLOCK)
-        scores[block] = score_batch(yf[face_row[block]], yv[voice_row[block]])
+        f, v = face_row[block], voice_row[block]
+        scores[block] = (yf[f] * yv[v]).sum(axis=1) / (norm_f[f] * norm_v[v])
     return scores
 
 
@@ -723,37 +734,34 @@ class XAttnTrainConfig:
         _check_common(self, d_model=1)
 
 
-def _records_by_speaker(dataset, speakers):
-    """Face and voice inputs of each speaker in `speakers`, dataset order."""
-    faces_by_spk = {}
-    for c in dataset.face_inputs:
-        if c.speaker_id in speakers:
-            faces_by_spk.setdefault(c.speaker_id, []).append(c)
-    voices_by_spk = {}
-    for c in dataset.voice_inputs:
-        if c.speaker_id in speakers:
-            voices_by_spk.setdefault(c.speaker_id, []).append(c)
-    return faces_by_spk, voices_by_spk
+def _by_speaker(x, spk, n):
+    """(rows, start, count): the rows of x grouped by their speaker code in
+    `spk` (0 .. n-1), in row order within a group; group s is rows
+    start[s] .. start[s] + count[s] - 1."""
+    count = np.bincount(spk, minlength=n)
+    return x[np.argsort(spk, kind="stable")], np.cumsum(count) - count, count
 
 
-def _sample_pairs(spk, faces_by_spk, voices_by_spk, batch_size, rng):
-    """Half same-speaker, half cross-speaker (face, voice) training pairs."""
-    xf, xv, y = [], [], []
-    for i in range(batch_size):
-        same = i % 2 == 0
-        s1 = spk[int(rng.integers(0, len(spk)))]
-        if same:
-            s2 = s1
-        else:
-            s2 = spk[int(rng.integers(0, len(spk)))]
-            while s2 == s1 and len(spk) > 1:
-                s2 = spk[int(rng.integers(0, len(spk)))]
-        f = faces_by_spk[s1][int(rng.integers(0, len(faces_by_spk[s1])))]
-        v = voices_by_spk[s2][int(rng.integers(0, len(voices_by_spk[s2])))]
-        xf.append(f.vector)
-        xv.append(v.vector)
-        y.append(1.0 if s1 == s2 else 0.0)
-    return np.stack(xf), np.stack(xv), np.array(y)
+def _sample_pairs(faces, voices, batch_size, rng):
+    """Half same-speaker, half cross-speaker (face, voice) training pairs.
+
+    `faces` and `voices` are `_by_speaker` groups over the same n speakers,
+    each with at least one record. Every pair draws its face's speaker s1
+    uniformly; even positions take the voice from s1 and odd ones from a
+    speaker drawn uniformly from the other n - 1 (from s1 when n is 1).
+    Records are drawn uniformly within their speaker. Labels are 1.0 for
+    same-speaker pairs.
+    """
+    xf, f_start, f_count = faces
+    xv, v_start, v_count = voices
+    n = len(f_count)
+    s1 = rng.integers(0, n, size=batch_size)
+    s2 = s1.copy()
+    if n > 1:
+        s2[1::2] = (s1[1::2] + rng.integers(1, n, size=batch_size // 2)) % n
+    f = f_start[s1] + rng.integers(0, f_count[s1])
+    v = v_start[s2] + rng.integers(0, v_count[s2])
+    return xf[f], xv[v], (s1 == s2).astype(np.float64)
 
 
 def score_trials_xattn(model, trials, dataset):
@@ -786,15 +794,13 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
         name: AdamState.for_param(arr, lr=cfg.lr)
         for name, arr in model.param_items()
     }
-    speakers = set(train_ds.speakers())
-    # the speaker list keeps set iteration order, as the rng draws index it
-    spk = list(speakers)
-    faces_by_spk, voices_by_spk = _records_by_speaker(train_ds, speakers)
+    code = {s: i for i, s in enumerate(train_ds.speakers())}
+    xf, yf, xv, yv = train_ds.matrices(code)
+    faces = _by_speaker(xf, yf, len(code))
+    voices = _by_speaker(xv, yv, len(code))
 
     def step():
-        xf, xv, y = _sample_pairs(
-            spk, faces_by_spk, voices_by_spk, cfg.batch_size, rng
-        )
+        xf, xv, y = _sample_pairs(faces, voices, cfg.batch_size, rng)
         logits, cache = xattn_forward(model, xv, xf, train=True, rng=rng)
         loss, g_logits = xattn_loss(logits, y)
         grads, _, _ = xattn_backward(model, cache, g_logits)

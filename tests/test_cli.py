@@ -1,11 +1,16 @@
 import json
+import os
 import shutil
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import fvassoc
 from fvassoc.cli import CONFIG_SCHEMA, build_parser, main
 from fvassoc.fusion import load_checkpoint, save_checkpoint
 
@@ -499,6 +504,33 @@ class TestXAttn:
         ).read_bytes()
         assert reports_equal_modulo_timestamp(load_report(out_a), load_report(out_b))
 
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        data = make_data(tmp_path, n_speakers=12, records=6)
+        cfg = write_config(tmp_path / "x.json", {
+            "data": data, "dev_fraction": 0.5,
+            "train": {"d_model": 4, "lr": 0.01, "batch_size": 32,
+                      "max_steps": 60, "eval_every": 10, "seed": 3,
+                      "p_drop": 0.3},
+        })
+        src = str(Path(fvassoc.__file__).resolve().parents[1])
+        outs = []
+        for hash_seed in ("0", "7"):
+            out = tmp_path / f"x{hash_seed}"
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed,
+                       OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+            subprocess.run(
+                [sys.executable, "-m", "fvassoc.cli", "xattn", "--config", cfg,
+                 "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            outs.append(out)
+        a, b = outs
+        assert load_report(a)["best_step"] > 0  # the checkpoint is trained
+        assert (a / "checkpoint.fvh").read_bytes() == (
+            b / "checkpoint.fvh"
+        ).read_bytes()
+        assert reports_equal_modulo_timestamp(load_report(a), load_report(b))
+
 
 # ---------------------------------------------------------------------------
 # Config schema: strict JSON types, ranges, decode errors and --help
@@ -883,7 +915,10 @@ class TestDecodeErrors:
         (lambda a: a.pop("head_voice.bias"), "has no array head_voice.bias"),
         (lambda a: a.update({"head_face.bias": a["head_face.bias"][:, :-1]}),
          "do not form a head"),
-    ], ids=["no_bias", "short_bias"])
+        (lambda a: a.update({"head_voice.weight": a["head_voice.weight"][:8],
+                             "head_voice.bias": a["head_voice.bias"][:, :8]}),
+         "cannot score 16-dim face projections against 8-dim"),
+    ], ids=["no_bias", "short_bias", "out_dims_differ"])
     def test_malformed_checkpoint_arrays_exit_4(self, schema_corpus, tmp_path,
                                                 capsys, edit, message):
         arrays, meta = load_checkpoint(schema_corpus[2])
@@ -908,3 +943,144 @@ class TestDecodeErrors:
         capsys.readouterr()
         assert run_config(tmp_path, "train", config) == (5, False)
         assert "error: KeyError: 'boom'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Corrupted input files: every outcome is exit 0 or a documented status,
+# reached through an exception that `_EXIT_BY_ERROR` maps
+
+
+STORE_FILES = ["vspk.fve", "vag.fve", "fid.fve", "fag.fve"]
+NON_FINITE_F32 = [struct.pack("<f", v) for v in (np.nan, np.inf, -np.inf)]
+
+
+@pytest.fixture
+def corrupt_inputs(schema_corpus, tmp_path, monkeypatch):
+    """A private copy of the corpus, checkpoint and trial file, and
+    `run(command, path, blob)`: run `command` on the copy with the file at
+    `path` replaced by `blob`, put the file back, and return the exit status.
+
+    An exception that no entry of `_EXIT_BY_ERROR` maps fails the test
+    instead of taking `_exit_code`'s fallback to exit 5.
+    """
+    import fvassoc.cli
+
+    exit_code, mapped = fvassoc.cli._exit_code, fvassoc.cli._EXIT_BY_ERROR
+
+    def mapped_exit_code(exc):
+        if not any(isinstance(exc, types) for types, _ in mapped):
+            raise AssertionError(
+                f"unmapped {type(exc).__name__}: {exc}") from exc
+        return exit_code(exc)
+
+    monkeypatch.setattr(fvassoc.cli, "_exit_code", mapped_exit_code)
+    inputs = tmp_path / "inputs"
+    shutil.copytree(schema_corpus[1], inputs / "data")
+    shutil.copy(schema_corpus[2], inputs / "checkpoint.fvh")
+    shutil.copy(schema_corpus[3], inputs / "trials.tsv")
+    configs = schema_base_configs((
+        schema_corpus[0], str(inputs / "data"),
+        str(inputs / "checkpoint.fvh"), str(inputs / "trials.tsv"),
+    ))
+
+    def run(command, path, blob):
+        path = inputs / path
+        original = path.read_bytes()
+        path.write_bytes(blob)
+        try:
+            return run_config(tmp_path, command, configs[command])[0]
+        finally:
+            path.write_bytes(original)
+
+    run.inputs = inputs
+    return run
+
+
+def _edit(data, blob):
+    """`blob` truncated, or with 1-4 of its bytes overwritten, as drawn."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    out = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4), label="n_bytes")):
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        out[at] = data.draw(st.integers(0, 255), label="byte")
+    return bytes(out)
+
+
+def _store_value_offsets(blob):
+    """Byte offset of every float32 of every vector in a .fve file."""
+    dim, count = struct.unpack_from("<II", blob, 9)
+    offsets, off = [], 17
+    for _ in range(count):
+        off += 2 + struct.unpack_from("<H", blob, off)[0]
+        offsets.extend(range(off, off + 4 * dim, 4))
+        off += 4 * dim
+    return offsets
+
+
+def _head_value_offsets(blob):
+    """Byte offset of every float64 of the head arrays in a .fvh file."""
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    off = 12 + meta_len
+    (n_arrays,) = struct.unpack_from("<I", blob, off)
+    offsets, off = [], off + 4
+    for _ in range(n_arrays):
+        name_len, rows, cols = struct.unpack_from("<HII", blob, off)
+        name = blob[off + 10 : off + 10 + name_len].decode("utf-8")
+        off += 10 + name_len
+        if name.startswith("head_"):
+            offsets.extend(range(off, off + 8 * rows * cols, 8))
+        off += 8 * rows * cols
+    return offsets
+
+
+FUZZ = settings(max_examples=100, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# corrupted values overflow in places; the exit status is what is checked
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCorruptInputs:
+    @FUZZ
+    @given(data=st.data())
+    def test_corrupt_store_or_manifest(self, corrupt_inputs, data):
+        name = data.draw(st.sampled_from(STORE_FILES + ["manifest.tsv"]))
+        command = data.draw(st.sampled_from(["train", "xattn", "eval"]))
+        path = Path("data") / name
+        blob = (corrupt_inputs.inputs / path).read_bytes()
+        edited = _edit(data, blob)
+        code = corrupt_inputs(command, path, edited)
+        assert code in (0, 2, 3, 4, 5)
+        if name.endswith(".fve") and len(edited) < len(blob):
+            assert code == 4
+
+    @FUZZ
+    @given(data=st.data())
+    def test_corrupt_checkpoint_or_trials(self, corrupt_inputs, data):
+        path = data.draw(st.sampled_from(["checkpoint.fvh", "trials.tsv"]))
+        blob = (corrupt_inputs.inputs / path).read_bytes()
+        edited = _edit(data, blob)
+        code = corrupt_inputs("eval", path, edited)
+        assert code in (0, 2, 3, 4, 5)
+        if path == "checkpoint.fvh" and len(edited) < len(blob):
+            assert code == 4
+
+    @FUZZ
+    @given(data=st.data())
+    def test_non_finite_store_value(self, corrupt_inputs, data):
+        path = Path("data") / data.draw(st.sampled_from(STORE_FILES))
+        command = data.draw(st.sampled_from(["train", "xattn", "eval"]))
+        blob = bytearray((corrupt_inputs.inputs / path).read_bytes())
+        offsets = st.sampled_from(_store_value_offsets(blob))
+        for at in data.draw(st.lists(offsets, min_size=1, max_size=3)):
+            blob[at : at + 4] = data.draw(st.sampled_from(NON_FINITE_F32))
+        assert corrupt_inputs(command, path, bytes(blob)) == 4
+
+    @FUZZ
+    @given(data=st.data(), value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_head_weight(self, corrupt_inputs, data, value):
+        path = corrupt_inputs.inputs / "checkpoint.fvh"
+        blob = bytearray(path.read_bytes())
+        at = data.draw(st.sampled_from(_head_value_offsets(blob)))
+        blob[at : at + 8] = struct.pack("<d", value)
+        assert corrupt_inputs("eval", "checkpoint.fvh", bytes(blob)) == 4

@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvassoc.diffcore import finite_difference_grad, make_rng, rel_error
 from fvassoc.errors import (
@@ -13,6 +14,7 @@ from fvassoc.errors import (
 from fvassoc.fusion import (
     MappingHead,
     XAttnModel,
+    _attn_backward,
     _attn_forward,
     head_backward,
     head_forward,
@@ -20,12 +22,12 @@ from fvassoc.fusion import (
     head_to_arrays,
     load_checkpoint,
     save_checkpoint,
-    score_batch,
     tokenize,
     xattn_backward,
     xattn_forward,
     xattn_loss,
 )
+from fvassoc.traineval import _score_inputs
 
 
 class TestMappingHead:
@@ -89,9 +91,24 @@ class TestMappingHead:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def identity_head(dim):
+    return MappingHead(weight=np.eye(dim), bias=np.zeros(dim), p_drop=0.0)
+
+
+def score_rows(a, b):
+    """Cosine of row i of a with row i of b, by the production scorer.
+
+    Identity heads project each row exactly onto itself, so the scorer sees
+    the rows as given."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    rows = np.arange(len(a))
+    return _score_inputs(identity_head(a.shape[1]), identity_head(b.shape[1]),
+                         a, rows, b, rows)
+
+
 def cosine(a, b):
-    """score_batch of one (face, voice) pair, as a float."""
-    (score,) = score_batch(np.atleast_2d(a), np.atleast_2d(b))
+    """The production score of one (face, voice) pair, as a float."""
+    (score,) = score_rows(a, b)
     return float(score)
 
 
@@ -100,7 +117,7 @@ class TestScorePair:
         v = make_rng(0).standard_normal(8)
         assert cosine(v, v) == pytest.approx(1.0)
         m = make_rng(3).standard_normal((5, 8))
-        assert np.allclose(score_batch(m, m), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(score_rows(m, m), 1.0, rtol=0, atol=1e-12)
 
     def test_orthogonal(self):
         a = np.zeros(8)
@@ -120,7 +137,7 @@ class TestScorePair:
         zero_row = rows.copy()
         zero_row[1] = 0.0
         with pytest.raises(DegenerateVectorError):
-            score_batch(rows, zero_row)
+            score_rows(rows, zero_row)
 
     def test_symmetric_and_scale_invariant(self):
         rng = make_rng(2)
@@ -217,6 +234,74 @@ class TestXAttn:
         m = toy_model()
         with pytest.raises(ShapeError):
             xattn_forward(m, np.zeros((1, 10)), np.zeros((1, 9)))
+
+
+def _reference_attn_forward(xq, xkv, layer, residual):
+    """Oracle: one cross-attention layer written with einsum."""
+    d = xq.shape[-1]
+    q = xq @ layer["wq"]
+    k = xkv @ layer["wk"]
+    v = xkv @ layer["wv"]
+    s = np.einsum("bqd,bkd->bqk", q, k) / np.sqrt(d)
+    s = s - s.max(axis=-1, keepdims=True)
+    e = np.exp(s)
+    a = e / e.sum(axis=-1, keepdims=True)
+    c = np.einsum("bqk,bkd->bqd", a, v)
+    o = c @ layer["wo"]
+    y = xq + o if residual else o
+    return y, (xq, xkv, q, k, v, a, c)
+
+
+def _reference_attn_backward(grad_y, layer, cache, residual):
+    """Oracle: _reference_attn_forward's gradients, written with einsum."""
+    xq, xkv, q, k, v, a, c = cache
+    d = xq.shape[-1]
+    grad_o = grad_y
+    grad_xq = grad_y.copy() if residual else np.zeros_like(xq)
+    grad_c = grad_o @ layer["wo"].T
+    g_wo = np.einsum("bqd,bqe->de", c, grad_o)
+    grad_a = np.einsum("bqd,bkd->bqk", grad_c, v)
+    grad_v = np.einsum("bqk,bqd->bkd", a, grad_c)
+    grad_s = a * (grad_a - (grad_a * a).sum(axis=-1, keepdims=True))
+    grad_s = grad_s / np.sqrt(d)
+    grad_q = np.einsum("bqk,bkd->bqd", grad_s, k)
+    grad_k = np.einsum("bqk,bqd->bkd", grad_s, q)
+    g_wq = np.einsum("bqd,bqe->de", xq, grad_q)
+    g_wk = np.einsum("bkd,bke->de", xkv, grad_k)
+    g_wv = np.einsum("bkd,bke->de", xkv, grad_v)
+    grad_xq = grad_xq + grad_q @ layer["wq"].T
+    grad_xkv = grad_k @ layer["wk"].T + grad_v @ layer["wv"].T
+    grads = {"wq": g_wq, "wk": g_wk, "wv": g_wv, "wo": g_wo}
+    return grad_xq, grad_xkv, grads
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(batch=st.integers(1, 5), t_q=st.integers(1, 10),
+       t_kv=st.integers(1, 10), d=st.integers(1, 8), residual=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_attention_layer_matches_einsum_reference(batch, t_q, t_kv, d,
+                                                  residual, seed):
+    rng = make_rng(seed)
+    xq = rng.standard_normal((batch, t_q, d))
+    xkv = rng.standard_normal((batch, t_kv, d))
+    layer = {name: rng.standard_normal((d, d))
+             for name in ("wq", "wk", "wv", "wo")}
+    grad_y = rng.standard_normal((batch, t_q, d))
+
+    y, cache = _attn_forward(xq, xkv, layer, residual)
+    want_y, want_cache = _reference_attn_forward(xq, xkv, layer, residual)
+    got = _attn_backward(grad_y, layer, cache, residual)
+    want = _reference_attn_backward(grad_y, layer, want_cache, residual)
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    close(y, want_y)
+    close(got[0], want[0])
+    close(got[1], want[1])
+    assert got[2].keys() == want[2].keys()
+    for name in want[2]:
+        close(got[2][name], want[2][name])
 
 
 class TestXAttnLoss:

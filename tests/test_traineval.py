@@ -23,13 +23,7 @@ from fvassoc.errors import (
     ProtocolViolationError,
     SamplingError,
 )
-from fvassoc.fusion import (
-    MappingHead,
-    XAttnModel,
-    head_forward,
-    score_batch,
-    xattn_forward,
-)
+from fvassoc.fusion import MappingHead, XAttnModel, head_forward, xattn_forward
 from fvassoc.synthgen import SynthConfig, generate
 from fvassoc.traineval import (
     PairedDataset,
@@ -340,7 +334,8 @@ def _reference_score_trials(head_face, head_voice, trials, dataset):
     xv = np.stack([dataset.voice_by_id[t.voice_id].vector for t in trials])
     yf, _ = head_forward(head_face, xf, train=False)
     yv, _ = head_forward(head_voice, xv, train=False)
-    return score_batch(yf, yv)
+    norms = np.linalg.norm(yf, axis=1) * np.linalg.norm(yv, axis=1)
+    return (yf * yv).sum(axis=1) / norms
 
 
 def _scoring_case(n_faces, n_voices, face_dim, voice_dim, seed, out_dim=192):
@@ -453,6 +448,81 @@ class TestScoreTrialsMatchesOracle:
     def test_no_trials_give_no_scores(self):
         ds, head_f, head_v = _scoring_case(2, 2, 4, 4, seed=61)
         assert score_trials(head_f, head_v, [], ds).shape == (0,)
+
+
+def _sampled_pairs(face_speakers, voice_speakers, batch_size, seed):
+    """(face record, voice record, label) of each pair `_sample_pairs` draws
+    from a `_dataset`, records given as list indices (an input's first
+    element)."""
+    ds = _dataset(face_speakers, voice_speakers)
+    code = {s: i for i, s in enumerate(ds.speakers())}
+    xf, yf, xv, yv = ds.matrices(code)
+    xf, xv, y = traineval._sample_pairs(
+        traineval._by_speaker(xf, yf, len(code)),
+        traineval._by_speaker(xv, yv, len(code)),
+        batch_size, make_rng(seed),
+    )
+    return xf[:, 0].astype(int).tolist(), xv[:, 0].astype(int).tolist(), y
+
+
+def _speaker_lists(draw, n):
+    """Speaker codes 0 .. n-1 of one modality's records, 1-4 records each,
+    in random order."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return [s for s, c in enumerate(counts) for _ in range(c)]
+
+
+class TestSamplePairs:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_labels_and_speakers_of_every_pair(self, data):
+        n = data.draw(st.integers(1, 6))
+        # speaker n has faces only, so it is not a training speaker
+        face_spk = _speaker_lists(data.draw, n)
+        face_spk += [n] * data.draw(st.integers(0, 2))
+        face_spk = data.draw(st.permutations(face_spk))
+        voice_spk = data.draw(st.permutations(_speaker_lists(data.draw, n)))
+        batch = data.draw(st.integers(1, 40))
+        f, v, y = _sampled_pairs(face_spk, voice_spk, batch,
+                                 data.draw(st.integers(0, 2**32 - 1)))
+        s1 = [face_spk[i] for i in f]
+        s2 = [voice_spk[i] for i in v]
+
+        assert len(f) == len(v) == y.shape[0] == batch
+        assert y.tolist() == [float(a == b) for a, b in zip(s1, s2)]
+        assert max(s1) < n
+        assert s1[0::2] == s2[0::2]
+        if n > 1:
+            assert all(a != b for a, b in zip(s1[1::2], s2[1::2]))
+
+    def test_one_speaker_gives_same_speaker_pairs(self):
+        f, v, y = _sampled_pairs([0, 0, 0], [0], 7, seed=1)
+        assert set(f) <= {0, 1, 2} and v == [0] * 7
+        assert y.tolist() == [1.0] * 7
+
+    def test_same_seed_same_batch(self):
+        spk = [0, 1, 1, 2, 2, 2]
+        a, b = _sampled_pairs(spk, spk, 33, 4), _sampled_pairs(spk, spk, 33, 4)
+        assert a[:2] == b[:2] and np.array_equal(a[2], b[2])
+        assert a[:2] != _sampled_pairs(spk, spk, 33, 5)[:2]
+
+    def test_speakers_and_records_are_uniform(self):
+        # 3 speakers with 1, 2 and 5 records of each modality
+        spk = [2, 1, 0, 2, 2, 1, 2, 2]
+        n = 30_000
+        f, v, _ = _sampled_pairs(spk, spk, n, seed=9)
+        s1 = [spk[i] for i in f]
+        s2 = [spk[i] for i in v]
+        for s in range(3):
+            assert abs(s1.count(s) / n - 1 / 3) < 0.02
+            # within a speaker each record is equally likely
+            mine = [i for i, t in zip(f, s1) if t == s]
+            for r in {i for i, t in enumerate(spk) if t == s}:
+                assert abs(mine.count(r) / len(mine) - 1 / spk.count(s)) < 0.03
+            # an odd pair's voice speaker is either other speaker, evenly
+            partners = [b for a, b in zip(s1[1::2], s2[1::2]) if a == s]
+            for other in {0, 1, 2} - {s}:
+                assert abs(partners.count(other) / len(partners) - 0.5) < 0.03
 
 
 def _train_heads(train_ds, trials, eval_ds, **kw):
