@@ -74,21 +74,6 @@ def _margin_pieces(cos_t, cfg):
     return value, deriv
 
 
-def aam_logits(x, clf_weight, cfg, targets):
-    """Scaled-cosine logits with the additive angular margin on the target."""
-    cfg.validate()
-    x = as_mat(x)
-    targets = _check_targets(targets, x.shape[0], clf_weight.shape[0])
-    xn = l2_normalize_rows(x)
-    wn = l2_normalize_rows(clf_weight)
-    cos = np.clip(xn @ wn.T, -1.0, 1.0)
-    logits = cfg.scale * cos
-    rows = np.arange(x.shape[0])
-    value, _ = _margin_pieces(cos[rows, targets], cfg)
-    logits[rows, targets] = cfg.scale * value
-    return logits
-
-
 def aam_loss_and_grad(x, clf_weight, cfg, targets):
     """Mean softmax cross-entropy over AAM logits with exact gradients.
 

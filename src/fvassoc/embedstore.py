@@ -1,4 +1,4 @@
-"""Embedding records, binary store format, manifests, and fold splitting.
+"""Embedding records, store format, manifests, input assembly, fold splits.
 
 On-disk layout of a dataset directory:
 
@@ -280,54 +280,49 @@ def filter_records_exclude_language(records, excluded):
     return [r for r in records if r.language != excluded]
 
 
-@dataclass
-class ConcatInput:
-    """One utterance/image with identity and age-gender vectors concatenated.
-
-    Order is fixed: identity embedding first, age-gender second.
-    """
-
-    owner_id: str
-    speaker_id: str
-    language: str
-    vector: np.ndarray  # float64
+def _by_owner(records, kind):
+    """Owner id -> the `kind` record of that owner; one record per owner."""
+    out = {}
+    for r in records:
+        if r.modality == kind and out.setdefault(r.owner_id, r) is not r:
+            raise SchemaError(f"owner {r.owner_id}: two {kind.tag} records")
+    return out
 
 
 def assemble_concat_inputs(records, identity_kind, agegender_kind):
-    """Pair identity and age-gender records by owner id and concatenate.
+    """Join identity and age-gender records on owner id into one table.
 
-    Owners missing either component are skipped and reported in the second
-    return value. Raises if nothing can be assembled.
+    Returns ((rows, x), skipped). `rows` is a record array with fields
+    owner_id, speaker_id and language, sorted by owner id; x[i] is row i's
+    identity vector followed by its age-gender vector, in float64. Owners
+    missing either component are skipped and listed, sorted, in `skipped`.
+    Two records of one modality with the same owner, or an owner whose two
+    records name different speakers, raise SchemaError; so does an empty
+    result (EmptyDatasetError).
     """
-    ident = {r.owner_id: r for r in records if r.modality == identity_kind}
-    ageg = {r.owner_id: r for r in records if r.modality == agegender_kind}
-    out = []
-    skipped = []
-    for owner, r in ident.items():
-        other = ageg.get(owner)
-        if other is None:
-            skipped.append(owner)
-            continue
-        if other.speaker_id != r.speaker_id:
-            raise SchemaError(f"owner {owner}: speaker mismatch across modalities")
-        vec = np.concatenate(
-            [r.vector.astype(np.float64), other.vector.astype(np.float64)]
-        )
-        out.append(
-            ConcatInput(
-                owner_id=owner,
-                speaker_id=r.speaker_id,
-                language=r.language,
-                vector=vec,
-            )
-        )
-    skipped.extend(owner for owner in ageg if owner not in ident)
-    if not out:
+    ident = _by_owner(records, identity_kind)
+    ageg = _by_owner(records, agegender_kind)
+    owners = sorted(ident.keys() & ageg.keys())
+    skipped = sorted(ident.keys() ^ ageg.keys())
+    if not owners:
         raise EmptyDatasetError(
             f"no assemblable {identity_kind.tag}+{agegender_kind.tag} inputs"
         )
-    out.sort(key=lambda c: c.owner_id)
-    return out, sorted(skipped)
+    pairs = [(ident[o], ageg[o]) for o in owners]
+    split = len(pairs[0][0].vector)
+    x = np.empty((len(pairs), split + len(pairs[0][1].vector)))
+    for i, (a, b) in enumerate(pairs):
+        if a.speaker_id != b.speaker_id:
+            raise SchemaError(
+                f"owner {a.owner_id}: speaker mismatch across modalities"
+            )
+        x[i, :split] = a.vector
+        x[i, split:] = b.vector
+    rows = np.rec.fromarrays(
+        [owners, [a.speaker_id for a, _ in pairs], [a.language for a, _ in pairs]],
+        names="owner_id,speaker_id,language",
+    )
+    return (rows, x), skipped
 
 
 def assemble_voice_inputs(records):

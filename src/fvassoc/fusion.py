@@ -270,8 +270,9 @@ def xattn_loss(logits, labels):
         raise ShapeError(f"xattn_loss: logits {z.shape} vs labels {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ConfigError("labels must be binary")
-    loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    e = np.exp(-np.abs(z))  # <= 1, so neither branch below can overflow
+    loss = np.maximum(z, 0.0) - z * y + np.log1p(e)
+    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(loss.mean()), (sig - y) / z.size
 
 
@@ -343,10 +344,6 @@ def load_checkpoint(path):
         ).reshape(rows, cols).copy()
         off += nbytes
     return arrays, meta
-
-
-def head_to_arrays(head, prefix):
-    return {f"{prefix}.weight": head.weight, f"{prefix}.bias": head.bias}
 
 
 def head_from_arrays(arrays, prefix, p_drop, expect_in_dim=None):

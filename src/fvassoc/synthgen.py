@@ -23,7 +23,6 @@ from .embedstore import (
     ModalityKind,
     write_store,
     write_store_file,
-    read_store_file,
 )
 from .errors import ConfigError, check_min
 
@@ -181,12 +180,3 @@ def write_ground_truth(truth, path):
             )
         )
     write_store_file(recs, path)
-
-
-def read_ground_truth_latents(path):
-    """Read the sidecar back: speaker -> (latent, age_norm, gender)."""
-    _, dim, rows = read_store_file(path)
-    out = {}
-    for rid, vec in rows:
-        out[rid] = (vec[:-2].astype(np.float64), float(vec[-2]), float(vec[-1]))
-    return out

@@ -98,58 +98,62 @@ class TrainConfig:
         self.aam.validate()
 
 
-class PairedDataset:
-    """Assembled face and voice inputs with id/speaker lookups."""
+def _isin(column, names):
+    """Mask of the entries of a str column that are among `names`."""
+    return np.isin(column, np.array(list(names), dtype=str))
 
-    def __init__(self, face_inputs, voice_inputs):
-        self.face_inputs = list(face_inputs)
-        self.voice_inputs = list(voice_inputs)
-        self.face_by_id = {c.owner_id: c for c in self.face_inputs}
-        self.voice_by_id = {c.owner_id: c for c in self.voice_inputs}
-        self.face_dim = len(self.face_inputs[0].vector) if self.face_inputs else 0
-        self.voice_dim = len(self.voice_inputs[0].vector) if self.voice_inputs else 0
+
+class PairedDataset:
+    """Assembled inputs as one (rows, x) table per modality: `rows` is a
+    record array of owner_id, speaker_id and language, x[i] row i's input."""
+
+    def __init__(self, faces, voices):
+        self.face_inputs, self.face_x = faces
+        self.voice_inputs, self.voice_x = voices
+        self.face_dim = self.face_x.shape[1]
+        self.voice_dim = self.voice_x.shape[1]
+
+    def tables(self):
+        return (self.face_inputs, self.face_x), (self.voice_inputs, self.voice_x)
 
     def speakers(self):
-        face = {c.speaker_id for c in self.face_inputs}
-        voice = {c.speaker_id for c in self.voice_inputs}
-        return sorted(face & voice)
+        return np.intersect1d(
+            self.face_inputs.speaker_id, self.voice_inputs.speaker_id
+        ).tolist()
 
     def subset(self, speakers=None, voice_language=None):
-        spk = set(speakers) if speakers is not None else None
-        faces = [
-            c for c in self.face_inputs if spk is None or c.speaker_id in spk
-        ]
-        voices = [
-            c
-            for c in self.voice_inputs
-            if (spk is None or c.speaker_id in spk)
-            and (voice_language is None or c.language == voice_language)
-        ]
+        def take(table, keep):
+            return table[0][keep], table[1][keep]
+
+        faces, voices = self.tables()
+        if speakers is not None:
+            faces = take(faces, _isin(faces[0].speaker_id, speakers))
+            voices = take(voices, _isin(voices[0].speaker_id, speakers))
+        if voice_language is not None:
+            voices = take(voices, voices[0].language == voice_language)
         return PairedDataset(faces, voices)
 
     def matrices(self, speaker_index):
-        """(X_face, y_face, X_voice, y_voice) restricted to mapped speakers."""
-        faces = [c for c in self.face_inputs if c.speaker_id in speaker_index]
-        voices = [c for c in self.voice_inputs if c.speaker_id in speaker_index]
-        xf = np.stack([c.vector for c in faces])
-        yf = np.array([speaker_index[c.speaker_id] for c in faces])
-        xv = np.stack([c.vector for c in voices])
-        yv = np.array([speaker_index[c.speaker_id] for c in voices])
-        return xf, yf, xv, yv
+        """(X_face, y_face, X_voice, y_voice) restricted to mapped speakers;
+        X is the dataset's own matrix, not a copy, if every row is mapped."""
+        names = np.array(sorted(speaker_index), dtype=str)
+        codes = np.array([speaker_index[s] for s in names], dtype=np.int64)
+        out = []
+        for rows, x in self.tables():
+            keep = np.isin(rows.speaker_id, names)
+            y = codes[np.searchsorted(names, rows.speaker_id[keep])]
+            out += [x if keep.all() else x[keep], y]
+        return tuple(out)
 
 
 def shuffle_speaker_labels(dataset, rng):
     """Permute speaker ids across inputs of each modality (chance baseline)."""
-    import copy
-
-    out_faces = [copy.copy(c) for c in dataset.face_inputs]
-    out_voices = [copy.copy(c) for c in dataset.voice_inputs]
-    for inputs in (out_faces, out_voices):
-        labels = [c.speaker_id for c in inputs]
-        perm = rng.permutation(len(labels))
-        for c, j in zip(inputs, perm):
-            c.speaker_id = labels[j]
-    return PairedDataset(out_faces, out_voices)
+    tables = []
+    for rows, x in dataset.tables():
+        rows = rows.copy()
+        rows.speaker_id = rows.speaker_id[rng.permutation(len(rows))]
+        tables.append((rows, x))
+    return PairedDataset(*tables)
 
 
 # ---------------------------------------------------------------------------
@@ -157,29 +161,26 @@ def shuffle_speaker_labels(dataset, rng):
 
 
 class _HeldOutRecords:
-    """Held-out faces and voices with per-face pair counts.
+    """Held-out faces and voices, in dataset order, with per-face pair counts.
 
     Speakers get int codes; `same_per_face[f]` is the number of voices that
     share face f's speaker. The pair pools themselves are never built.
     """
 
     def __init__(self, dataset, held):
-        self.faces = [c for c in dataset.face_inputs if c.speaker_id in held]
-        self.voices = [c for c in dataset.voice_inputs if c.speaker_id in held]
-        code = {}
-
-        def codes(inputs):
-            return np.array(
-                [code.setdefault(c.speaker_id, len(code)) for c in inputs],
-                dtype=np.int64,
-            )
-
-        self.face_code = codes(self.faces)
-        self.voice_code = codes(self.voices)
-        self.n_voices = np.bincount(self.voice_code, minlength=len(code))
+        faces, voices = dataset.face_inputs, dataset.voice_inputs
+        faces = faces[_isin(faces.speaker_id, held)]
+        voices = voices[_isin(voices.speaker_id, held)]
+        self.face_ids, self.voice_ids = faces.owner_id, voices.owner_id
+        self.face_spk, self.voice_spk = faces.speaker_id, voices.speaker_id
+        names, code = np.unique(
+            np.concatenate([self.face_spk, self.voice_spk]), return_inverse=True
+        )
+        self.face_code, self.voice_code = np.split(code, [len(faces)])
+        self.n_voices = np.bincount(self.voice_code, minlength=len(names))
         self.same_per_face = self.n_voices[self.face_code]
         self.n_same = int(self.same_per_face.sum())
-        self.n_cross = len(self.faces) * len(self.voices) - self.n_same
+        self.n_cross = len(faces) * len(voices) - self.n_same
 
 
 def _locate(per_face, idx):
@@ -202,13 +203,11 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
     record counts, so time and memory grow with faces + voices + trials,
     not with faces x voices.
     """
-    held = set(held_out_speakers)
+    held = np.array(list(held_out_speakers), dtype=str)
     rec = _HeldOutRecords(dataset, held)
-    spk_with_face = {c.speaker_id for c in rec.faces}
-    spk_with_voice = {c.speaker_id for c in rec.voices}
-    for s in held:
-        if s not in spk_with_face or s not in spk_with_voice:
-            raise SamplingError(f"held-out speaker {s} lacks a modality")
+    lacking = np.setdiff1d(held, np.intersect1d(rec.face_spk, rec.voice_spk))
+    if lacking.size:
+        raise SamplingError(f"held-out speaker {lacking[0]} lacks a modality")
 
     if n_target > rec.n_same:
         raise SamplingError(
@@ -234,7 +233,7 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
     # Cross-speaker: if speaker s's voices sit at p_0 < p_1 < ..., the k-th
     # voice not of s is at k + #{i : p_i - i <= k}. `key` holds p_i - i
     # offset by s * (n_v + 1), so one search counts within s's voices only.
-    n_v = len(rec.voices)
+    n_v = len(rec.voice_ids)
     f_cross, k = _locate(n_v - rec.same_per_face, np.sort(cross_idx))
     slot_spk = rec.voice_code[by_spk]
     key = slot_spk * (n_v + 1) + by_spk - (np.arange(n_v) - start[slot_spk])
@@ -242,17 +241,15 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
     v_cross = k + np.searchsorted(key, s * (n_v + 1) + k, side="right") - start[s]
 
     def trials(f_idx, v_idx, label):
-        return [
-            Trial(rec.faces[f].owner_id, rec.voices[v].owner_id, label)
-            for f, v in zip(f_idx.tolist(), v_idx.tolist())
-        ]
+        faces, voices = rec.face_ids[f_idx].tolist(), rec.voice_ids[v_idx].tolist()
+        return [Trial(f, v, label) for f, v in zip(faces, voices)]
 
     return trials(f_same, v_same, True) + trials(f_cross, v_cross, False)
 
 
 def default_dev_trials(dataset, held_out_speakers, cfg, rng):
     """Dev trials capped at the available pair pool."""
-    rec = _HeldOutRecords(dataset, set(held_out_speakers))
+    rec = _HeldOutRecords(dataset, held_out_speakers)
     return generate_trials(
         dataset,
         held_out_speakers,
@@ -331,31 +328,27 @@ def _first_seen_rows(ids):
     return list(row_of), rows
 
 
-def _trial_inputs(trials, dataset):
-    """Distinct input rows of the trials and each trial's row in them.
-
-    Returns (xf, face_row, xv, voice_row): xf stacks every distinct face of
-    the trials once, in first-seen order, and xf[face_row[i]] is trial i's
-    face input; likewise for voices. A face id must name a face record and
-    a voice id a voice record; every unknown id is reported, sorted.
-    """
-    face_ids, face_row = _first_seen_rows([t.face_id for t in trials])
-    voice_ids, voice_row = _first_seen_rows([t.voice_id for t in trials])
-    unknown = sorted(f"face {i}" for i in face_ids if i not in dataset.face_by_id)
-    unknown += sorted(
-        f"voice {i}" for i in voice_ids if i not in dataset.voice_by_id
-    )
+def _trial_rows(trials, dataset):
+    """(face_at, face_row, voice_at, voice_row): face_at holds the dataset
+    row of every distinct face of the trials once, in first-seen order, and
+    face_at[face_row[i]] is trial i's face; likewise for voices. Every id
+    that names no record of its modality is reported, sorted."""
+    out, unknown = [], []
+    for kind, (rows, _) in zip(("face", "voice"), dataset.tables()):
+        ids, trial_row = _first_seen_rows([getattr(t, f"{kind}_id") for t in trials])
+        row_of = dict(zip(rows.owner_id.tolist(), range(len(rows))))
+        at = np.array([row_of.get(i, -1) for i in ids], dtype=np.int64)
+        unknown += sorted(f"{kind} {i}" for i, r in zip(ids, at) if r < 0)
+        out += [at, trial_row]
     if unknown:
         raise LookupError_(f"unknown trial record ids: {', '.join(unknown)}")
+    return out
 
-    def stack(ids, by_id, dim):
-        if not ids:
-            return np.empty((0, dim))
-        return np.stack([by_id[rid].vector for rid in ids])
 
-    xf = stack(face_ids, dataset.face_by_id, dataset.face_dim)
-    xv = stack(voice_ids, dataset.voice_by_id, dataset.voice_dim)
-    return xf, face_row, xv, voice_row
+def _trial_inputs(trials, dataset):
+    """(xf, face_row, xv, voice_row): the inputs at `_trial_rows`."""
+    face_at, face_row, voice_at, voice_row = _trial_rows(trials, dataset)
+    return dataset.face_x[face_at], face_row, dataset.voice_x[voice_at], voice_row
 
 
 def _score_inputs(head_face, head_voice, xf, face_row, xv, voice_row):
@@ -421,12 +414,12 @@ def _dev_inputs(cfg, train_ds, dev_trials, eval_ds):
     cfg.validate()
     if not dev_trials:
         raise ConfigError("dev trial list is empty")
-    inputs = _trial_inputs(dev_trials, eval_ds)
-    dev_spk = {eval_ds.face_by_id[t.face_id].speaker_id for t in dev_trials}
-    dev_spk |= {eval_ds.voice_by_id[t.voice_id].speaker_id for t in dev_trials}
-    if dev_spk & set(train_ds.speakers()):
+    face_at, face_row, voice_at, voice_row = _trial_rows(dev_trials, eval_ds)
+    dev_spk = np.union1d(eval_ds.face_inputs.speaker_id[face_at],
+                         eval_ds.voice_inputs.speaker_id[voice_at])
+    if _isin(dev_spk, train_ds.speakers()).any():
         raise ConfigError("dev trials must be speaker-disjoint from training")
-    return inputs
+    return eval_ds.face_x[face_at], face_row, eval_ds.voice_x[voice_at], voice_row
 
 
 def _early_stopping(cfg, dev_trials, step, score, named_params):

@@ -4,13 +4,15 @@ import pytest
 from fvassoc.aamloss import (
     AamConfig,
     JointParams,
-    aam_logits,
+    _check_targets,
+    _margin_pieces,
     aam_loss_and_grad,
     init_classifier,
     joint_step,
     softmax_xent_on_cosines,
 )
 from fvassoc.diffcore import (
+    as_mat,
     finite_difference_grad,
     l2_normalize_rows,
     make_rng,
@@ -18,6 +20,21 @@ from fvassoc.diffcore import (
 )
 from fvassoc.errors import DegenerateVectorError
 from fvassoc.fusion import MappingHead
+
+
+def aam_logits(x, clf_weight, cfg, targets):
+    """Scaled-cosine logits with the additive angular margin on the target."""
+    cfg.validate()
+    x = as_mat(x)
+    targets = _check_targets(targets, x.shape[0], clf_weight.shape[0])
+    xn = l2_normalize_rows(x)
+    wn = l2_normalize_rows(clf_weight)
+    cos = np.clip(xn @ wn.T, -1.0, 1.0)
+    logits = cfg.scale * cos
+    rows = np.arange(x.shape[0])
+    value, _ = _margin_pieces(cos[rows, targets], cfg)
+    logits[rows, targets] = cfg.scale * value
+    return logits
 
 
 def random_instance(seed, batch=4, dim=12, n_classes=5):

@@ -894,6 +894,24 @@ class TestDecodeErrors:
             schema_corpus, tmp_path, "manifest.tsv", edit
         ) == (4, False)
 
+    def test_duplicate_owner_in_one_modality_exits_4(self, schema_corpus,
+                                                     tmp_path, capsys):
+        from dataclasses import replace
+
+        from fvassoc.embedstore import ModalityKind, read_store, write_store
+
+        _, records = read_store(schema_corpus[1])
+        first = next(r for r in records
+                     if r.modality == ModalityKind.VOICE_SPEAKER)
+        # same owner, so assembly would have to drop one of the two silently
+        records.append(replace(first, record_id=f"{first.owner_id}#vspk2"))
+        write_store(records, tmp_path / "data")
+        config = {"data": str(tmp_path / "data"), "dev_fraction": 0.25,
+                  "train": SCHEMA_TRAIN}
+        capsys.readouterr()
+        assert run_config(tmp_path, "train", config) == (4, False)
+        assert f"owner {first.owner_id}: two vspk records" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f",
                                      b"\x00\x00\x80\xff"],
                              ids=["nan", "inf", "-inf"])

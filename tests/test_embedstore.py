@@ -15,7 +15,7 @@ from fvassoc.embedstore import (
     split_folds,
     write_store,
 )
-from fvassoc.errors import ConfigError, EmptyDatasetError, FormatError
+from fvassoc.errors import ConfigError, EmptyDatasetError, FormatError, SchemaError
 
 
 def make_records(n_per_mod=3, dim=6, speakers=("a", "b"), language="en"):
@@ -150,18 +150,19 @@ class TestAssembly:
                     vector=rng.standard_normal(FULL_DIMS[kind]).astype(np.float32),
                 )
             )
-        voices, _ = assemble_voice_inputs(records)
-        faces, _ = assemble_face_inputs(records)
-        assert len(voices[0].vector) == 7680
-        assert len(faces[0].vector) == 4864
+        (_, xv), _ = assemble_voice_inputs(records)
+        (_, xf), _ = assemble_face_inputs(records)
+        assert xv.shape == (1, 7680) and xv.dtype == np.float64
+        assert xf.shape == (1, 4864) and xf.dtype == np.float64
 
     def test_identity_comes_first(self):
         records = make_records(n_per_mod=1, dim=3, speakers=("a",))
-        voices, _ = assemble_voice_inputs(records)
-        ident = next(
-            r for r in records if r.modality == ModalityKind.VOICE_SPEAKER
+        (_, x), _ = assemble_voice_inputs(records)
+        ident, ageg = (
+            next(r for r in records if r.modality == kind)
+            for kind in (ModalityKind.VOICE_SPEAKER, ModalityKind.VOICE_AGE_GENDER)
         )
-        assert np.allclose(voices[0].vector[:3], ident.vector.astype(np.float64))
+        assert np.array_equal(x[0], np.concatenate([ident.vector, ageg.vector]))
 
     def test_missing_modality_skipped_and_reported(self):
         records = make_records(n_per_mod=2, dim=3, speakers=("a", "b"))
@@ -172,9 +173,34 @@ class TestAssembly:
                 r.speaker_id == "b" and r.modality == ModalityKind.VOICE_AGE_GENDER
             )
         ]
-        voices, skipped = assemble_voice_inputs(records)
-        assert all(c.speaker_id == "a" for c in voices)
+        (rows, x), skipped = assemble_voice_inputs(records)
+        assert rows.speaker_id.tolist() == ["a"] and x.shape == (1, 6)
         assert skipped and all(owner.startswith("b") for owner in skipped)
+
+    def test_rows_sorted_by_owner_and_aligned_with_x(self):
+        records = make_records(n_per_mod=4, dim=3, speakers=("b", "a"))
+        records.reverse()
+        (rows, x), skipped = assemble_face_inputs(records)
+        assert skipped == []
+        assert rows.owner_id.tolist() == sorted(rows.owner_id.tolist())
+        vec = {(r.owner_id, r.modality): r.vector for r in records}
+        for owner, spk, row in zip(rows.owner_id, rows.speaker_id, x):
+            assert owner.startswith(spk + ":")
+            assert np.array_equal(row, np.concatenate([
+                vec[owner, ModalityKind.FACE_IDENTITY],
+                vec[owner, ModalityKind.FACE_AGE_GENDER],
+            ]))
+
+    def test_duplicate_owner_in_one_modality_rejected(self):
+        records = make_records(n_per_mod=2, dim=3)
+        first = next(r for r in records if r.modality == ModalityKind.VOICE_SPEAKER)
+        records.append(EmbeddingRecord(
+            f"{first.owner_id}#vspk2", first.speaker_id, first.language,
+            first.modality, first.vector.copy(),
+        ))
+        with pytest.raises(SchemaError, match=f"owner {first.owner_id}: two vspk"):
+            assemble_voice_inputs(records)
+        assemble_face_inputs(records)  # the other modality is unaffected
 
     def test_nothing_assemblable(self):
         records = [

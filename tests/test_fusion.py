@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from fvassoc.fusion import (
     head_backward,
     head_forward,
     head_from_arrays,
-    head_to_arrays,
     load_checkpoint,
     save_checkpoint,
     tokenize,
@@ -28,6 +28,10 @@ from fvassoc.fusion import (
     xattn_loss,
 )
 from fvassoc.traineval import _score_inputs
+
+
+def head_to_arrays(head, prefix):
+    return {f"{prefix}.weight": head.weight, f"{prefix}.bias": head.bias}
 
 
 class TestMappingHead:
@@ -313,6 +317,24 @@ class TestXAttnLoss:
     def test_large_logit_no_overflow(self):
         loss, _ = xattn_loss([40.0], [1.0])
         assert 0.0 <= loss <= 1e-15
+
+    def test_extreme_logits_emit_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = xattn_loss([800.0, -800.0, 800.0, -800.0],
+                                    [1.0, 0.0, 0.0, 1.0])
+        assert loss == 400.0  # per pair: 0, 0, 800, 800
+        assert grad.tolist() == [0.0, 0.0, 0.25, -0.25]
+
+    def test_matches_the_two_branch_sigmoid(self):
+        z = make_rng(3).uniform(-700.0, 700.0, size=10_000)
+        y = (make_rng(4).random(10_000) < 0.5).astype(float)
+        loss, grad = xattn_loss(z, y)
+        want_loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+        sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
+                       np.exp(z) / (1.0 + np.exp(z)))
+        assert loss == float(want_loss.mean())
+        assert np.array_equal(grad, (sig - y) / z.size)
 
     def test_grad_at_zero(self):
         _, g0 = xattn_loss([0.0], [0.0])

@@ -1,12 +1,16 @@
 import numpy as np
 
-from fvassoc.embedstore import ModalityKind, read_store
-from fvassoc.synthgen import (
-    SynthConfig,
-    generate,
-    read_ground_truth_latents,
-    write_dataset,
-)
+from fvassoc.embedstore import ModalityKind, read_store, read_store_file
+from fvassoc.synthgen import SynthConfig, generate, write_dataset
+
+
+def read_ground_truth_latents(path):
+    """Read the sidecar back: speaker -> (latent, age_norm, gender)."""
+    _, dim, rows = read_store_file(path)
+    out = {}
+    for rid, vec in rows:
+        out[rid] = (vec[:-2].astype(np.float64), float(vec[-2]), float(vec[-1]))
+    return out
 
 
 def small_cfg(**kw):

@@ -9,7 +9,6 @@ from fvassoc import traineval
 from fvassoc.diffcore import make_rng
 from fvassoc.embedstore import (
     FULL_DIMS,
-    ConcatInput,
     Manifest,
     ManifestEntry,
     ModalityKind,
@@ -85,7 +84,7 @@ def _reference_generate_trials(dataset, held_out_speakers, n_target,
     voices = [c for c in dataset.voice_inputs if c.speaker_id in held]
     spk_with_face = {c.speaker_id for c in faces}
     spk_with_voice = {c.speaker_id for c in voices}
-    for s in held:
+    for s in sorted(held):
         if s not in spk_with_face or s not in spk_with_voice:
             raise SamplingError(f"held-out speaker {s} lacks a modality")
 
@@ -117,12 +116,30 @@ def _reference_generate_trials(dataset, held_out_speakers, n_target,
     return trials
 
 
+def _table(kind, speakers, x):
+    """One modality's (rows, x) table: row i is owner `<kind><i>` of
+    speaker speakers[i], language "en", with input x[i]."""
+    n = len(speakers)
+    rows = np.rec.fromarrays(
+        [np.array([f"{kind}{i}" for i in range(n)], dtype=str),
+         np.array(speakers, dtype=str), np.array(["en"] * n, dtype=str)],
+        names="owner_id,speaker_id,language",
+    )
+    return rows, np.asarray(x, dtype=np.float64)
+
+
+def _lookups(ds):
+    """Per modality, owner id -> (speaker id, input vector) of its records."""
+    return [dict(zip(rows.owner_id.tolist(), zip(rows.speaker_id.tolist(), x)))
+            for rows, x in ds.tables()]
+
+
 def _inputs(kind, speaker_codes):
-    """One 2-wide input per entry, owned by speaker `s<code>`, in list order."""
-    return [
-        ConcatInput(f"{kind}{i}", f"s{s}", "en", np.array([float(i), 1.0]))
-        for i, s in enumerate(speaker_codes)
-    ]
+    """One 2-wide input [i, 1] per entry, owned by speaker `s<code>`, in list
+    order."""
+    n = len(speaker_codes)
+    x = np.stack([np.arange(n, dtype=float), np.ones(n)], axis=1)
+    return _table(kind, [f"s{s}" for s in speaker_codes], x)
 
 
 def _dataset(face_speakers, voice_speakers):
@@ -198,6 +215,15 @@ class TestGenerateTrialsMatchesOracle:
         with pytest.raises(SamplingError, match="s2 lacks a modality"):
             generate_trials(ds, ["s0", "s1", "s2"], 1, 1, make_rng(0))
 
+    def test_first_lacking_speaker_in_sorted_order_is_named(self):
+        # s2 has no face, s3 no voice and s4 neither
+        ds = _dataset([0, 1, 3], [0, 1, 2])
+        held = ["s4", "s3", "s0", "s2", "s1"]
+        args = (ds, held, 1, 1)
+        got = _outcome(generate_trials, *args, make_rng(0))
+        assert got == ("SamplingError", "held-out speaker s2 lacks a modality")
+        assert got == _outcome(_reference_generate_trials, *args, make_rng(0))
+
     def test_draw_from_5000_speakers(self):
         spk = np.repeat(np.arange(5000), 10)
         ds = _dataset(spk, spk[::-1])
@@ -206,9 +232,9 @@ class TestGenerateTrialsMatchesOracle:
         assert sum(t.label for t in trials) == 10_000
         assert len({(t.face_id, t.voice_id) for t in trials}) == 20_000
         held_set = set(held)
+        faces, voices = _lookups(ds)
         for t in trials:
-            fs = ds.face_by_id[t.face_id].speaker_id
-            vs = ds.voice_by_id[t.voice_id].speaker_id
+            fs, vs = faces[t.face_id][0], voices[t.voice_id][0]
             assert t.label == (fs == vs)
             assert fs in held_set and vs in held_set
 
@@ -237,9 +263,9 @@ class TestGenerateTrials:
         ds, _, _ = make_dataset(n_speakers=5)
         held = ["s000", "s001", "s002"]
         trials = generate_trials(ds, held, 20, 20, make_rng(1))
+        faces, voices = _lookups(ds)
         for t in trials:
-            fs = ds.face_by_id[t.face_id].speaker_id
-            vs = ds.voice_by_id[t.voice_id].speaker_id
+            fs, vs = faces[t.face_id][0], voices[t.voice_id][0]
             assert t.label == (fs == vs)
             assert fs in held and vs in held
 
@@ -330,8 +356,9 @@ class TestComputeEer:
 
 def _reference_score_trials(head_face, head_voice, trials, dataset):
     """Oracle: the scorer that stacks and projects both rows of every trial."""
-    xf = np.stack([dataset.face_by_id[t.face_id].vector for t in trials])
-    xv = np.stack([dataset.voice_by_id[t.voice_id].vector for t in trials])
+    faces, voices = _lookups(dataset)
+    xf = np.stack([faces[t.face_id][1] for t in trials])
+    xv = np.stack([voices[t.voice_id][1] for t in trials])
     yf, _ = head_forward(head_face, xf, train=False)
     yv, _ = head_forward(head_voice, xv, train=False)
     norms = np.linalg.norm(yf, axis=1) * np.linalg.norm(yv, axis=1)
@@ -343,10 +370,8 @@ def _scoring_case(n_faces, n_voices, face_dim, voice_dim, seed, out_dim=192):
     rng = make_rng(seed)
 
     def inputs(kind, n, dim):
-        return [
-            ConcatInput(f"{kind}{i}", f"s{i}", "en", rng.standard_normal(dim))
-            for i in range(n)
-        ]
+        x = np.stack([rng.standard_normal(dim) for _ in range(n)])
+        return _table(kind, [f"s{i}" for i in range(n)], x)
 
     ds = PairedDataset(inputs("f", n_faces, face_dim),
                        inputs("v", n_voices, voice_dim))
@@ -360,8 +385,10 @@ def _random_trials(ds, n, rng):
     f = rng.integers(0, len(ds.face_inputs), size=n)
     v = rng.integers(0, len(ds.voice_inputs), size=n)
     return [
-        Trial(ds.face_inputs[i].owner_id, ds.voice_inputs[j].owner_id, i == j)
-        for i, j in zip(f.tolist(), v.tolist())
+        Trial(face, voice, i == j)
+        for face, voice, i, j in zip(ds.face_inputs.owner_id[f].tolist(),
+                                     ds.voice_inputs.owner_id[v].tolist(),
+                                     f.tolist(), v.tolist())
     ]
 
 
@@ -432,8 +459,9 @@ class TestScoreTrialsMatchesOracle:
         trials = _random_trials(ds, 200, make_rng(42))
         model = XAttnModel.init(make_rng(43), voice_in_dim=13, face_in_dim=11,
                                 d_model=4)
-        xf = np.stack([ds.face_by_id[t.face_id].vector for t in trials])
-        xv = np.stack([ds.voice_by_id[t.voice_id].vector for t in trials])
+        faces, voices = _lookups(ds)
+        xf = np.stack([faces[t.face_id][1] for t in trials])
+        xv = np.stack([voices[t.voice_id][1] for t in trials])
         want, _ = xattn_forward(model, xv, xf, train=False)
         assert np.array_equal(score_trials_xattn(model, trials, ds), want)
 
