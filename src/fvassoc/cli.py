@@ -45,17 +45,9 @@ from .errors import (
     SchemaError,
     ShapeError,
 )
-from .diffcore import make_rng
-from .fusion import head_from_arrays, load_checkpoint, save_checkpoint
+from .fusion import load_checkpoint, save_checkpoint
 from .synthgen import SynthConfig
-from .traineval import (
-    PairedDataset,
-    TrainConfig,
-    Trial,
-    XAttnTrainConfig,
-    compute_eer,
-    score_trials,
-)
+from .traineval import PairedDataset, TrainConfig, Trial, XAttnTrainConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -297,10 +289,11 @@ def _strip_arrays(obj):
     return obj
 
 
-def _save_heads(path, arrays, ds, cfg, **extra):
-    """Save a mapping-heads checkpoint; `extra` (stage, fold) joins its meta."""
-    meta = {"architecture": "mapping-heads", "face_in_dim": ds.face_dim,
-            "voice_in_dim": ds.voice_dim, "out_dim": cfg.out_dim, **extra}
+def _save_checkpoint(path, arrays, architecture, ds, **extra):
+    """Save a checkpoint whose meta holds `architecture`, the input dims of
+    `ds` and `extra` (out_dim, stage, fold; d_model, residual)."""
+    meta = {"architecture": architecture, "face_in_dim": ds.face_dim,
+            "voice_in_dim": ds.voice_dim, **extra}
     save_checkpoint(path, arrays, meta)
 
 
@@ -328,7 +321,8 @@ def cmd_train(cfg, out):
         ds, train, dev_fraction=cfg["dev_fraction"]
     )
     out.mkdir(parents=True, exist_ok=True)
-    _save_heads(out / "checkpoint.fvh", best["arrays"], ds, train)
+    _save_checkpoint(out / "checkpoint.fvh", best["arrays"], "mapping-heads", ds,
+                     out_dim=train.out_dim)
     report = make_report(
         {"train": asdict(train), "data": cfg["data"]},
         {
@@ -350,8 +344,9 @@ def cmd_crossval(cfg, out):
     cv = traineval.cross_validate(ds, train, n_folds=n_folds)
     out.mkdir(parents=True, exist_ok=True)
     for entry in cv["folds"]:
-        _save_heads(out / f"fold{entry['fold']}.fvh", entry["arrays"], ds, train,
-                    fold=entry["fold"])
+        _save_checkpoint(out / f"fold{entry['fold']}.fvh", entry["arrays"],
+                         "mapping-heads", ds, out_dim=train.out_dim,
+                         fold=entry["fold"])
     report = make_report(
         {"train": asdict(train), "data": cfg["data"], "n_folds": n_folds},
         _strip_arrays(cv),
@@ -377,11 +372,14 @@ def cmd_pretrain_finetune(cfg, out):
         dev_fraction=cfg["dev_fraction"],
     )
     out.mkdir(parents=True, exist_ok=True)
-    _save_heads(out / "pretrained.fvh", result["pretrain"]["arrays"], pre_ds,
-                cfg_pre, stage="pretrain")
+    _save_checkpoint(out / "pretrained.fvh", result["pretrain"]["arrays"],
+                     "mapping-heads", pre_ds, out_dim=cfg_pre.out_dim,
+                     stage="pretrain")
     for entry in result["finetune"]["folds"]:
-        _save_heads(out / f"finetuned_fold{entry['fold']}.fvh", entry["arrays"],
-                    ft_ds, cfg_ft, stage="finetune", fold=entry["fold"])
+        _save_checkpoint(out / f"finetuned_fold{entry['fold']}.fvh",
+                         entry["arrays"], "mapping-heads", ft_ds,
+                         out_dim=cfg_ft.out_dim, stage="finetune",
+                         fold=entry["fold"])
     report = make_report(
         {
             "pretrain": asdict(cfg_pre),
@@ -406,18 +404,17 @@ def cmd_scenarios(cfg, out):
     missing = sorted(set(traineval.SCENARIOS) - set(scenarios))
     if missing:
         raise ConfigError(f"missing scenario entries: {', '.join(missing)}")
-    corpora = {}
-    for name, entry in scenarios.items():
+    for name, entry in scenarios.items():  # every key before any corpus
         where = f"scenarios.{name}"
-        _check_keys(_check_type(entry, dict, where), {"pretrain", "finetune"}, where)
+        unheard = traineval.SCENARIOS[name]["unheard"]
+        stages = ("pretrain", "finetune") if unheard else ("pretrain",)
+        _check_keys(_check_type(entry, dict, where), stages, where)
         for stage in sorted(entry.keys() | {"pretrain"}):
             _check_type(entry.get(stage), str, f"{where}.{stage}")
-        pre_manifest, pre_ds, _ = load_dataset(entry["pretrain"])
-        ft = None
-        if "finetune" in entry:
-            ft_manifest, ft_ds, _ = load_dataset(entry["finetune"])
-            ft = (ft_manifest, ft_ds)
-        corpora[name] = {"pretrain": (pre_manifest, pre_ds), "finetune": ft}
+    corpora = {
+        name: {stage: load_dataset(path)[:2] for stage, path in entry.items()}
+        for name, entry in scenarios.items()
+    }
     _, test_ds, _ = load_dataset(cfg["test_data"])
     table = traineval.run_scenarios(
         corpora,
@@ -490,10 +487,7 @@ def cmd_eval(cfg, out):
     trials = read_trials_file(cfg["trials"])
     if not trials:
         raise MetricError("empty trial file")
-    head_f = head_from_arrays(arrays, "head_face", p_drop=0.0)
-    head_v = head_from_arrays(arrays, "head_voice", p_drop=0.0)
-    scores = score_trials(head_f, head_v, trials, ds)
-    report = compute_eer(scores, [t.label for t in trials])
+    scores, report = traineval.score_arrays(arrays, trials, ds)
     out.mkdir(parents=True, exist_ok=True)
     write_score_file(out / "scores.tsv", trials, scores)
     payload = make_report(
@@ -508,25 +502,14 @@ def cmd_eval(cfg, out):
 def cmd_xattn(cfg, out):
     train = cfg["train"]
     _, ds, _ = load_dataset(cfg["data"])
-    split_rng = make_rng(train.seed + 0xD5)
-    train_spk, dev_spk = traineval._dev_speaker_split(
-        ds.speakers(), cfg["dev_fraction"], split_rng
+    # dev-trial counts are TrainConfig's defaults under the xattn seed
+    train_ds, trials, dev_spk = traineval.dev_split(
+        ds, cfg["dev_fraction"], TrainConfig(seed=train.seed)
     )
-    tc = TrainConfig(seed=train.seed)
-    trials = traineval.default_dev_trials(ds, dev_spk, tc, make_rng(train.seed + 0xDE))
-    model, best, log = traineval.train_xattn(ds.subset(train_spk), trials, ds, train)
+    model, best, log = traineval.train_xattn(train_ds, trials, ds, train)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(
-        out / "checkpoint.fvh",
-        best["arrays"],
-        {
-            "architecture": "cross-attention",
-            "d_model": train.d_model,
-            "face_in_dim": ds.face_dim,
-            "voice_in_dim": ds.voice_dim,
-            "residual": train.residual,
-        },
-    )
+    _save_checkpoint(out / "checkpoint.fvh", best["arrays"], "cross-attention", ds,
+                     d_model=train.d_model, residual=train.residual)
     write_trials_file(out / "dev_trials.tsv", trials)
     report = make_report(
         {"train": asdict(train), "data": cfg["data"]},

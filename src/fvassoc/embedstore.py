@@ -337,24 +337,13 @@ def assemble_face_inputs(records):
     )
 
 
-@dataclass
-class FoldPlan:
-    n_folds: int
-    assignments: dict  # speaker_id -> fold index
-
-    def fold_speakers(self, fold):
-        return sorted(s for s, f in self.assignments.items() if f == fold)
-
-
 def split_folds(speakers, n_folds, rng):
-    """Shuffle speakers and deal them round-robin into n_folds folds."""
+    """Shuffle speakers and deal them round-robin into n_folds folds; the
+    folds come back as sorted speaker lists."""
     speakers = list(speakers)
     if n_folds < 1 or n_folds > len(speakers):
         raise ConfigError(
             f"n_folds={n_folds} invalid for {len(speakers)} speakers"
         )
-    order = list(rng.permutation(len(speakers)))
-    assignments = {}
-    for pos, idx in enumerate(order):
-        assignments[speakers[idx]] = pos % n_folds
-    return FoldPlan(n_folds=n_folds, assignments=assignments)
+    order = rng.permutation(len(speakers))
+    return [sorted(speakers[i] for i in order[f::n_folds]) for f in range(n_folds)]

@@ -19,7 +19,7 @@ audited for excluded-language leakage (hard failure on any hit).
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -385,25 +385,22 @@ def score_trials(head_face, head_voice, trials, dataset):
 # Training
 
 
-def _init_params(dataset, cfg, init_arrays=None, n_speakers=None):
+def _init_params(dataset, cfg, n_speakers, init_arrays=None):
     rng = make_rng(cfg.seed ^ 0x5EED)
-    if init_arrays is not None:
+    if init_arrays is None:
+        head_f = MappingHead.init(rng, dataset.face_dim, cfg.out_dim, cfg.p_drop)
+        head_v = MappingHead.init(rng, dataset.voice_dim, cfg.out_dim, cfg.p_drop)
+    else:
         head_f = head_from_arrays(
             init_arrays, "head_face", cfg.p_drop, expect_in_dim=dataset.face_dim
         )
         head_v = head_from_arrays(
             init_arrays, "head_voice", cfg.p_drop, expect_in_dim=dataset.voice_dim
         )
-        if not cfg.classifier_reinit and (
-            n_speakers is None
-            or init_arrays["clf.weight"].shape[0] == n_speakers
-        ):
-            clf = init_arrays["clf.weight"].copy()
-        else:
-            clf = init_classifier(rng, n_speakers, cfg.out_dim)
+    if (init_arrays is not None and not cfg.classifier_reinit
+            and init_arrays["clf.weight"].shape[0] == n_speakers):
+        clf = init_arrays["clf.weight"].copy()
     else:
-        head_f = MappingHead.init(rng, dataset.face_dim, cfg.out_dim, cfg.p_drop)
-        head_v = MappingHead.init(rng, dataset.voice_dim, cfg.out_dim, cfg.p_drop)
         clf = init_classifier(rng, n_speakers, cfg.out_dim)
     return JointParams.create(head_f, head_v, clf, cfg.lr)
 
@@ -462,9 +459,7 @@ def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
     dev_inputs = _dev_inputs(cfg, train_ds, dev_trials, eval_ds)
     speakers = train_ds.speakers()
     speaker_index = {s: i for i, s in enumerate(speakers)}
-    params = _init_params(
-        train_ds, cfg, init_arrays, n_speakers=len(speakers)
-    )
+    params = _init_params(train_ds, cfg, len(speakers), init_arrays)
     xf, yf, xv, yv = train_ds.matrices(speaker_index)
     rng = make_rng(cfg.seed)
 
@@ -482,27 +477,66 @@ def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
     return _early_stopping(cfg, dev_trials, step, score, params.named_params)
 
 
+# ---------------------------------------------------------------------------
+# Recipe steps: every command holds out speakers, draws dev trials and scores
+# checkpoints through these
+
+
+def held_out(dataset, held, cfg, rng):
+    """(training subset without the `held` speakers, dev trials of `held`)."""
+    held_set = set(held)
+    train_ds = dataset.subset([s for s in dataset.speakers() if s not in held_set])
+    return train_ds, default_dev_trials(dataset, held, cfg, rng)
+
+
+def dev_split(dataset, dev_fraction, cfg):
+    """The seeded speaker-level dev split of `dataset` under cfg.seed:
+    (training subset, dev trials, sorted dev speakers)."""
+    if not 0.0 <= dev_fraction < 1.0:
+        raise ConfigError(f"dev_fraction must be in [0, 1), got {dev_fraction}")
+    speakers = dataset.speakers()
+    # at least 2 dev speakers, else no cross-speaker dev trials exist
+    n_dev = max(2, int(round(dev_fraction * len(speakers))))
+    if n_dev >= len(speakers):
+        raise ConfigError("dev split would consume every speaker")
+    order = make_rng(cfg.seed + 0xD5).permutation(len(speakers))
+    dev = sorted(speakers[i] for i in order[:n_dev])
+    return (*held_out(dataset, dev, cfg, make_rng(cfg.seed + 0xDE)), dev)
+
+
+def score_arrays(arrays, trials, dataset):
+    """(scores, EvalReport) of a mapping-heads checkpoint's arrays on
+    `trials`, scored in eval mode."""
+    head_f = head_from_arrays(arrays, "head_face", p_drop=0.0)
+    head_v = head_from_arrays(arrays, "head_voice", p_drop=0.0)
+    scores = score_trials(head_f, head_v, trials, dataset)
+    return scores, compute_eer(scores, [t.label for t in trials])
+
+
+def _check_n_folds(n_folds, n_speakers):
+    if n_folds < 2:  # one fold would hold out every speaker
+        raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
+    if n_folds > n_speakers // 2:  # a one-speaker fold has no non-target trial
+        raise ConfigError(f"n_folds {n_folds} leaves a fold of fewer than 2 "
+                          f"speakers: {n_speakers} speakers allow at most "
+                          f"{n_speakers // 2} folds")
+
+
 def cross_validate(dataset, cfg, n_folds=7, init_arrays=None):
     """Speaker-disjoint k-fold CV; per-fold dev trials come from the held-out
     fold. When `init_arrays` is given each fold is initialized from it and a
     frozen-initialization baseline EER on the same trials is reported too.
     """
     cfg.validate()
-    if n_folds < 2:  # one fold would hold out every speaker
-        raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
     speakers = dataset.speakers()
-    plan = split_folds(speakers, n_folds, make_rng(cfg.seed))
+    _check_n_folds(n_folds, len(speakers))
     fold_reports = []
-    for f in range(n_folds):
-        held = plan.fold_speakers(f)
-        train_spk = [s for s in speakers if s not in set(held)]
-        train_ds = dataset.subset(train_spk)
+    for f, held in enumerate(split_folds(speakers, n_folds, make_rng(cfg.seed))):
         fold_seed = cfg.seed * 1009 + f
-        trial_rng = make_rng(fold_seed ^ 0x7 * 0x1001)
-        trials = default_dev_trials(dataset, held, cfg, trial_rng)
-        fold_cfg = _with_seed(cfg, fold_seed)
+        train_ds, trials = held_out(dataset, held, cfg,
+                                    make_rng(fold_seed ^ 0x7 * 0x1001))
         best, log = train_with_early_stopping(
-            train_ds, trials, dataset, fold_cfg, init_arrays=init_arrays
+            train_ds, trials, dataset, replace(cfg, seed=fold_seed), init_arrays
         )
         entry = {
             "fold": f,
@@ -512,10 +546,7 @@ def cross_validate(dataset, cfg, n_folds=7, init_arrays=None):
             "arrays": best["arrays"],
         }
         if init_arrays is not None:
-            head_f = head_from_arrays(init_arrays, "head_face", cfg.p_drop)
-            head_v = head_from_arrays(init_arrays, "head_voice", cfg.p_drop)
-            scores = score_trials(head_f, head_v, trials, dataset)
-            frozen = compute_eer(scores, [t.label for t in trials])
+            _, frozen = score_arrays(init_arrays, trials, dataset)
             entry["frozen_init_eer"] = frozen.eer
         fold_reports.append(entry)
     eers = np.array([r["eer"] for r in fold_reports])
@@ -526,37 +557,10 @@ def cross_validate(dataset, cfg, n_folds=7, init_arrays=None):
     }
 
 
-def _with_seed(cfg, seed):
-    import copy
-
-    out = copy.deepcopy(cfg)
-    out.seed = seed
-    return out
-
-
-def _dev_speaker_split(speakers, fraction, rng):
-    if not 0.0 <= fraction < 1.0:
-        raise ConfigError(f"dev_fraction must be in [0, 1), got {fraction}")
-    speakers = list(speakers)
-    # at least 2 dev speakers, else no cross-speaker dev trials exist
-    n_dev = max(2, int(round(fraction * len(speakers))))
-    if n_dev >= len(speakers):
-        raise ConfigError("dev split would consume every speaker")
-    order = rng.permutation(len(speakers))
-    dev = sorted(speakers[i] for i in order[:n_dev])
-    train = sorted(speakers[i] for i in order[n_dev:])
-    return train, dev
-
-
-def pretrain(dataset, cfg, dev_fraction=0.05, init_arrays=None):
+def pretrain(dataset, cfg, dev_fraction=0.05):
     """Train on a corpus with a speaker-level dev split for early stopping."""
-    rng = make_rng(cfg.seed + 0xD5)
-    train_spk, dev_spk = _dev_speaker_split(dataset.speakers(), dev_fraction, rng)
-    trials = default_dev_trials(dataset, dev_spk, cfg, make_rng(cfg.seed + 0xDE))
-    train_ds = dataset.subset(train_spk)
-    best, log = train_with_early_stopping(
-        train_ds, trials, dataset, cfg, init_arrays=init_arrays
-    )
+    train_ds, trials, dev_spk = dev_split(dataset, dev_fraction, cfg)
+    best, log = train_with_early_stopping(train_ds, trials, dataset, cfg)
     return best, log, dev_spk
 
 
@@ -569,6 +573,7 @@ def pretrain_then_finetune(pre_ds, ft_ds, cfg_pre, cfg_ft, n_folds=7,
         raise SchemaError(
             "pretrain and finetune corpora have different embedding dims"
         )
+    _check_n_folds(n_folds, len(ft_ds.speakers()))
     best, log, dev_spk = pretrain(pre_ds, cfg_pre, dev_fraction)
     cv = cross_validate(ft_ds, cfg_ft, n_folds=n_folds, init_arrays=best["arrays"])
     frozen = [r["frozen_init_eer"] for r in cv["folds"]]
@@ -588,34 +593,18 @@ def pretrain_then_finetune(pre_ds, ft_ds, cfg_pre, cfg_ft, n_folds=7,
 # Scenarios
 
 # Model selection per scenario: the all-data model serves english-heard, the
-# English-excluded model serves german-heard, and both unheard scenarios use
-# the matching language-excluded corpora with fine-tuning.
+# English-excluded model serves german-heard, and each unheard scenario
+# pretrains and fine-tunes on corpora that exclude its test language.
 SCENARIOS = {
-    "english_heard": {
-        "test_language": "en",
-        "excluded_language": None,
-        "finetune": False,
-        "unheard": False,
-    },
-    "german_heard": {
-        "test_language": "de",
-        "excluded_language": "en",
-        "finetune": False,
-        "unheard": False,
-    },
-    "english_unheard": {
-        "test_language": "en",
-        "excluded_language": "en",
-        "finetune": True,
-        "unheard": True,
-    },
-    "german_unheard": {
-        "test_language": "de",
-        "excluded_language": "de",
-        "finetune": True,
-        "unheard": True,
-    },
+    "english_heard": {"test_language": "en", "unheard": False},
+    "german_heard": {"test_language": "de", "unheard": False},
+    "english_unheard": {"test_language": "en", "unheard": True},
+    "german_unheard": {"test_language": "de", "unheard": True},
 }
+
+# The unheard fine-tune holds out the first of this many speaker folds for
+# early stopping; its corpus needs one speaker more, so that fold has two.
+_FT_DEV_FOLDS = 5
 
 # Reference challenge results (percent EER), recorded as documentation only;
 # they require the real challenge data and are never asserted.
@@ -634,69 +623,58 @@ def audit_manifest(manifest, excluded_language):
 
 
 def run_scenarios(corpora, test_ds, cfg, n_trials_target=200,
-                  n_trials_nontarget=200, dev_fraction=0.1, ft_dev_folds=5):
+                  n_trials_nontarget=200, dev_fraction=0.1):
     """Execute all four scenario recipes and assemble a results table.
 
     `corpora` maps scenario name to {"pretrain": (manifest, dataset),
-    "finetune": (manifest, dataset) or None}. For unheard scenarios every
-    consumed manifest is audited against the excluded language; any hit is a
-    hard protocol violation.
+    "finetune": (manifest, dataset) or None}; only unheard scenarios read
+    "finetune". Before any scenario trains, each unheard one is checked for
+    a fine-tune corpus, for records of its test language in either manifest
+    (a hard protocol violation) and for enough fine-tune speakers to give
+    its dev fold two.
     """
     cfg.validate()
     if min(n_trials_target, n_trials_nontarget) < 1:
         raise ConfigError("n_trials_target and n_trials_nontarget must be >= 1")
+    for name, recipe in SCENARIOS.items():
+        if not recipe["unheard"]:
+            continue
+        entry, language = corpora[name], recipe["test_language"]
+        if entry.get("finetune") is None:
+            raise ConfigError(f"{name}: fine-tune corpus required")
+        for manifest, _ in (entry["pretrain"], entry["finetune"]):
+            bad = audit_manifest(manifest, language)
+            if bad:
+                raise ProtocolViolationError(
+                    f"{name}: {len(bad)} {language!r} records in training "
+                    f"manifest {manifest.dataset_name} (first: {bad[0]})"
+                )
+        n_speakers = len(entry["finetune"][1].speakers())
+        if n_speakers <= _FT_DEV_FOLDS:
+            raise SamplingError(
+                f"{name}: fine-tune corpus has {n_speakers} speakers; its dev "
+                f"fold needs 2, so at least {_FT_DEV_FOLDS + 1}"
+            )
+    trial_cfg = replace(cfg, n_dev_target=n_trials_target,
+                        n_dev_nontarget=n_trials_nontarget)
     results = {}
     for name, recipe in SCENARIOS.items():
-        entry = corpora[name]
-        pre_manifest, pre_ds = entry["pretrain"]
-        ft_entry = entry.get("finetune")
-        if recipe["unheard"]:
-            consumed = [pre_manifest]
-            if recipe["finetune"]:
-                if ft_entry is None:
-                    raise ConfigError(f"{name}: fine-tune corpus required")
-                consumed.append(ft_entry[0])
-            for m in consumed:
-                bad = audit_manifest(m, recipe["excluded_language"])
-                if bad:
-                    raise ProtocolViolationError(
-                        f"{name}: {len(bad)} {recipe['excluded_language']!r} "
-                        f"records in training manifest "
-                        f"{m.dataset_name} (first: {bad[0]})"
-                    )
-        best, _, _ = pretrain(pre_ds, cfg, dev_fraction)
+        best, _, _ = pretrain(corpora[name]["pretrain"][1], cfg, dev_fraction)
         arrays = best["arrays"]
-        if recipe["finetune"]:
-            _, ft_ds = ft_entry
-            ft_speakers = ft_ds.speakers()
-            plan = split_folds(
-                ft_speakers, min(ft_dev_folds, len(ft_speakers)), make_rng(cfg.seed)
-            )
-            dev_spk = plan.fold_speakers(0)
-            train_spk = [s for s in ft_speakers if s not in set(dev_spk)]
-            trials = default_dev_trials(ft_ds, dev_spk, cfg, make_rng(cfg.seed + 1))
-            ft_best, _ = train_with_early_stopping(
-                ft_ds.subset(train_spk), trials, ft_ds, cfg, init_arrays=arrays
-            )
+        if recipe["unheard"]:
+            _, ft_ds = corpora[name]["finetune"]
+            dev = split_folds(ft_ds.speakers(), _FT_DEV_FOLDS, make_rng(cfg.seed))[0]
+            train_ds, trials = held_out(ft_ds, dev, cfg, make_rng(cfg.seed + 1))
+            ft_best, _ = train_with_early_stopping(train_ds, trials, ft_ds, cfg, arrays)
             arrays = ft_best["arrays"]
         # evaluate on test trials restricted to the scenario's voice language
         scen_test = test_ds.subset(voice_language=recipe["test_language"])
-        held = scen_test.speakers()
-        trial_rng = make_rng(cfg.seed + 0xE7)
-        trial_cfg = _with_seed(cfg, cfg.seed)
-        trial_cfg.n_dev_target = n_trials_target
-        trial_cfg.n_dev_nontarget = n_trials_nontarget
-        trials = default_dev_trials(scen_test, held, trial_cfg, trial_rng)
-        head_f = head_from_arrays(arrays, "head_face", cfg.p_drop)
-        head_v = head_from_arrays(arrays, "head_voice", cfg.p_drop)
-        scores = score_trials(head_f, head_v, trials, scen_test)
-        report = compute_eer(scores, [t.label for t in trials])
+        trials = default_dev_trials(scen_test, scen_test.speakers(), trial_cfg,
+                                    make_rng(cfg.seed + 0xE7))
+        _, report = score_arrays(arrays, trials, scen_test)
         results[name] = {
-            "eer": report.eer,
-            "threshold_at_eer": report.threshold_at_eer,
-            "n_target": report.n_target,
-            "n_nontarget": report.n_nontarget,
-            "finetuned": recipe["finetune"],
+            **report.to_dict(),
+            "finetuned": recipe["unheard"],
             "test_language": recipe["test_language"],
         }
     mean_eer = float(np.mean([r["eer"] for r in results.values()]))

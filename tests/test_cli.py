@@ -211,6 +211,18 @@ class TestCrossval:
         for f in range(7):
             assert (out / f"fold{f}.fvh").exists()
 
+    def test_one_speaker_fold_exits_2(self, tmp_path, capsys):
+        # 4 folds of 6 speakers would hold out a single speaker twice
+        data = make_data(tmp_path, n_speakers=6)
+        cfg = write_config(tmp_path / "cv.json", {
+            "data": data, "n_folds": 4, "train": quick_train_block()})
+        capsys.readouterr()
+        out = tmp_path / "cv"
+        assert main(["crossval", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n_folds 4" in err and "6 speakers" in err
+        assert not out.exists()
+
 
 class TestPretrainFinetune:
     def test_report_contains_both_stages(self, tmp_path):
@@ -473,6 +485,24 @@ class TestScenarios:
         write_store(records, dirs["no_en"], dataset_name="full_no_en")
         cfg = scenarios_config(tmp_path, dirs)
         assert main(["scenarios", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+    def test_heard_finetune_key_exits_2_before_any_corpus(self, tmp_path, capsys):
+        # no path exists: reading any corpus would exit 4
+        missing = str(tmp_path / "missing")
+        cfg = write_config(tmp_path / "scen.json", {
+            "test_data": missing,
+            "train": quick_train_block(),
+            "scenarios": {
+                "english_unheard": {"pretrain": missing, "finetune": missing},
+                "german_unheard": {"pretrain": missing, "finetune": missing},
+                "german_heard": {"pretrain": missing},
+                "english_heard": {"pretrain": missing, "finetune": missing},
+            },
+        })
+        capsys.readouterr()
+        assert main(["scenarios", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "scenarios.english_heard: finetune" in capsys.readouterr().err
 
 
 class TestXAttn:

@@ -214,20 +214,18 @@ class TestAssembly:
 
 class TestFoldSplit:
     def test_fifty_speakers_seven_folds(self):
-        plan = split_folds([f"s{i}" for i in range(50)], 7, make_rng(1))
-        sizes = sorted(
-            (len(plan.fold_speakers(f)) for f in range(7)), reverse=True
-        )
+        folds = split_folds([f"s{i}" for i in range(50)], 7, make_rng(1))
+        sizes = sorted((len(fold) for fold in folds), reverse=True)
         assert sizes == [8, 7, 7, 7, 7, 7, 7]
 
     def test_exact_division(self):
-        plan = split_folds([f"s{i}" for i in range(7)], 7, make_rng(2))
-        assert all(len(plan.fold_speakers(f)) == 1 for f in range(7))
+        folds = split_folds([f"s{i}" for i in range(7)], 7, make_rng(2))
+        assert len(folds) == 7 and all(len(fold) == 1 for fold in folds)
 
     def test_determinism(self):
         speakers = [f"s{i}" for i in range(23)]
-        a = split_folds(speakers, 5, make_rng(3)).assignments
-        b = split_folds(speakers, 5, make_rng(3)).assignments
+        a = split_folds(speakers, 5, make_rng(3))
+        b = split_folds(speakers, 5, make_rng(3))
         assert a == b
 
     def test_partition_property(self):
@@ -236,9 +234,10 @@ class TestFoldSplit:
             n = int(rng.integers(3, 40))
             k = int(rng.integers(1, n + 1))
             speakers = [f"s{i}" for i in range(n)]
-            plan = split_folds(speakers, k, rng)
-            assert sorted(plan.assignments) == sorted(speakers)
-            sizes = [len(plan.fold_speakers(f)) for f in range(k)]
+            folds = split_folds(speakers, k, rng)
+            assert sorted(s for fold in folds for s in fold) == sorted(speakers)
+            assert all(fold == sorted(fold) for fold in folds)
+            sizes = [len(fold) for fold in folds]
             assert sum(sizes) == n
             assert max(sizes) - min(sizes) <= 1
 

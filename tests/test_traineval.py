@@ -628,6 +628,18 @@ class TestTraining:
         assert len(eers) - 1 - best_idx <= patience + 1
 
 
+class _Trained(Exception):
+    """Raised by a stand-in trainer: training was reached."""
+
+
+def forbid_training(monkeypatch):
+    """Make every recipe's training step raise _Trained."""
+    def trained(*args, **kwargs):
+        raise _Trained
+
+    monkeypatch.setattr(traineval, "train_with_early_stopping", trained)
+
+
 class TestCrossValidate:
     def test_structure_and_mean(self):
         ds, _, _ = make_dataset(n_speakers=8)
@@ -652,6 +664,15 @@ class TestCrossValidate:
         cfg = quick_cfg(max_steps=60, eval_every=20)
         cv = cross_validate(shuffled, cfg, n_folds=3)
         assert 0.40 <= cv["mean_eer"] <= 0.60
+
+    def test_one_speaker_fold_rejected_before_training(self, monkeypatch):
+        # 4 folds of 6 speakers would hold out a single speaker twice
+        ds, _, _ = make_dataset(n_speakers=6)
+        forbid_training(monkeypatch)
+        with pytest.raises(ConfigError, match="n_folds 4 .* 6 speakers"):
+            cross_validate(ds, quick_cfg(), n_folds=4)
+        with pytest.raises(_Trained):  # 3 folds of 2 speakers each train
+            cross_validate(ds, quick_cfg(), n_folds=3)
 
 
 class TestPretrainFinetune:
@@ -679,13 +700,20 @@ class TestPretrainFinetune:
         assert "mean_eer" in res["finetune"]
         assert "frozen_mean_eer" in res
 
+    def test_one_speaker_fold_rejected_before_pretraining(self, monkeypatch):
+        ds_a, _, _ = make_dataset(n_speakers=8)
+        ds_b, _, _ = make_dataset(n_speakers=5, seed=5)
+        forbid_training(monkeypatch)
+        with pytest.raises(ConfigError, match="n_folds 3 .* 5 speakers"):
+            pretrain_then_finetune(ds_a, ds_b, quick_cfg(), quick_cfg(), n_folds=3)
 
-def multilingual_corpus(seed, excluded=None, n_speakers=12):
+
+def multilingual_corpus(seed, excluded=None, n_speakers=12, languages=None):
     ds, _, records = make_dataset(
         n_speakers=n_speakers,
         records_per_speaker=4,
         seed=seed,
-        languages={"en": 0.4, "de": 0.4, "fr": 0.2},
+        languages=languages or {"en": 0.4, "de": 0.4, "fr": 0.2},
     )
     entries = [
         ManifestEntry(r.record_id, r.speaker_id, r.language, r.modality,
@@ -757,3 +785,30 @@ class TestScenarios:
                 corpora, test_ds, quick_cfg(max_steps=10, eval_every=10),
                 n_trials_target=10, n_trials_nontarget=10,
             )
+
+    def test_leak_raised_before_any_training(self, monkeypatch):
+        # the leak sits in the third scenario; both heard ones come first
+        corpora = self.build_corpora()
+        manifest, _ = corpora["english_unheard"]["finetune"]
+        manifest.entries.append(
+            ManifestEntry("leak#vspk", "sX", "en", ModalityKind.VOICE_SPEAKER, 4)
+        )
+        forbid_training(monkeypatch)
+        with pytest.raises(ProtocolViolationError, match="english_unheard"):
+            run_scenarios(corpora, None, quick_cfg())
+
+    @pytest.mark.parametrize("n_speakers", [1, 2, 3, 5, 6])
+    def test_finetune_corpus_needs_six_speakers(self, monkeypatch, n_speakers):
+        # 5 dev folds: fewer than 6 speakers leave a one-speaker dev fold
+        corpora = self.build_corpora()
+        corpora["german_unheard"]["finetune"] = multilingual_corpus(
+            4, n_speakers=n_speakers, languages={"fr": 1.0}
+        )
+        forbid_training(monkeypatch)
+        if n_speakers == 6:
+            with pytest.raises(_Trained):
+                run_scenarios(corpora, None, quick_cfg())
+        else:
+            with pytest.raises(SamplingError, match=f"german_unheard: fine-tune "
+                               f"corpus has {n_speakers} speakers"):
+                run_scenarios(corpora, None, quick_cfg())

@@ -1,0 +1,112 @@
+"""Digest every output of a fixed set of fvassoc runs, to compare two trees.
+
+Runs the seven commands of the A9 determinism set-up
+(tests/test_acceptance.py), plus `crossval` at 7 folds, in a new temporary
+directory with whichever `fvassoc` is importable, and prints JSON that maps
+each file written there, by path relative to that directory, to its sha256.
+A `report.json` is hashed without its "timestamp" and with the directory's
+path replaced by "<work>"; the config files the runs read are not hashed.
+Two trees give the same output exactly when their outputs are byte-identical:
+
+    PYTHONPATH=src python3 tools/output_digests.py > new.json
+    PYTHONPATH=/path/to/other/src python3 tools/output_digests.py > old.json
+    cmp new.json old.json
+"""
+
+import contextlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from fvassoc.cli import main as cli_main
+from fvassoc.embedstore import (
+    filter_records_exclude_language,
+    read_store,
+    write_store,
+)
+
+TRAIN = {"lr": 0.01, "batch_size": 16, "max_steps": 40, "patience": 3,
+         "eval_every": 20, "seed": 5, "p_drop": 0.5, "n_dev_target": 80,
+         "n_dev_nontarget": 80}
+XATTN = {"d_model": 8, "lr": 0.001, "batch_size": 16, "max_steps": 40,
+         "patience": 3, "eval_every": 20, "seed": 5}
+SYNTH = {"n_speakers": 14, "latent_dim": 8, "dims": "small",
+         "noise_sigma": 0.01, "records_per_speaker": 4, "seed": 1,
+         "languages": {"en": 0.4, "de": 0.4, "fr": 0.2}}
+TRIALS = ("face_record_id\tvoice_record_id\tlabel\n"
+          "s000:f000\ts000:v001\tsame\n"
+          "s000:f001\ts001:v000\tdifferent\n"
+          "s001:f000\ts001:v001\tsame\n")
+
+
+def run(work, name, command, config):
+    """Run `command` on `config` with its outputs in work/<name>."""
+    cfg = work / "inputs" / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(sys.stderr):  # stdout carries the JSON
+        code = cli_main([command, "--config", str(cfg), "--out", str(work / name)])
+    if code != 0:
+        raise SystemExit(f"{name}: {command} exited {code}")
+
+
+def run_all(work):
+    """The set-up: its inputs under work/inputs, everything else beside."""
+    inputs = work / "inputs"
+    inputs.mkdir()
+    (inputs / "trials.tsv").write_text(TRIALS)
+    data, no_en, no_de = (str(work / d) for d in ("data", "no_en", "no_de"))
+    run(work, "data", "synth", {"synth": SYNTH})
+    _, records = read_store(data)
+    for lang, dst in (("en", "no_en"), ("de", "no_de")):
+        kept = filter_records_exclude_language(records, lang)
+        write_store(kept, work / dst, dataset_name=dst)
+    run(work, "train", "train",
+        {"data": data, "dev_fraction": 0.25, "train": TRAIN})
+    run(work, "crossval", "crossval", {"data": data, "n_folds": 3, "train": TRAIN})
+    run(work, "crossval7", "crossval",
+        {"data": data, "n_folds": 7, "train": TRAIN})
+    run(work, "pretrain-finetune", "pretrain-finetune", {
+        "pretrain_data": data, "finetune_data": data, "n_folds": 2,
+        "dev_fraction": 0.25, "pretrain": TRAIN, "finetune": TRAIN})
+    run(work, "eval", "eval", {
+        "checkpoint": str(work / "train" / "checkpoint.fvh"), "data": data,
+        "trials": str(inputs / "trials.tsv")})
+    run(work, "xattn", "xattn",
+        {"data": data, "dev_fraction": 0.25, "train": XATTN})
+    run(work, "scenarios", "scenarios", {
+        "test_data": data, "n_trials_target": 15, "n_trials_nontarget": 15,
+        "dev_fraction": 0.25, "train": TRAIN,
+        "scenarios": {
+            "english_heard": {"pretrain": data},
+            "german_heard": {"pretrain": data},
+            "english_unheard": {"pretrain": no_en, "finetune": no_en},
+            "german_unheard": {"pretrain": no_de, "finetune": no_de},
+        }})
+
+
+def digests(work):
+    out = {}
+    for path in sorted(work.rglob("*")):
+        rel = path.relative_to(work)
+        if not path.is_file() or rel.parts[0] == "inputs":
+            continue
+        data = path.read_bytes()
+        if path.name == "report.json":
+            report = json.loads(data.decode("utf-8").replace(str(work), "<work>"))
+            report.pop("timestamp")
+            data = json.dumps(report, indent=2, sort_keys=True).encode("utf-8")
+        out[rel.as_posix()] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        run_all(work)
+        print(json.dumps(digests(work), indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
