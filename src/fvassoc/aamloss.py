@@ -127,20 +127,6 @@ def aam_loss_and_grad(x, clf_weight, cfg, targets):
     return loss, grad_x, grad_w
 
 
-def softmax_xent_on_cosines(x, clf_weight, targets):
-    """Reference loss: plain softmax cross-entropy on raw cosines.
-
-    aam_loss_and_grad with margin=0, scale=1 must match this exactly.
-    """
-    xn = l2_normalize_rows(as_mat(x))
-    wn = l2_normalize_rows(as_mat(clf_weight))
-    logits = xn @ wn.T
-    targets = np.asarray(targets, dtype=np.int64).ravel()
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -float(log_probs[np.arange(len(targets)), targets].mean())
-
-
 @dataclass
 class JointParams:
     """Both mapping heads plus the shared classifier, with Adam state."""

@@ -29,6 +29,8 @@ import time
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import embedstore, synthgen, traineval
 from .embedstore import ModalityKind, read_store
 from .errors import (
@@ -47,7 +49,7 @@ from .errors import (
 )
 from .fusion import load_checkpoint, save_checkpoint
 from .synthgen import SynthConfig
-from .traineval import PairedDataset, TrainConfig, Trial, XAttnTrainConfig
+from .traineval import PairedDataset, TrainConfig, XAttnTrainConfig, trial_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -444,30 +446,34 @@ def read_trials_file(path):
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != TRIALS_HEADER:
         raise FormatError(f"{path}: bad trials header")
-    trials = []
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) != 3 or parts[2] not in ("same", "different"):
-            raise FormatError(f"{path}: bad trial row {ln!r}")
-        trials.append(Trial(parts[0], parts[1], parts[2] == "same"))
-    return trials
+    rows = lines[1:]
+    # each row's fields, then a "\n" cell: every row has 3 fields just when
+    # the n "\n" cells are cells 3, 7, ..., 4n - 1
+    cells = ("\t\n\t".join(rows) + "\t\n").split("\t")[:4 * len(rows)]
+    labels = cells[2::4]
+    if (cells[3::4].count("\n") != len(rows)
+            or labels.count("same") + labels.count("different") != len(rows)):
+        bad = next(ln for ln in rows
+                   if ln.split("\t")[2:] not in (["same"], ["different"]))
+        raise FormatError(f"{path}: bad trial row {bad!r}")
+    return trial_table(cells[0::4], cells[1::4], np.array(labels) == "same")
+
+
+def _write_rows(path, header, trials, *extra):
+    """Write `header`, then per trial its ids, label and `extra` entries."""
+    labels = np.where(trials.label, "same", "different").tolist()
+    rows = zip(trials.face_id.tolist(), trials.voice_id.tolist(), labels, *extra)
+    Path(path).write_text("\n".join([header, *map("\t".join, rows)]) + "\n",
+                          encoding="utf-8")
 
 
 def write_trials_file(path, trials):
-    lines = [TRIALS_HEADER]
-    for t in trials:
-        lines.append(
-            f"{t.face_id}\t{t.voice_id}\t{'same' if t.label else 'different'}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, TRIALS_HEADER, trials)
 
 
 def write_score_file(path, trials, scores):
-    lines = ["face_record_id\tvoice_record_id\tlabel\tscore"]
-    for t, s in zip(trials, scores):
-        label = "same" if t.label else "different"
-        lines.append(f"{t.face_id}\t{t.voice_id}\t{label}\t{s:.9g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, TRIALS_HEADER + "\tscore", trials,
+                map("{:.9g}".format, scores.tolist()))
 
 
 def cmd_eval(cfg, out):
@@ -485,7 +491,7 @@ def cmd_eval(cfg, out):
             f"({ds.face_dim}, {ds.voice_dim})"
         )
     trials = read_trials_file(cfg["trials"])
-    if not trials:
+    if len(trials) == 0:
         raise MetricError("empty trial file")
     scores, report = traineval.score_arrays(arrays, trials, ds)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,9 +5,6 @@ flows through `make_rng(seed)`, which is a numpy PCG64 generator: the same
 seed yields the same stream on every platform, so training runs and dropout
 masks are bit-reproducible within one numpy/BLAS build (other builds may
 round matrix products differently).
-
-Includes a central finite-difference oracle used by the test suite to check
-every analytic gradient in the project.
 """
 
 from dataclasses import dataclass
@@ -177,33 +174,3 @@ def adam_step(param, grad, state):
         a /= b
         pb -= a
     return param
-
-
-def finite_difference_grad(f, x, h=1e-5):
-    """Central-difference gradient of a scalar function of a matrix."""
-    if h <= 0:
-        raise ConfigError(f"finite difference step must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        xp = x.copy()
-        xm = x.copy()
-        xp[idx] += h
-        xm[idx] -= h
-        fp = f(xp)
-        fm = f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"non-finite function value near index {idx}")
-        grad[idx] = (fp - fm) / (2.0 * h)
-        it.iternext()
-    return grad
-
-
-def rel_error(a, b):
-    """Relative error ||a - b|| / max(||a||, ||b||) between two arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
-    return float(np.linalg.norm(a - b) / denom)

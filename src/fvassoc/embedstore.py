@@ -108,12 +108,6 @@ class Manifest:
     dataset_name: str
     entries: list
 
-    def languages(self):
-        return sorted({e.language for e in self.entries})
-
-    def speakers(self):
-        return sorted({e.speaker_id for e in self.entries})
-
 
 def write_store_file(records, path):
     """Write one modality's records to a single .fve file."""
@@ -268,12 +262,6 @@ def read_store(in_dir):
             raise SchemaError(f"{in_dir}: manifest record {e.record_id} has no vector")
         ordered.append(r)
     return manifest, ordered
-
-
-def filter_exclude_language(manifest, excluded):
-    """Drop every entry whose language equals `excluded`; order preserved."""
-    kept = [e for e in manifest.entries if e.language != excluded]
-    return Manifest(dataset_name=manifest.dataset_name, entries=kept)
 
 
 def filter_records_exclude_language(records, excluded):

@@ -47,10 +47,6 @@ class MappingHead:
         w = rng.standard_normal((out_dim, in_dim)) / np.sqrt(in_dim)
         return cls(weight=w, bias=np.zeros(out_dim), p_drop=p_drop)
 
-    def copy(self):
-        h = MappingHead(self.weight.copy(), self.bias.copy(), self.p_drop)
-        return h
-
 
 def head_forward(head, x, train=False, rng=None):
     """y = dropout(x) @ W.T + b in train mode; dropout is skipped in eval.

@@ -2,7 +2,9 @@
 
 A PairedDataset holds the assembled concatenated inputs of both modalities.
 Verification trials pair one face input with one voice input and are labeled
-same/different by speaker id. Scores are cosine similarities of the two
+same/different by speaker id. A trial list is one record array of face_id,
+voice_id and label (`trial_table`), whether sampled or read from a file, and
+scoring reads its columns. Scores are cosine similarities of the two
 projected vectors; EER is computed by a threshold sweep with linear
 interpolation between the bracketing operating points.
 
@@ -46,13 +48,6 @@ from .fusion import (
     xattn_forward,
     xattn_loss,
 )
-
-
-@dataclass
-class Trial:
-    face_id: str
-    voice_id: str
-    label: bool  # True = same speaker
 
 
 @dataclass
@@ -160,6 +155,14 @@ def shuffle_speaker_labels(dataset, rng):
 # Trials
 
 
+def trial_table(face_ids, voice_ids, labels):
+    """A trial list: a record array of face_id, voice_id and bool label
+    (True = same speaker), one row per trial."""
+    columns = [np.asarray(face_ids, str), np.asarray(voice_ids, str),
+               np.asarray(labels, bool)]
+    return np.rec.fromarrays(columns, names="face_id,voice_id,label")
+
+
 class _HeldOutRecords:
     """Held-out faces and voices, in dataset order, with per-face pair counts.
 
@@ -240,11 +243,9 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
     s = rec.face_code[f_cross]
     v_cross = k + np.searchsorted(key, s * (n_v + 1) + k, side="right") - start[s]
 
-    def trials(f_idx, v_idx, label):
-        faces, voices = rec.face_ids[f_idx].tolist(), rec.voice_ids[v_idx].tolist()
-        return [Trial(f, v, label) for f, v in zip(faces, voices)]
-
-    return trials(f_same, v_same, True) + trials(f_cross, v_cross, False)
+    return trial_table(rec.face_ids[np.concatenate([f_same, f_cross])],
+                       rec.voice_ids[np.concatenate([v_same, v_cross])],
+                       np.arange(n_target + n_nontarget) < n_target)
 
 
 def default_dev_trials(dataset, held_out_speakers, cfg, rng):
@@ -320,14 +321,6 @@ def compute_eer(scores, labels):
 _SCORE_BLOCK = 16384
 
 
-def _first_seen_rows(ids):
-    """Distinct ids in first-seen order, and each id's row among them."""
-    row_of = {}
-    rows = np.array([row_of.setdefault(i, len(row_of)) for i in ids],
-                    dtype=np.int64)
-    return list(row_of), rows
-
-
 def _trial_rows(trials, dataset):
     """(face_at, face_row, voice_at, voice_row): face_at holds the dataset
     row of every distinct face of the trials once, in first-seen order, and
@@ -335,11 +328,14 @@ def _trial_rows(trials, dataset):
     that names no record of its modality is reported, sorted."""
     out, unknown = [], []
     for kind, (rows, _) in zip(("face", "voice"), dataset.tables()):
-        ids, trial_row = _first_seen_rows([getattr(t, f"{kind}_id") for t in trials])
-        row_of = dict(zip(rows.owner_id.tolist(), range(len(rows))))
-        at = np.array([row_of.get(i, -1) for i in ids], dtype=np.int64)
-        unknown += sorted(f"{kind} {i}" for i, r in zip(ids, at) if r < 0)
-        out += [at, trial_row]
+        ids, first, inverse = np.unique(trials[f"{kind}_id"], return_index=True,
+                                        return_inverse=True)
+        unknown += [f"{kind} {i}" for i in np.setdiff1d(ids, rows.owner_id).tolist()]
+        seen = np.argsort(first)  # the distinct ids in first-seen order
+        sorter = np.argsort(rows.owner_id)
+        pos = np.searchsorted(rows.owner_id, ids[seen], sorter=sorter)
+        # an unknown id may land past the last owner (-1); it is raised below
+        out += [np.append(sorter, -1)[pos], np.argsort(seen)[inverse]]
     if unknown:
         raise LookupError_(f"unknown trial record ids: {', '.join(unknown)}")
     return out
@@ -409,7 +405,7 @@ def _dev_inputs(cfg, train_ds, dev_trials, eval_ds):
     """`_trial_inputs` of the dev trials, after the checks both trainers run
     first: some trials, of records of `eval_ds`, and no training speaker."""
     cfg.validate()
-    if not dev_trials:
+    if len(dev_trials) == 0:
         raise ConfigError("dev trial list is empty")
     face_at, face_row, voice_at, voice_row = _trial_rows(dev_trials, eval_ds)
     dev_spk = np.union1d(eval_ds.face_inputs.speaker_id[face_at],
@@ -429,14 +425,13 @@ def _early_stopping(cfg, dev_trials, step, score, named_params):
     training stops once more than `patience` evaluations in a row fail to
     improve on it.
     """
-    labels = [t.label for t in dev_trials]
     log, best, no_improve, losses = [], None, 0, {}
     for n in range(cfg.max_steps + 1):
         if n > 0:
             losses = step()
             if n % cfg.eval_every and n != cfg.max_steps:
                 continue
-        eer = compute_eer(score(), labels).eer
+        eer = compute_eer(score(), dev_trials.label).eer
         log.append({"step": n, "dev_eer": eer, **losses})
         if best is None or eer < best["dev_eer"]:
             arrays = {name: arr.copy() for name, arr in named_params()}
@@ -510,7 +505,7 @@ def score_arrays(arrays, trials, dataset):
     head_f = head_from_arrays(arrays, "head_face", p_drop=0.0)
     head_v = head_from_arrays(arrays, "head_voice", p_drop=0.0)
     scores = score_trials(head_f, head_v, trials, dataset)
-    return scores, compute_eer(scores, [t.label for t in trials])
+    return scores, compute_eer(scores, trials.label)
 
 
 def _check_n_folds(n_folds, n_speakers):

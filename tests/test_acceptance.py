@@ -15,14 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import record_result
-from fvassoc.aamloss import AamConfig, aam_loss_and_grad, softmax_xent_on_cosines
+from fvassoc.aamloss import AamConfig, aam_loss_and_grad
 from fvassoc.cli import main as cli_main
 from fvassoc.diffcore import (
-    finite_difference_grad,
     l2_normalize_rows,
     l2_normalize_rows_backward,
     make_rng,
-    rel_error,
 )
 from fvassoc.embedstore import (
     FULL_DIMS,
@@ -32,7 +30,6 @@ from fvassoc.embedstore import (
     ModalityKind,
     assemble_face_inputs,
     assemble_voice_inputs,
-    filter_exclude_language,
     read_store,
     write_store,
 )
@@ -60,6 +57,12 @@ from fvassoc.traineval import (
     shuffle_speaker_labels,
     train_with_early_stopping,
     train_xattn,
+)
+from testlib import (
+    filter_exclude_language,
+    finite_difference_grad,
+    rel_error,
+    softmax_xent_on_cosines,
 )
 
 

@@ -866,7 +866,8 @@ def test_synth_without_languages_writes_one_language(tmp_path):
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
     from fvassoc.embedstore import read_manifest
 
-    assert read_manifest(tmp_path / "d" / "manifest.tsv").languages() == ["en"]
+    entries = read_manifest(tmp_path / "d" / "manifest.tsv").entries
+    assert {e.language for e in entries} == {"en"}
 
 
 class TestDecodeErrors:
@@ -896,6 +897,26 @@ class TestDecodeErrors:
         )
         config = with_value(config, ("trials",), str(trials))
         assert run_config(tmp_path, "eval", config) == (4, False)
+
+    @pytest.mark.parametrize("rows", [
+        ["s000:f000\ts000:v001"],
+        ["s000:f000\ts000:v001\tsame\tsame"],
+        ["s000:f000\ts000:v001\tSame"],
+        # 6 cells that regroup into two rows of 3, each with a valid label
+        ["s000:f000\ts000:v001", "same\ts000:f001\ts001:v000\tdifferent"],
+    ], ids=["2-fields", "4-fields", "label-Same", "2-then-4-fields"])
+    def test_bad_trial_row_exits_4_and_is_named(self, schema_corpus, tmp_path,
+                                                capsys, rows):
+        config = schema_base_configs(schema_corpus)["eval"]
+        trials = tmp_path / "t.tsv"
+        trials.write_text("\n".join([
+            "face_record_id\tvoice_record_id\tlabel",
+            "s000:f000\ts000:v001\tsame", *rows, "s000:f001\ts001:v000\tdifferent",
+        ]) + "\n", encoding="utf-8")
+        config = with_value(config, ("trials",), str(trials))
+        capsys.readouterr()
+        assert run_config(tmp_path, "eval", config) == (4, False)
+        assert f"bad trial row {rows[0]!r}" in capsys.readouterr().err
 
     def _corrupt_copy(self, corpus, tmp_path, name, edit):
         data = tmp_path / "data"

@@ -9,11 +9,9 @@ from fvassoc.diffcore import (
     apply_dropout,
     check_finite,
     dropout_mask,
-    finite_difference_grad,
     l2_normalize_rows,
     l2_normalize_rows_backward,
     make_rng,
-    rel_error,
 )
 from fvassoc.errors import (
     ConfigError,
@@ -21,6 +19,7 @@ from fvassoc.errors import (
     NumericError,
     ShapeError,
 )
+from testlib import finite_difference_grad, rel_error
 
 
 class TestL2Normalize:

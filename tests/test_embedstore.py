@@ -10,12 +10,12 @@ from fvassoc.embedstore import (
     ModalityKind,
     assemble_face_inputs,
     assemble_voice_inputs,
-    filter_exclude_language,
     read_store,
     split_folds,
     write_store,
 )
 from fvassoc.errors import ConfigError, EmptyDatasetError, FormatError, SchemaError
+from testlib import filter_exclude_language
 
 
 def make_records(n_per_mod=3, dim=6, speakers=("a", "b"), language="en"):

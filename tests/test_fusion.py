@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvassoc.diffcore import finite_difference_grad, make_rng, rel_error
+from fvassoc.diffcore import make_rng
 from fvassoc.errors import (
     DegenerateVectorError,
     FormatError,
@@ -28,6 +28,7 @@ from fvassoc.fusion import (
     xattn_loss,
 )
 from fvassoc.traineval import _score_inputs
+from testlib import finite_difference_grad, rel_error
 
 
 def head_to_arrays(head, prefix):

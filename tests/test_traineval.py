@@ -27,7 +27,6 @@ from fvassoc.synthgen import SynthConfig, generate
 from fvassoc.traineval import (
     PairedDataset,
     TrainConfig,
-    Trial,
     XAttnTrainConfig,
     audit_manifest,
     compute_eer,
@@ -41,7 +40,9 @@ from fvassoc.traineval import (
     shuffle_speaker_labels,
     train_with_early_stopping,
     train_xattn,
+    trial_table,
 )
+from testlib import filter_exclude_language
 
 
 def make_dataset(n_speakers=10, records_per_speaker=4, seed=42, noise=0.01,
@@ -111,9 +112,11 @@ def _reference_generate_trials(dataset, held_out_speakers, n_target,
         )
     same_idx = rng.choice(len(same_pool), size=n_target, replace=False)
     cross_idx = rng.choice(len(cross_pool), size=n_nontarget, replace=False)
-    trials = [Trial(*same_pool[i], True) for i in sorted(same_idx)]
-    trials += [Trial(*cross_pool[i], False) for i in sorted(cross_idx)]
-    return trials
+    pairs = [same_pool[i] for i in sorted(same_idx)]
+    pairs += [cross_pool[i] for i in sorted(cross_idx)]
+    faces = [f for f, _ in pairs]
+    voices = [v for _, v in pairs]
+    return trial_table(faces, voices, [True] * n_target + [False] * n_nontarget)
 
 
 def _table(kind, speakers, x):
@@ -155,7 +158,7 @@ def _pool_sizes(face_speakers, voice_speakers, held):
 
 def _outcome(sampler, *args):
     try:
-        return [(t.face_id, t.voice_id, t.label) for t in sampler(*args)]
+        return sampler(*args).tolist()
     except SamplingError as exc:
         return ("SamplingError", str(exc))
 
@@ -274,7 +277,7 @@ class TestGenerateTrials:
         held = ["s000", "s001"]
         a = generate_trials(ds, held, 10, 10, make_rng(3))
         b = generate_trials(ds, held, 10, 10, make_rng(3))
-        assert a == b
+        assert np.array_equal(a, b)
 
 
 def brute_force_eer(scores, labels):
@@ -384,12 +387,8 @@ def _random_trials(ds, n, rng):
     """n trials over the dataset's records, ids repeated, in random order."""
     f = rng.integers(0, len(ds.face_inputs), size=n)
     v = rng.integers(0, len(ds.voice_inputs), size=n)
-    return [
-        Trial(face, voice, i == j)
-        for face, voice, i, j in zip(ds.face_inputs.owner_id[f].tolist(),
-                                     ds.voice_inputs.owner_id[v].tolist(),
-                                     f.tolist(), v.tolist())
-    ]
+    return trial_table(ds.face_inputs.owner_id[f], ds.voice_inputs.owner_id[v],
+                       f == v)
 
 
 class TestScoreTrialsMatchesOracle:
@@ -451,7 +450,7 @@ class TestScoreTrialsMatchesOracle:
         trials = _random_trials(ds, 500, make_rng(32))
         order = make_rng(33).permutation(len(trials))
         scores = score_trials(head_f, head_v, trials, ds)
-        shuffled = score_trials(head_f, head_v, [trials[i] for i in order], ds)
+        shuffled = score_trials(head_f, head_v, trials[order], ds)
         assert np.array_equal(shuffled, scores[order])
 
     def test_xattn_scores_the_same_pair_rows(self):
@@ -467,15 +466,31 @@ class TestScoreTrialsMatchesOracle:
 
     def test_unknown_ids_are_checked_per_modality(self):
         ds, head_f, head_v = _scoring_case(3, 3, 4, 4, seed=51)
-        trials = [Trial("f0", "v0", True), Trial("v1", "v2", False),
-                  Trial("f1", "ghost", False), Trial("f0", "f2", False)]
+        trials = trial_table(["f0", "v1", "f1", "f0"], ["v0", "v2", "ghost", "f2"],
+                             [True, False, False, False])
         with pytest.raises(LookupError_) as exc:
             score_trials(head_f, head_v, trials, ds)
         assert str(exc.value).endswith("face v1, voice f2, voice ghost")
 
     def test_no_trials_give_no_scores(self):
         ds, head_f, head_v = _scoring_case(2, 2, 4, 4, seed=61)
-        assert score_trials(head_f, head_v, [], ds).shape == (0,)
+        trials = trial_table([], [], [])
+        assert score_trials(head_f, head_v, trials, ds).shape == (0,)
+
+    def test_distinct_rows_in_first_seen_order(self):
+        # Distinct records are projected in first-seen order. Outputs are
+        # compared byte for byte across versions, and a BLAS build may round
+        # a row by its place in the matmul, so the order is part of the
+        # contract. The table is not sorted by owner id (f10 before f2).
+        ds, _, _ = _scoring_case(11, 4, 3, 3, seed=71)
+        trials = trial_table(["f2", "f0", "f2", "f10", "f1", "f0"],
+                             ["v3", "v3", "v1", "v0", "v1", "v2"],
+                             [False] * 6)
+        face_at, face_row, voice_at, voice_row = traineval._trial_rows(trials, ds)
+        assert face_at.tolist() == [2, 0, 10, 1]
+        assert face_row.tolist() == [0, 1, 0, 2, 3, 1]
+        assert voice_at.tolist() == [3, 1, 0, 2]
+        assert voice_row.tolist() == [0, 0, 1, 2, 1, 3]
 
 
 def _sampled_pairs(face_speakers, voice_speakers, batch_size, seed):
@@ -722,8 +737,6 @@ def multilingual_corpus(seed, excluded=None, n_speakers=12, languages=None):
     ]
     manifest = Manifest(dataset_name=f"corpus{seed}", entries=entries)
     if excluded is not None:
-        from fvassoc.embedstore import filter_exclude_language
-
         manifest = filter_exclude_language(manifest, excluded)
         keep_spk = {e.speaker_id for e in manifest.entries}
         ds = ds.subset(keep_spk)
