@@ -7,7 +7,9 @@ instead of cos(theta), which forces same-speaker embeddings to cluster
 tightly in angle while different speakers end up near-orthogonal.
 
 Gradients through the margin, the row normalizations, and the scale are
-derived by hand and validated against finite differences.
+derived by hand and validated against finite differences. `joint_step`
+gives one step's losses and its gradients, keyed by the parameter names
+the checkpoint uses; the trainer's early-stopping loop applies the update.
 """
 
 from dataclasses import dataclass
@@ -16,14 +18,12 @@ import numpy as np
 
 from .diffcore import (
     EPS_NORM,
-    AdamState,
-    adam_step,
     as_mat,
     l2_normalize_rows,
     l2_normalize_rows_backward,
 )
 from .errors import ConfigError, ShapeError
-from .fusion import head_backward, head_forward
+from .fusion import head_backward, head_forward, head_from_arrays
 
 
 @dataclass
@@ -127,63 +127,34 @@ def aam_loss_and_grad(x, clf_weight, cfg, targets):
     return loss, grad_x, grad_w
 
 
-@dataclass
-class JointParams:
-    """Both mapping heads plus the shared classifier, with Adam state."""
+def joint_step(params, p_drop, face_x, face_targets, voice_x, voice_targets,
+               cfg, rng):
+    """Losses and gradients of one joint step on L_face + L_voice.
 
-    head_face: object
-    head_voice: object
-    clf_weight: np.ndarray
-    opt: dict  # name -> AdamState
-
-    @classmethod
-    def create(cls, head_face, head_voice, clf_weight, lr):
-        params = cls(head_face, head_voice, clf_weight, {})
-        for name, arr in params.named_params():
-            params.opt[name] = AdamState.for_param(arr, lr=lr)
-        return params
-
-    def named_params(self):
-        return [
-            ("head_face.weight", self.head_face.weight),
-            ("head_face.bias", self.head_face.bias),
-            ("head_voice.weight", self.head_voice.weight),
-            ("head_voice.bias", self.head_voice.bias),
-            ("clf.weight", self.clf_weight),
-        ]
-
-
-def joint_step(params, face_x, face_targets, voice_x, voice_targets, cfg, rng):
-    """One joint optimization step on L_face + L_voice.
-
-    Both modality batches run their own head (train mode) into the SAME
-    classifier; the classifier gradient is the sum of both contributions.
-    Returns (face loss, voice loss, gradient dict).
+    `params` holds head_face.weight/.bias, head_voice.weight/.bias and
+    clf.weight. Each modality batch runs its head (train mode, dropout
+    `p_drop`) into the SAME classifier, whose gradient sums both parts.
+    Nothing is updated. Returns (face loss, voice loss, grads by name).
     """
-    n_classes = params.clf_weight.shape[0]
+    clf = params["clf.weight"]
     for t in (face_targets, voice_targets):
-        _check_targets(t, len(np.atleast_1d(t)), n_classes)
+        _check_targets(t, len(np.atleast_1d(t)), clf.shape[0])
+    head_face = head_from_arrays(params, "head_face", p_drop)
+    head_voice = head_from_arrays(params, "head_voice", p_drop)
 
-    fy, f_cache = head_forward(params.head_face, face_x, train=True, rng=rng)
-    vy, v_cache = head_forward(params.head_voice, voice_x, train=True, rng=rng)
+    fy, f_cache = head_forward(head_face, face_x, train=True, rng=rng)
+    vy, v_cache = head_forward(head_voice, voice_x, train=True, rng=rng)
 
-    f_loss, g_fy, g_w_face = aam_loss_and_grad(
-        fy, params.clf_weight, cfg, face_targets
-    )
-    v_loss, g_vy, g_w_voice = aam_loss_and_grad(
-        vy, params.clf_weight, cfg, voice_targets
-    )
-    g_fw, g_fb, _ = head_backward(params.head_face, f_cache, g_fy)
-    g_vw, g_vb, _ = head_backward(params.head_voice, v_cache, g_vy)
-    g_clf = g_w_face + g_w_voice
+    f_loss, g_fy, g_w_face = aam_loss_and_grad(fy, clf, cfg, face_targets)
+    v_loss, g_vy, g_w_voice = aam_loss_and_grad(vy, clf, cfg, voice_targets)
+    g_fw, g_fb, _ = head_backward(head_face, f_cache, g_fy)
+    g_vw, g_vb, _ = head_backward(head_voice, v_cache, g_vy)
 
     grads = {
         "head_face.weight": g_fw,
         "head_face.bias": g_fb,
         "head_voice.weight": g_vw,
         "head_voice.bias": g_vb,
-        "clf.weight": g_clf,
+        "clf.weight": g_w_face + g_w_voice,
     }
-    for name, arr in params.named_params():
-        adam_step(arr, grads[name], params.opt[name])
     return f_loss, v_loss, grads

@@ -264,10 +264,6 @@ def read_store(in_dir):
     return manifest, ordered
 
 
-def filter_records_exclude_language(records, excluded):
-    return [r for r in records if r.language != excluded]
-
-
 def _by_owner(records, kind):
     """Owner id -> the `kind` record of that owner; one record per owner."""
     out = {}

@@ -12,6 +12,8 @@ Two architectures:
   cross-attention layers (layer 1: face queries voice; layer 2: voice
   queries the layer-1 output), mean-pooled and projected to one same/
   different logit. Residual connections are on by default, layer norm off.
+  Its weights are one dict `params` under its checkpoint's array names,
+  and xattn_backward returns their gradients under the same names.
 
 All backward passes are hand-derived and checked against finite differences
 in the test suite.
@@ -19,7 +21,7 @@ in the test suite.
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,10 +112,9 @@ class XAttnModel:
     d_model: int
     voice_in_dim: int
     face_in_dim: int
-    # two layers of (Wq, Wk, Wv, Wo), each (d_model, d_model)
-    layers: list = field(default_factory=list)
-    out_w: np.ndarray = None  # (d_model,)
-    out_b: np.ndarray = None  # 0-d
+    # name -> array: layer{i}.wq/.wk/.wv/.wo, each (d_model, d_model), for
+    # layers 0 and 1; out_w (d_model,); out_b 0-d
+    params: dict
     p_drop: float = 0.0
     residual: bool = True
 
@@ -121,54 +122,47 @@ class XAttnModel:
     def init(cls, rng, voice_in_dim, face_in_dim, d_model=128, p_drop=0.0,
              residual=True):
         scale = 1.0 / np.sqrt(d_model)
-        layers = [
-            {
-                name: rng.standard_normal((d_model, d_model)) * scale
-                for name in ("wq", "wk", "wv", "wo")
-            }
-            for _ in range(2)
-        ]
-        return cls(
-            d_model=d_model,
-            voice_in_dim=voice_in_dim,
-            face_in_dim=face_in_dim,
-            layers=layers,
-            out_w=rng.standard_normal(d_model) * scale,
-            out_b=np.zeros(()),
-            p_drop=p_drop,
-            residual=residual,
-        )
-
-    def param_items(self):
-        for i, layer in enumerate(self.layers):
-            for name in ("wq", "wk", "wv", "wo"):
-                yield f"layer{i}.{name}", layer[name]
-        yield "out_w", self.out_w
-        yield "out_b", self.out_b
+        params = {
+            name: rng.standard_normal((d_model, d_model)) * scale
+            for i in range(2)
+            for name in _layer_names(f"layer{i}")
+        }
+        params["out_w"] = rng.standard_normal(d_model) * scale
+        params["out_b"] = np.zeros(())
+        return cls(d_model, voice_in_dim, face_in_dim, params, p_drop, residual)
 
 
-def _attn_forward(xq, xkv, layer, residual):
-    """One cross-attention layer: queries from xq, keys/values from xkv."""
+def _layer_names(layer):
+    return [f"{layer}.{name}" for name in ("wq", "wk", "wv", "wo")]
+
+
+def _attn_forward(xq, xkv, params, layer, residual):
+    """One cross-attention layer: queries from xq, keys/values from xkv,
+    weights params[f"{layer}.wq"] .. params[f"{layer}.wo"]."""
+    wq, wk, wv, wo = (params[name] for name in _layer_names(layer))
     d = xq.shape[-1]
-    q = xq @ layer["wq"]
-    k = xkv @ layer["wk"]
-    v = xkv @ layer["wv"]
+    q = xq @ wq
+    k = xkv @ wk
+    v = xkv @ wv
     s = (q @ k.swapaxes(1, 2)) / np.sqrt(d)
     s = s - s.max(axis=-1, keepdims=True)
     e = np.exp(s)
     a = e / e.sum(axis=-1, keepdims=True)
     c = a @ v
-    o = c @ layer["wo"]
+    o = c @ wo
     y = xq + o if residual else o
     return y, (xq, xkv, q, k, v, a, c)
 
 
-def _attn_backward(grad_y, layer, cache, residual):
+def _attn_backward(grad_y, params, layer, cache, residual):
+    """(grad xq, grad xkv, {weight name: grad}) of one `_attn_forward`."""
+    names = _layer_names(layer)
+    wq, wk, wv, wo = (params[name] for name in names)
     xq, xkv, q, k, v, a, c = cache
     d = xq.shape[-1]
     grad_o = grad_y
     grad_xq = grad_y.copy() if residual else np.zeros_like(xq)
-    grad_c = grad_o @ layer["wo"].T
+    grad_c = grad_o @ wo.T
     grad_a = grad_c @ v.swapaxes(1, 2)
     grad_v = a.swapaxes(1, 2) @ grad_c
     # softmax backward along the key axis
@@ -184,10 +178,9 @@ def _attn_backward(grad_y, layer, cache, residual):
     g_wk = weight_grad(xkv, grad_k)
     g_wv = weight_grad(xkv, grad_v)
     g_wo = weight_grad(c, grad_o)
-    grad_xq = grad_xq + grad_q @ layer["wq"].T
-    grad_xkv = grad_k @ layer["wk"].T + grad_v @ layer["wv"].T
-    grads = {"wq": g_wq, "wk": g_wk, "wv": g_wv, "wo": g_wo}
-    return grad_xq, grad_xkv, grads
+    grad_xq = grad_xq + grad_q @ wq.T
+    grad_xkv = grad_k @ wk.T + grad_v @ wv.T
+    return grad_xq, grad_xkv, dict(zip(names, (g_wq, g_wk, g_wv, g_wo)))
 
 
 def xattn_forward(model, voice_x, face_x, train=False, rng=None):
@@ -215,29 +208,29 @@ def xattn_forward(model, voice_x, face_x, train=False, rng=None):
     vt = tokenize(voice_x, model.d_model)
     ft = tokenize(face_x, model.d_model)
     # layer 1: face tokens attend to voice tokens
-    f1, cache1 = _attn_forward(ft, vt, model.layers[0], model.residual)
+    f1, cache1 = _attn_forward(ft, vt, model.params, "layer0", model.residual)
     # layer 2: voice tokens attend to the fused face sequence
-    v2, cache2 = _attn_forward(vt, f1, model.layers[1], model.residual)
+    v2, cache2 = _attn_forward(vt, f1, model.params, "layer1", model.residual)
     pooled = v2.mean(axis=1)
-    logits = pooled @ model.out_w + model.out_b
+    logits = pooled @ model.params["out_w"] + model.params["out_b"]
     cache = (vt, ft, cache1, cache2, v2, pooled, masks)
     return logits, cache
 
 
 def xattn_backward(model, cache, grad_logits):
-    """Gradients of xattn_forward w.r.t. every parameter and both inputs."""
+    """Gradients of xattn_forward: (params' grads by name, voice, face)."""
     vt, ft, cache1, cache2, v2, pooled, masks = cache
     grad_logits = np.asarray(grad_logits, dtype=np.float64).ravel()
     b, tv, d = v2.shape
     g_out_w = pooled.T @ grad_logits
     g_out_b = float(grad_logits.sum())
-    grad_pooled = np.outer(grad_logits, model.out_w)
+    grad_pooled = np.outer(grad_logits, model.params["out_w"])
     grad_v2 = np.repeat(grad_pooled[:, None, :], tv, axis=1) / tv
     grad_vt, grad_f1, grads2 = _attn_backward(
-        grad_v2, model.layers[1], cache2, model.residual
+        grad_v2, model.params, "layer1", cache2, model.residual
     )
     grad_ft, grad_vt_kv, grads1 = _attn_backward(
-        grad_f1, model.layers[0], cache1, model.residual
+        grad_f1, model.params, "layer0", cache1, model.residual
     )
     grad_vt = grad_vt + grad_vt_kv
     grad_voice = grad_vt.reshape(b, -1)[:, : model.voice_in_dim]
@@ -246,12 +239,7 @@ def xattn_backward(model, cache, grad_logits):
     if mv is not None:
         grad_voice = grad_voice * mv
         grad_face = grad_face * mf
-    param_grads = {
-        "layer0": grads1,
-        "layer1": grads2,
-        "out_w": g_out_w,
-        "out_b": g_out_b,
-    }
+    param_grads = {**grads1, **grads2, "out_w": g_out_w, "out_b": g_out_b}
     return param_grads, grad_voice, grad_face
 
 
@@ -343,8 +331,9 @@ def load_checkpoint(path):
 
 
 def head_from_arrays(arrays, prefix, p_drop, expect_in_dim=None):
-    """The `prefix` head of a checkpoint's arrays; SchemaError unless they
-    hold a 2-D `prefix.weight` and a `prefix.bias` of its row count."""
+    """The `prefix` head of a checkpoint's arrays, as views; SchemaError
+    unless they hold a 2-D `prefix.weight` and a `prefix.bias` of its row
+    count."""
     missing = [n for n in (f"{prefix}.weight", f"{prefix}.bias") if n not in arrays]
     if missing:
         raise SchemaError(f"checkpoint has no array {', '.join(missing)}")
@@ -357,4 +346,4 @@ def head_from_arrays(arrays, prefix, p_drop, expect_in_dim=None):
         raise SchemaError(
             f"checkpoint {prefix} in_dim {w.shape[1]} != expected {expect_in_dim}"
         )
-    return MappingHead(weight=w.copy(), bias=b.copy(), p_drop=p_drop)
+    return MappingHead(weight=w, bias=b, p_drop=p_drop)

@@ -61,7 +61,6 @@ class GroundTruth:
     latents: dict  # speaker_id -> (k,) array
     attributes: dict  # speaker_id -> (age_norm, gender)
     projections: dict  # ModalityKind -> projection matrix
-    record_to_speaker: dict  # record_id -> speaker_id
     speaker_language: dict  # speaker_id -> language tag
 
 
@@ -109,7 +108,6 @@ def generate(cfg, base_truth=None, projection_jitter=0.0):
     }
 
     records = []
-    record_to_speaker = {}
     for s in speakers:
         z = latents[s]
         attr = np.array(attributes[s])
@@ -133,14 +131,12 @@ def generate(cfg, base_truth=None, projection_jitter=0.0):
                             vector=(clean + noise).astype(np.float32),
                         )
                     )
-                    record_to_speaker[rid] = s
 
     truth = GroundTruth(
         latent_dim=k,
         latents=latents,
         attributes=attributes,
         projections=projections,
-        record_to_speaker=record_to_speaker,
         speaker_language=speaker_language,
     )
     return records, truth

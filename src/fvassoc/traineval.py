@@ -8,10 +8,11 @@ scoring reads its columns. Scores are cosine similarities of the two
 projected vectors; EER is computed by a threshold sweep with linear
 interpolation between the bracketing operating points.
 
-Both architectures, mapping heads and cross-attention, train in one loop
-under one stopping rule (`_early_stopping`): dev EER before the first step
-and every `eval_every` steps, the best parameters kept, and a stop after
-more than `patience` evaluations without improvement.
+Both architectures, mapping heads and cross-attention, train one dict of
+arrays named as in their checkpoints, in one loop (`_early_stopping`) that
+applies the only Adam update and one stopping rule: dev EER before the
+first step and every `eval_every` steps, the best parameters kept, and a
+stop after more than `patience` evaluations without improvement.
 
 Scenario recipes mirror the challenge's heard/unheard model selection:
 heard scenarios evaluate the pretrained model (all-data for English,
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .aamloss import AamConfig, JointParams, init_classifier, joint_step
+from .aamloss import AamConfig, init_classifier, joint_step
 from .diffcore import EPS_NORM, AdamState, adam_step, make_rng
 from .embedstore import split_folds
 from .errors import (
@@ -382,23 +383,24 @@ def score_trials(head_face, head_voice, trials, dataset):
 
 
 def _init_params(dataset, cfg, n_speakers, init_arrays=None):
+    """Both heads, new or copied from `init_arrays`, and the classifier."""
     rng = make_rng(cfg.seed ^ 0x5EED)
-    if init_arrays is None:
-        head_f = MappingHead.init(rng, dataset.face_dim, cfg.out_dim, cfg.p_drop)
-        head_v = MappingHead.init(rng, dataset.voice_dim, cfg.out_dim, cfg.p_drop)
-    else:
-        head_f = head_from_arrays(
-            init_arrays, "head_face", cfg.p_drop, expect_in_dim=dataset.face_dim
-        )
-        head_v = head_from_arrays(
-            init_arrays, "head_voice", cfg.p_drop, expect_in_dim=dataset.voice_dim
-        )
+    params = {}
+    for prefix, dim in (("head_face", dataset.face_dim),
+                        ("head_voice", dataset.voice_dim)):
+        if init_arrays is None:
+            head = MappingHead.init(rng, dim, cfg.out_dim)
+        else:
+            head = head_from_arrays(init_arrays, prefix, 0.0, expect_in_dim=dim)
+        params[f"{prefix}.weight"], params[f"{prefix}.bias"] = head.weight, head.bias
     if (init_arrays is not None and not cfg.classifier_reinit
             and init_arrays["clf.weight"].shape[0] == n_speakers):
-        clf = init_arrays["clf.weight"].copy()
+        params["clf.weight"] = init_arrays["clf.weight"]
     else:
-        clf = init_classifier(rng, n_speakers, cfg.out_dim)
-    return JointParams.create(head_f, head_v, clf, cfg.lr)
+        params["clf.weight"] = init_classifier(rng, n_speakers, cfg.out_dim)
+    if init_arrays is not None:  # training must not write into init_arrays
+        params = {name: arr.copy() for name, arr in params.items()}
+    return params
 
 
 def _dev_inputs(cfg, train_ds, dev_trials, eval_ds):
@@ -415,26 +417,30 @@ def _dev_inputs(cfg, train_ds, dev_trials, eval_ds):
     return eval_ds.face_x[face_at], face_row, eval_ds.voice_x[voice_at], voice_row
 
 
-def _early_stopping(cfg, dev_trials, step, score, named_params):
-    """The loop and stopping rule of both trainers; returns (best, log).
+def _early_stopping(cfg, dev_trials, params, step, score):
+    """The loop, update and stopping rule of both trainers; returns (best, log).
 
-    `step()` runs one training step and returns its loss fields; `score()`
-    scores `dev_trials`. Dev EER is logged as {"step", "dev_eer", **losses}
-    at step 0, every `eval_every` steps and at `max_steps`. best["arrays"]
-    copies `named_params()` at the first evaluation with the lowest EER;
-    training stops once more than `patience` evaluations in a row fail to
-    improve on it.
+    `step()` returns (loss fields, gradients keyed like `params`), and each
+    array of `params` then gets one in-place Adam update at rate cfg.lr;
+    `score()` scores `dev_trials`. Dev EER is logged as {"step", "dev_eer",
+    **losses} at step 0, every `eval_every` steps and at `max_steps`.
+    best["arrays"] copies `params` at the first evaluation with the lowest
+    EER; training stops once more than `patience` evaluations in a row fail
+    to improve on it.
     """
+    opt = {name: AdamState.for_param(arr, lr=cfg.lr) for name, arr in params.items()}
     log, best, no_improve, losses = [], None, 0, {}
     for n in range(cfg.max_steps + 1):
         if n > 0:
-            losses = step()
+            losses, grads = step()
+            for name, arr in params.items():  # pop: no gradient outlives its update
+                adam_step(arr, grads.pop(name), opt[name])
             if n % cfg.eval_every and n != cfg.max_steps:
                 continue
         eer = compute_eer(score(), dev_trials.label).eer
         log.append({"step": n, "dev_eer": eer, **losses})
         if best is None or eer < best["dev_eer"]:
-            arrays = {name: arr.copy() for name, arr in named_params()}
+            arrays = {name: arr.copy() for name, arr in params.items()}
             best = {"arrays": arrays, "dev_eer": eer, "step": n}
             no_improve = 0
         else:
@@ -461,15 +467,16 @@ def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
     def step():
         fb = rng.integers(0, len(xf), size=min(cfg.batch_size, len(xf)))
         vb = rng.integers(0, len(xv), size=min(cfg.batch_size, len(xv)))
-        f_loss, v_loss, _ = joint_step(
-            params, xf[fb], yf[fb], xv[vb], yv[vb], cfg.aam, rng
+        f_loss, v_loss, grads = joint_step(
+            params, cfg.p_drop, xf[fb], yf[fb], xv[vb], yv[vb], cfg.aam, rng
         )
-        return {"face_loss": f_loss, "voice_loss": v_loss}
+        return {"face_loss": f_loss, "voice_loss": v_loss}, grads
 
     def score():
-        return _score_inputs(params.head_face, params.head_voice, *dev_inputs)
+        heads = [head_from_arrays(params, p, 0.0) for p in ("head_face", "head_voice")]
+        return _score_inputs(*heads, *dev_inputs)
 
-    return _early_stopping(cfg, dev_trials, step, score, params.named_params)
+    return _early_stopping(cfg, dev_trials, params, step, score)
 
 
 # ---------------------------------------------------------------------------
@@ -730,13 +737,6 @@ def _sample_pairs(faces, voices, batch_size, rng):
     return xf[f], xv[v], (s1 == s2).astype(np.float64)
 
 
-def score_trials_xattn(model, trials, dataset):
-    """Cross-attention logits of trials, each (face, voice) pair jointly."""
-    xf, face_row, xv, voice_row = _trial_inputs(trials, dataset)
-    logits, _ = xattn_forward(model, xv[voice_row], xf[face_row], train=False)
-    return logits
-
-
 def train_xattn(train_ds, dev_trials, eval_ds, cfg):
     """Train the cross-attention pair classifier with early stopping.
 
@@ -756,10 +756,6 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
         p_drop=cfg.p_drop,
         residual=cfg.residual,
     )
-    opt = {
-        name: AdamState.for_param(arr, lr=cfg.lr)
-        for name, arr in model.param_items()
-    }
     code = {s: i for i, s in enumerate(train_ds.speakers())}
     xf, yf, xv, yv = train_ds.matrices(code)
     faces = _by_speaker(xf, yf, len(code))
@@ -769,16 +765,10 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
         xf, xv, y = _sample_pairs(faces, voices, cfg.batch_size, rng)
         logits, cache = xattn_forward(model, xv, xf, train=True, rng=rng)
         loss, g_logits = xattn_loss(logits, y)
-        grads, _, _ = xattn_backward(model, cache, g_logits)
-        for i in range(len(model.layers)):  # named as param_items names them
-            for pname, g in grads.pop(f"layer{i}").items():
-                grads[f"layer{i}.{pname}"] = g
-        for name, arr in model.param_items():
-            adam_step(arr, grads[name], opt[name])
-        return {"loss": loss}
+        return {"loss": loss}, xattn_backward(model, cache, g_logits)[0]
 
     def score():
         return xattn_forward(model, xv_dev, xf_dev, train=False)[0]
 
-    best, log = _early_stopping(cfg, dev_trials, step, score, model.param_items)
+    best, log = _early_stopping(cfg, dev_trials, model.params, step, score)
     return model, best, log

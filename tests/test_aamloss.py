@@ -3,14 +3,19 @@ import pytest
 
 from fvassoc.aamloss import (
     AamConfig,
-    JointParams,
     _check_targets,
     _margin_pieces,
     aam_loss_and_grad,
     init_classifier,
     joint_step,
 )
-from fvassoc.diffcore import as_mat, l2_normalize_rows, make_rng
+from fvassoc.diffcore import (
+    AdamState,
+    adam_step,
+    as_mat,
+    l2_normalize_rows,
+    make_rng,
+)
 from fvassoc.errors import DegenerateVectorError
 from fvassoc.fusion import MappingHead
 from testlib import finite_difference_grad, rel_error, softmax_xent_on_cosines
@@ -172,45 +177,58 @@ class TestAamLoss:
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
 
 
-def make_params(seed, in_dim=10, out_dim=6, n_classes=4, lr=1e-2, p_drop=0.0):
+def make_params(seed, in_dim=10, out_dim=6, n_classes=4):
     rng = make_rng(seed)
-    head_f = MappingHead.init(rng, in_dim, out_dim, p_drop)
-    head_v = MappingHead.init(rng, in_dim, out_dim, p_drop)
+    head_f = MappingHead.init(rng, in_dim, out_dim)
+    head_v = MappingHead.init(rng, in_dim, out_dim)
     clf = init_classifier(rng, n_classes, out_dim)
-    return JointParams.create(head_f, head_v, clf, lr)
+    return {"head_face.weight": head_f.weight, "head_face.bias": head_f.bias,
+            "head_voice.weight": head_v.weight, "head_voice.bias": head_v.bias,
+            "clf.weight": clf}
 
 
 def snapshot(params):
-    return {name: arr.copy() for name, arr in params.named_params()}
+    return {name: arr.copy() for name, arr in params.items()}
+
+
+def adam_states(params, lr):
+    return {name: AdamState.for_param(arr, lr=lr) for name, arr in params.items()}
+
+
+def apply_adam(params, grads, opt):
+    for name, arr in params.items():
+        adam_step(arr, grads[name], opt[name])
 
 
 class TestJointStep:
     def test_zero_lr_leaves_parameters(self):
-        params = make_params(0, lr=0.0)
+        params = make_params(0)
+        opt = adam_states(params, lr=0.0)
         before = snapshot(params)
         rng = make_rng(1)
         x = rng.standard_normal((4, 10))
-        fl, vl, _ = joint_step(params, x, [0, 1, 2, 3], x, [0, 1, 2, 3],
-                               AamConfig(), rng)
+        fl, vl, grads = joint_step(params, 0.0, x, [0, 1, 2, 3], x, [0, 1, 2, 3],
+                                   AamConfig(), rng)
+        apply_adam(params, grads, opt)
         assert fl > 0 and vl > 0
         after = snapshot(params)
         for name in before:
             assert np.array_equal(before[name], after[name])
 
     def test_classifier_gradient_doubles_with_identical_batches(self):
-        params = make_params(2, p_drop=0.0)
-        face = params.head_face
-        params.head_voice = MappingHead(face.weight.copy(), face.bias.copy(),
-                                        face.p_drop)
+        params = make_params(2)
+        params["head_voice.weight"] = params["head_face.weight"].copy()
+        params["head_voice.bias"] = params["head_face.bias"].copy()
         rng = make_rng(3)
         x = rng.standard_normal((4, 10))
         t = [0, 1, 2, 3]
         cfg = AamConfig()
         from fvassoc.fusion import head_forward
 
-        y, _ = head_forward(params.head_face, x, train=False)
-        _, _, g_single = aam_loss_and_grad(y, params.clf_weight, cfg, t)
-        _, _, grads = joint_step(params, x, t, x, t, cfg, rng)
+        face = MappingHead(params["head_face.weight"], params["head_face.bias"])
+        y, _ = head_forward(face, x, train=False)
+        _, _, g_single = aam_loss_and_grad(y, params["clf.weight"], cfg, t)
+        _, _, grads = joint_step(params, 0.0, x, t, x, t, cfg, rng)
         assert np.allclose(grads["clf.weight"], 2.0 * g_single, atol=1e-12)
 
     def test_loss_decreases_on_separable_data(self):
@@ -218,12 +236,14 @@ class TestJointStep:
         rng = make_rng(4)
         n_classes = 4
         centers = 3.0 * rng.standard_normal((n_classes, 10))
-        params = make_params(5, n_classes=n_classes, lr=1e-2, p_drop=0.2)
+        params = make_params(5, n_classes=n_classes)
+        opt = adam_states(params, lr=1e-2)
         losses = []
         for step in range(50):
             t = rng.integers(0, n_classes, size=16)
             x = centers[t] + 0.05 * rng.standard_normal((16, 10))
-            fl, vl, _ = joint_step(params, x, t, x, t, AamConfig(), rng)
+            fl, vl, grads = joint_step(params, 0.2, x, t, x, t, AamConfig(), rng)
+            apply_adam(params, grads, opt)
             losses.append(fl + vl)
         avg = np.convolve(losses, np.ones(10) / 10, mode="valid")
         assert avg[-1] < avg[0]

@@ -53,7 +53,6 @@ from fvassoc.traineval import (
     default_dev_trials,
     pretrain_then_finetune,
     score_trials,
-    score_trials_xattn,
     shuffle_speaker_labels,
     train_with_early_stopping,
     train_xattn,
@@ -219,18 +218,18 @@ def fd_check_xattn(seed):
             for name in ("wq", "wk", "wv", "wo"):
                 def f(arr, i=i, name=name):
                     def mut(mm):
-                        mm.layers[i][name] = arr
+                        mm.params[f"layer{i}.{name}"] = arr
                     return loss_for(mut)
 
-                fd = finite_difference_grad(f, m.layers[i][name])
-                errs.append(rel_error(grads[f"layer{i}"][name], fd))
+                fd = finite_difference_grad(f, m.params[f"layer{i}.{name}"])
+                errs.append(rel_error(grads[f"layer{i}.{name}"], fd))
 
         def f_out(arr):
             def mut(mm):
-                mm.out_w = arr.ravel()
+                mm.params["out_w"] = arr.ravel()
             return loss_for(mut)
 
-        fd = finite_difference_grad(f_out, m.out_w.reshape(1, -1))
+        fd = finite_difference_grad(f_out, m.params["out_w"].reshape(1, -1))
         errs.append(rel_error(grads["out_w"], fd.ravel()))
 
         def f_xv(z):
@@ -424,7 +423,7 @@ def test_a6_unheard_protocol_audit(tmp_path):
     ft = synth("ft", 10, 4, langs)
 
     def variant(src, excluded, dst):
-        from fvassoc.embedstore import filter_records_exclude_language
+        from testlib import filter_records_exclude_language
 
         _, records = read_store(src)
         kept = filter_records_exclude_language(records, excluded)
@@ -666,7 +665,7 @@ def test_a9_cli_determinism(tmp_path):
             },
         }),
     )
-    from fvassoc.embedstore import filter_records_exclude_language
+    from testlib import filter_records_exclude_language
 
     _, records = read_store(data)
     for lang, dst in (("en", "no_en"), ("de", "no_de")):

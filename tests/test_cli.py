@@ -398,11 +398,8 @@ def scenario_dirs(tmp_path):
     ft = make_data(tmp_path, sub="ft", n_speakers=10, seed=4, languages=langs)
 
     # prepare language-excluded variants the way the protocol requires
-    from fvassoc.embedstore import (
-        filter_records_exclude_language,
-        read_store,
-        write_store,
-    )
+    from fvassoc.embedstore import read_store, write_store
+    from testlib import filter_records_exclude_language
 
     def variant(src, excluded, dst):
         _, records = read_store(src)
@@ -579,11 +576,8 @@ SCHEMA_BLOCKS = {"synth", "train", "pretrain", "finetune"}
 def schema_corpus(tmp_path_factory):
     """A corpus with en/de/fr speakers, its no-en and no-de variants, a
     checkpoint and a trial file: every command's base config runs on them."""
-    from fvassoc.embedstore import (
-        filter_records_exclude_language,
-        read_store,
-        write_store,
-    )
+    from fvassoc.embedstore import read_store, write_store
+    from testlib import filter_records_exclude_language
 
     tmp = tmp_path_factory.mktemp("schema")
     data = make_data(tmp, n_speakers=14,

@@ -169,7 +169,7 @@ class TestXAttn:
 
     def test_zero_input_logit_is_output_bias(self):
         m = toy_model()
-        m.out_b = 1.25
+        m.params["out_b"] = 1.25
         logits, _ = xattn_forward(m, np.zeros((2, 11)), np.zeros((2, 9)))
         assert np.array_equal(logits, [1.25, 1.25])
 
@@ -189,9 +189,9 @@ class TestXAttn:
         rng = make_rng(6)
         ft = tokenize(rng.standard_normal((1, 9)), 4)
         vt = tokenize(rng.standard_normal((1, 12)), 4)
-        out, _ = _attn_forward(ft, vt, m.layers[0], m.residual)
+        out, _ = _attn_forward(ft, vt, m.params, "layer0", m.residual)
         perm = [2, 0, 1]
-        out_p, _ = _attn_forward(ft, vt[:, perm, :], m.layers[0], m.residual)
+        out_p, _ = _attn_forward(ft, vt[:, perm, :], m.params, "layer0", m.residual)
         assert np.allclose(out, out_p, atol=1e-12)
 
     def test_full_stack_gradients_match_finite_differences(self):
@@ -215,18 +215,18 @@ class TestXAttn:
             for name in ("wq", "wk", "wv", "wo"):
                 def f(arr, i=i, name=name):
                     def mut(mm):
-                        mm.layers[i][name] = arr
+                        mm.params[f"layer{i}.{name}"] = arr
                     return loss_for(mut)
 
-                fd = finite_difference_grad(f, m.layers[i][name])
-                assert rel_error(grads[f"layer{i}"][name], fd) <= 1e-4
+                fd = finite_difference_grad(f, m.params[f"layer{i}.{name}"])
+                assert rel_error(grads[f"layer{i}.{name}"], fd) <= 1e-4
 
         def f_out(arr):
             def mut(mm):
-                mm.out_w = arr.ravel()
+                mm.params["out_w"] = arr.ravel()
             return loss_for(mut)
 
-        fd = finite_difference_grad(f_out, m.out_w.reshape(1, -1))
+        fd = finite_difference_grad(f_out, m.params["out_w"].reshape(1, -1))
         assert rel_error(grads["out_w"], fd.ravel()) <= 1e-4
 
         def f_xv(z):
@@ -292,10 +292,11 @@ def test_attention_layer_matches_einsum_reference(batch, t_q, t_kv, d,
     layer = {name: rng.standard_normal((d, d))
              for name in ("wq", "wk", "wv", "wo")}
     grad_y = rng.standard_normal((batch, t_q, d))
+    params = {f"layer0.{name}": w for name, w in layer.items()}
 
-    y, cache = _attn_forward(xq, xkv, layer, residual)
+    y, cache = _attn_forward(xq, xkv, params, "layer0", residual)
     want_y, want_cache = _reference_attn_forward(xq, xkv, layer, residual)
-    got = _attn_backward(grad_y, layer, cache, residual)
+    got = _attn_backward(grad_y, params, "layer0", cache, residual)
     want = _reference_attn_backward(grad_y, layer, want_cache, residual)
 
     def close(a, b):
@@ -304,9 +305,9 @@ def test_attention_layer_matches_einsum_reference(batch, t_q, t_kv, d,
     close(y, want_y)
     close(got[0], want[0])
     close(got[1], want[1])
-    assert got[2].keys() == want[2].keys()
+    assert list(got[2]) == [f"layer0.{name}" for name in want[2]]
     for name in want[2]:
-        close(got[2][name], want[2][name])
+        close(got[2][f"layer0.{name}"], want[2][name])
 
 
 class TestXAttnLoss:

@@ -22,7 +22,15 @@ from fvassoc.errors import (
     ProtocolViolationError,
     SamplingError,
 )
-from fvassoc.fusion import MappingHead, XAttnModel, head_forward, xattn_forward
+from fvassoc.aamloss import joint_step
+from fvassoc.fusion import (
+    MappingHead,
+    XAttnModel,
+    head_forward,
+    xattn_backward,
+    xattn_forward,
+    xattn_loss,
+)
 from fvassoc.synthgen import SynthConfig, generate
 from fvassoc.traineval import (
     PairedDataset,
@@ -36,7 +44,6 @@ from fvassoc.traineval import (
     pretrain_then_finetune,
     run_scenarios,
     score_trials,
-    score_trials_xattn,
     shuffle_speaker_labels,
     train_with_early_stopping,
     train_xattn,
@@ -453,17 +460,6 @@ class TestScoreTrialsMatchesOracle:
         shuffled = score_trials(head_f, head_v, trials[order], ds)
         assert np.array_equal(shuffled, scores[order])
 
-    def test_xattn_scores_the_same_pair_rows(self):
-        ds, _, _ = _scoring_case(8, 9, 11, 13, seed=41)
-        trials = _random_trials(ds, 200, make_rng(42))
-        model = XAttnModel.init(make_rng(43), voice_in_dim=13, face_in_dim=11,
-                                d_model=4)
-        faces, voices = _lookups(ds)
-        xf = np.stack([faces[t.face_id][1] for t in trials])
-        xv = np.stack([voices[t.voice_id][1] for t in trials])
-        want, _ = xattn_forward(model, xv, xf, train=False)
-        assert np.array_equal(score_trials_xattn(model, trials, ds), want)
-
     def test_unknown_ids_are_checked_per_modality(self):
         ds, head_f, head_v = _scoring_case(3, 3, 4, 4, seed=51)
         trials = trial_table(["f0", "v1", "f1", "f0"], ["v0", "v2", "ghost", "f2"],
@@ -641,6 +637,88 @@ class TestTraining:
         eers = [e["dev_eer"] for e in log]
         best_idx = eers.index(min(eers))
         assert len(eers) - 1 - best_idx <= patience + 1
+
+
+def _traced_training(trainer, **kw):
+    """Run one trainer on a small split, recording what `_early_stopping`
+    is given and every `adam_step` call. Returns (params, initial copies of
+    them, ids of the arrays adam_step updated, in call order, best, log)."""
+    ds, _, _ = make_dataset()
+    spk = ds.speakers()
+    trials = default_dev_trials(ds, spk[:2], quick_cfg(), make_rng(0))
+    seen, updated = {}, []
+    loop, adam = traineval._early_stopping, traineval.adam_step
+
+    def early_stopping(cfg, dev_trials, params, step, score):
+        seen["params"] = params
+        seen["initial"] = {name: arr.copy() for name, arr in params.items()}
+        return loop(cfg, dev_trials, params, step, score)
+
+    def adam_step(param, grad, state):
+        updated.append(id(param))
+        return adam(param, grad, state)
+
+    with mock.patch.object(traineval, "_early_stopping", early_stopping), \
+            mock.patch.object(traineval, "adam_step", adam_step):
+        best, log = TRAINERS[trainer](ds.subset(spk[2:]), trials, ds, **kw)
+    return seen["params"], seen["initial"], updated, best, log
+
+
+class TestOneUpdate:
+    """Each architecture trains one dict of named arrays, and the only Adam
+    update, in `_early_stopping`, reads gradients under the same names."""
+
+    def test_joint_step_gradients_are_named_like_the_params(self):
+        ds, _, _ = make_dataset()
+        cfg = quick_cfg()
+        params = traineval._init_params(ds, cfg, len(ds.speakers()))
+        assert list(params) == ["head_face.weight", "head_face.bias",
+                                "head_voice.weight", "head_voice.bias",
+                                "clf.weight"]
+        index = {s: i for i, s in enumerate(ds.speakers())}
+        xf, yf, xv, yv = ds.matrices(index)
+        rng = make_rng(1)
+        _, _, grads = joint_step(params, cfg.p_drop, xf[:8], yf[:8], xv[:8],
+                                 yv[:8], cfg.aam, rng)
+        assert grads.keys() == params.keys()
+        for name, g in grads.items():
+            assert g.shape == params[name].shape
+
+    def test_xattn_gradients_are_named_like_the_params(self):
+        model = XAttnModel.init(make_rng(2), voice_in_dim=13, face_in_dim=11,
+                                d_model=4)
+        assert list(model.params) == [
+            f"layer{i}.{w}" for i in range(2) for w in ("wq", "wk", "wv", "wo")
+        ] + ["out_w", "out_b"]
+        rng = make_rng(3)
+        logits, cache = xattn_forward(model, rng.standard_normal((5, 13)),
+                                      rng.standard_normal((5, 11)))
+        _, g_logits = xattn_loss(logits, [1.0, 0.0, 1.0, 0.0, 1.0])
+        grads, _, _ = xattn_backward(model, cache, g_logits)
+        assert grads.keys() == model.params.keys()
+        for name, g in grads.items():
+            assert np.shape(g) == model.params[name].shape
+
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_one_adam_update_per_array_per_step(self, trainer):
+        params, _, updated, _, log = _traced_training(
+            trainer, max_steps=6, eval_every=2, patience=10
+        )
+        assert log[-1]["step"] == 6
+        counts = {i: updated.count(i) for i in set(updated)}
+        assert counts == {id(arr): 6 for arr in params.values()}
+
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_zero_lr_keeps_the_initial_arrays(self, trainer):
+        params, initial, updated, best, log = _traced_training(
+            trainer, lr=0.0, max_steps=6, eval_every=2, patience=10
+        )
+        assert log[-1]["step"] == 6 and len(updated) == 6 * len(params)
+        assert best["arrays"].keys() == initial.keys() == params.keys()
+        for name, arr in initial.items():
+            for got in (best["arrays"][name], params[name]):
+                assert got.dtype == arr.dtype and got.shape == arr.shape
+                assert got.tobytes() == arr.tobytes()
 
 
 class _Trained(Exception):

@@ -1,6 +1,6 @@
 """Code only the tests use: the finite-difference gradient oracle that
 checks every analytic gradient, the plain softmax loss that the AAM loss
-must reduce to, and a manifest language filter."""
+must reduce to, and language filters for records and manifests."""
 
 import numpy as np
 
@@ -51,6 +51,11 @@ def softmax_xent_on_cosines(x, clf_weight, targets):
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return -float(log_probs[np.arange(len(targets)), targets].mean())
+
+
+def filter_records_exclude_language(records, excluded):
+    """The records whose language is not `excluded`; order preserved."""
+    return [r for r in records if r.language != excluded]
 
 
 def filter_exclude_language(manifest, excluded):

@@ -19,6 +19,14 @@ the outputs on a BLAS build that rounds a row by its place in the matmul or
 by the rows it shares the matmul with. OpenBLAS 0.3.31 does neither for 10
 rows at these widths; there a unit test of `traineval._trial_rows` pins the
 order.
+
+The `xattn` run holds out 40% of the speakers and trains at lr 0.03 for up
+to 60 steps, so its best dev EER comes after step 0 (step 40 on OpenBLAS
+0.3.31): its checkpoint then holds trained weights, and a change to the
+cross-attention update shows in `xattn/checkpoint.fvh`, not only in the
+losses its report logs. At lr 0.001 with a 25% dev split the dev EER stays
+0.5 at every evaluation, so the best step is 0 and the checkpoint holds the
+untrained initial weights.
 """
 
 import contextlib
@@ -29,16 +37,12 @@ import tempfile
 from pathlib import Path
 
 from fvassoc.cli import main as cli_main
-from fvassoc.embedstore import (
-    filter_records_exclude_language,
-    read_store,
-    write_store,
-)
+from fvassoc.embedstore import read_store, write_store
 
 TRAIN = {"lr": 0.01, "batch_size": 16, "max_steps": 40, "patience": 3,
          "eval_every": 20, "seed": 5, "p_drop": 0.5, "n_dev_target": 80,
          "n_dev_nontarget": 80}
-XATTN = {"d_model": 8, "lr": 0.001, "batch_size": 16, "max_steps": 40,
+XATTN = {"d_model": 8, "lr": 0.03, "batch_size": 16, "max_steps": 60,
          "patience": 3, "eval_every": 20, "seed": 5}
 SYNTH = {"n_speakers": 14, "latent_dim": 8, "dims": "small",
          "noise_sigma": 0.01, "records_per_speaker": 4, "seed": 1,
@@ -76,7 +80,7 @@ def run_all(work):
     run(work, "data", "synth", {"synth": SYNTH})
     _, records = read_store(data)
     for lang, dst in (("en", "no_en"), ("de", "no_de")):
-        kept = filter_records_exclude_language(records, lang)
+        kept = [r for r in records if r.language != lang]
         write_store(kept, work / dst, dataset_name=dst)
     run(work, "train", "train",
         {"data": data, "dev_fraction": 0.25, "train": TRAIN})
@@ -90,7 +94,7 @@ def run_all(work):
         "checkpoint": str(work / "train" / "checkpoint.fvh"), "data": data,
         "trials": str(inputs / "trials.tsv")})
     run(work, "xattn", "xattn",
-        {"data": data, "dev_fraction": 0.25, "train": XATTN})
+        {"data": data, "dev_fraction": 0.4, "train": XATTN})
     run(work, "scenarios", "scenarios", {
         "test_data": data, "n_trials_target": 15, "n_trials_nontarget": 15,
         "dev_fraction": 0.25, "train": TRAIN,
