@@ -176,15 +176,6 @@ def read_store_file(path):
     return ModalityKind(modality_code), dim, out
 
 
-def write_manifest(manifest, path):
-    lines = [MANIFEST_HEADER]
-    for e in manifest.entries:
-        lines.append(
-            f"{e.record_id}\t{e.speaker_id}\t{e.language}\t{e.modality.tag}\t{e.dim}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def read_manifest(path, dataset_name=None):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -221,11 +212,14 @@ def write_store(records, out_dir, dataset_name="dataset"):
         ManifestEntry(r.record_id, r.speaker_id, r.language, r.modality, len(r.vector))
         for r in records
     ]
-    manifest = Manifest(dataset_name=dataset_name, entries=entries)
     for modality, recs in by_mod.items():
         write_store_file(recs, out_dir / f"{modality.tag}.fve")
-    write_manifest(manifest, out_dir / "manifest.tsv")
-    return manifest
+    lines = [MANIFEST_HEADER] + [
+        f"{e.record_id}\t{e.speaker_id}\t{e.language}\t{e.modality.tag}\t{e.dim}"
+        for e in entries
+    ]
+    (out_dir / "manifest.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return Manifest(dataset_name=dataset_name, entries=entries)
 
 
 def read_store(in_dir):
@@ -277,9 +271,10 @@ def assemble_concat_inputs(records, identity_kind, agegender_kind):
     """Join identity and age-gender records on owner id into one table.
 
     Returns ((rows, x), skipped). `rows` is a record array with fields
-    owner_id, speaker_id and language, sorted by owner id; x[i] is row i's
-    identity vector followed by its age-gender vector, in float64. Owners
-    missing either component are skipped and listed, sorted, in `skipped`.
+    owner_id, speaker_id, language and row, sorted by owner id, with row i
+    holding row == i; x[row] is the record's identity vector followed by its
+    age-gender vector, in float64. Owners missing either component are
+    skipped and listed, sorted, in `skipped`.
     Two records of one modality with the same owner, or an owner whose two
     records name different speakers, raise SchemaError; so does an empty
     result (EmptyDatasetError).
@@ -303,8 +298,9 @@ def assemble_concat_inputs(records, identity_kind, agegender_kind):
         x[i, :split] = a.vector
         x[i, split:] = b.vector
     rows = np.rec.fromarrays(
-        [owners, [a.speaker_id for a, _ in pairs], [a.language for a, _ in pairs]],
-        names="owner_id,speaker_id,language",
+        [owners, [a.speaker_id for a, _ in pairs], [a.language for a, _ in pairs],
+         np.arange(len(pairs))],
+        names="owner_id,speaker_id,language,row",
     )
     return (rows, x), skipped
 

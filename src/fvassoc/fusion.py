@@ -70,8 +70,9 @@ def head_forward(head, x, train=False, rng=None):
     return y, (xd, mask)
 
 
-def head_backward(head, cache, grad_y):
-    """Gradients of head_forward w.r.t. weight, bias, and input."""
+def head_backward(head, cache, grad_y, input_grad=False):
+    """Gradients of head_forward w.r.t. weight, bias, and input; the input's
+    is None unless `input_grad`."""
     xd, mask = cache
     grad_y = as_mat(grad_y)
     if grad_y.shape != (xd.shape[0], head.out_dim):
@@ -81,6 +82,8 @@ def head_backward(head, cache, grad_y):
         )
     grad_w = grad_y.T @ xd
     grad_b = grad_y.sum(axis=0)
+    if not input_grad:
+        return grad_w, grad_b, None
     grad_x = grad_y @ head.weight
     if mask is not None:
         grad_x = grad_x * mask
@@ -154,14 +157,15 @@ def _attn_forward(xq, xkv, params, layer, residual):
     return y, (xq, xkv, q, k, v, a, c)
 
 
-def _attn_backward(grad_y, params, layer, cache, residual):
-    """(grad xq, grad xkv, {weight name: grad}) of one `_attn_forward`."""
+def _attn_backward(grad_y, params, layer, cache, residual, want_xq=True,
+                   want_xkv=True):
+    """(grad xq, grad xkv, {weight name: grad}) of one `_attn_forward`; an
+    input's gradient is None unless wanted."""
     names = _layer_names(layer)
     wq, wk, wv, wo = (params[name] for name in names)
     xq, xkv, q, k, v, a, c = cache
     d = xq.shape[-1]
     grad_o = grad_y
-    grad_xq = grad_y.copy() if residual else np.zeros_like(xq)
     grad_c = grad_o @ wo.T
     grad_a = grad_c @ v.swapaxes(1, 2)
     grad_v = a.swapaxes(1, 2) @ grad_c
@@ -178,8 +182,11 @@ def _attn_backward(grad_y, params, layer, cache, residual):
     g_wk = weight_grad(xkv, grad_k)
     g_wv = weight_grad(xkv, grad_v)
     g_wo = weight_grad(c, grad_o)
-    grad_xq = grad_xq + grad_q @ wq.T
-    grad_xkv = grad_k @ wk.T + grad_v @ wv.T
+    grad_xq = grad_xkv = None
+    if want_xq:
+        grad_xq = grad_q @ wq.T + (grad_y if residual else 0.0)
+    if want_xkv:
+        grad_xkv = grad_k @ wk.T + grad_v @ wv.T
     return grad_xq, grad_xkv, dict(zip(names, (g_wq, g_wk, g_wv, g_wo)))
 
 
@@ -217,8 +224,9 @@ def xattn_forward(model, voice_x, face_x, train=False, rng=None):
     return logits, cache
 
 
-def xattn_backward(model, cache, grad_logits):
-    """Gradients of xattn_forward: (params' grads by name, voice, face)."""
+def xattn_backward(model, cache, grad_logits, input_grads=False):
+    """Gradients of xattn_forward: (params' grads by name, voice, face); the
+    voice and face input gradients are None unless `input_grads`."""
     vt, ft, cache1, cache2, v2, pooled, masks = cache
     grad_logits = np.asarray(grad_logits, dtype=np.float64).ravel()
     b, tv, d = v2.shape
@@ -227,11 +235,15 @@ def xattn_backward(model, cache, grad_logits):
     grad_pooled = np.outer(grad_logits, model.params["out_w"])
     grad_v2 = np.repeat(grad_pooled[:, None, :], tv, axis=1) / tv
     grad_vt, grad_f1, grads2 = _attn_backward(
-        grad_v2, model.params, "layer1", cache2, model.residual
+        grad_v2, model.params, "layer1", cache2, model.residual, input_grads
     )
     grad_ft, grad_vt_kv, grads1 = _attn_backward(
-        grad_f1, model.params, "layer0", cache1, model.residual
+        grad_f1, model.params, "layer0", cache1, model.residual, input_grads,
+        input_grads,
     )
+    param_grads = {**grads1, **grads2, "out_w": g_out_w, "out_b": g_out_b}
+    if not input_grads:
+        return param_grads, None, None
     grad_vt = grad_vt + grad_vt_kv
     grad_voice = grad_vt.reshape(b, -1)[:, : model.voice_in_dim]
     grad_face = grad_ft.reshape(b, -1)[:, : model.face_in_dim]
@@ -239,7 +251,6 @@ def xattn_backward(model, cache, grad_logits):
     if mv is not None:
         grad_voice = grad_voice * mv
         grad_face = grad_face * mf
-    param_grads = {**grads1, **grads2, "out_w": g_out_w, "out_b": g_out_b}
     return param_grads, grad_voice, grad_face
 
 

@@ -101,7 +101,8 @@ def _isin(column, names):
 
 class PairedDataset:
     """Assembled inputs as one (rows, x) table per modality: `rows` is a
-    record array of owner_id, speaker_id and language, x[i] row i's input."""
+    record array of owner_id, speaker_id, language and row, and x[r.row] is
+    record r's input. A subset narrows `rows` and shares its parent's x."""
 
     def __init__(self, faces, voices):
         self.face_inputs, self.face_x = faces
@@ -118,38 +119,24 @@ class PairedDataset:
         ).tolist()
 
     def subset(self, speakers=None, voice_language=None):
-        def take(table, keep):
-            return table[0][keep], table[1][keep]
-
-        faces, voices = self.tables()
+        faces, voices = self.face_inputs, self.voice_inputs
         if speakers is not None:
-            faces = take(faces, _isin(faces[0].speaker_id, speakers))
-            voices = take(voices, _isin(voices[0].speaker_id, speakers))
+            faces = faces[_isin(faces.speaker_id, speakers)]
+            voices = voices[_isin(voices.speaker_id, speakers)]
         if voice_language is not None:
-            voices = take(voices, voices[0].language == voice_language)
-        return PairedDataset(faces, voices)
+            voices = voices[voices.language == voice_language]
+        return PairedDataset((faces, self.face_x), (voices, self.voice_x))
 
     def matrices(self, speaker_index):
-        """(X_face, y_face, X_voice, y_voice) restricted to mapped speakers;
-        X is the dataset's own matrix, not a copy, if every row is mapped."""
+        """(at_face, y_face, at_voice, y_voice) of the records of mapped
+        speakers, in table order: x[at] are their inputs, y their codes."""
         names = np.array(sorted(speaker_index), dtype=str)
         codes = np.array([speaker_index[s] for s in names], dtype=np.int64)
         out = []
-        for rows, x in self.tables():
-            keep = np.isin(rows.speaker_id, names)
-            y = codes[np.searchsorted(names, rows.speaker_id[keep])]
-            out += [x if keep.all() else x[keep], y]
+        for rows, _ in self.tables():
+            rows = rows[np.isin(rows.speaker_id, names)]
+            out += [rows.row, codes[np.searchsorted(names, rows.speaker_id)]]
         return tuple(out)
-
-
-def shuffle_speaker_labels(dataset, rng):
-    """Permute speaker ids across inputs of each modality (chance baseline)."""
-    tables = []
-    for rows, x in dataset.tables():
-        rows = rows.copy()
-        rows.speaker_id = rows.speaker_id[rng.permutation(len(rows))]
-        tables.append((rows, x))
-    return PairedDataset(*tables)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +181,14 @@ def _locate(per_face, idx):
     return face, idx - (end[face] - per_face[face])
 
 
-def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
+def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng,
+                    cap=False):
     """Sample same-speaker and cross-speaker (face, voice) trials.
 
     Sampling is without replacement over the full pair pool; asking for more
-    trials than the pool contains is an error. No speaker outside
-    `held_out_speakers` ever appears.
+    trials than the pool contains is an error, unless `cap` lowers each
+    count to its pool's size. No speaker outside `held_out_speakers` ever
+    appears.
 
     Each pool is ordered by face (dataset order), then by voice (dataset
     order), and the trials of each pool come out in pool order, target
@@ -212,7 +201,8 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
     lacking = np.setdiff1d(held, np.intersect1d(rec.face_spk, rec.voice_spk))
     if lacking.size:
         raise SamplingError(f"held-out speaker {lacking[0]} lacks a modality")
-
+    if cap:
+        n_target, n_nontarget = min(n_target, rec.n_same), min(n_nontarget, rec.n_cross)
     if n_target > rec.n_same:
         raise SamplingError(
             f"requested {n_target} target trials, only {rec.n_same} possible"
@@ -251,14 +241,8 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
 
 def default_dev_trials(dataset, held_out_speakers, cfg, rng):
     """Dev trials capped at the available pair pool."""
-    rec = _HeldOutRecords(dataset, held_out_speakers)
-    return generate_trials(
-        dataset,
-        held_out_speakers,
-        min(cfg.n_dev_target, rec.n_same),
-        min(cfg.n_dev_nontarget, rec.n_cross),
-        rng,
-    )
+    return generate_trials(dataset, held_out_speakers, cfg.n_dev_target,
+                           cfg.n_dev_nontarget, rng, cap=True)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +307,11 @@ _SCORE_BLOCK = 16384
 
 
 def _trial_rows(trials, dataset):
-    """(face_at, face_row, voice_at, voice_row): face_at holds the dataset
-    row of every distinct face of the trials once, in first-seen order, and
-    face_at[face_row[i]] is trial i's face; likewise for voices. Every id
-    that names no record of its modality is reported, sorted."""
+    """(face_at, face_row, voice_at, voice_row): face_at holds the table
+    position in `face_inputs` of every distinct face of the trials once, in
+    first-seen order, and face_at[face_row[i]] is trial i's face; likewise
+    for voices. Every id that names no record of its modality is reported,
+    sorted."""
     out, unknown = [], []
     for kind, (rows, _) in zip(("face", "voice"), dataset.tables()):
         ids, first, inverse = np.unique(trials[f"{kind}_id"], return_index=True,
@@ -345,7 +330,8 @@ def _trial_rows(trials, dataset):
 def _trial_inputs(trials, dataset):
     """(xf, face_row, xv, voice_row): the inputs at `_trial_rows`."""
     face_at, face_row, voice_at, voice_row = _trial_rows(trials, dataset)
-    return dataset.face_x[face_at], face_row, dataset.voice_x[voice_at], voice_row
+    return (dataset.face_x[dataset.face_inputs.row[face_at]], face_row,
+            dataset.voice_x[dataset.voice_inputs.row[voice_at]], voice_row)
 
 
 def _score_inputs(head_face, head_voice, xf, face_row, xv, voice_row):
@@ -404,17 +390,19 @@ def _init_params(dataset, cfg, n_speakers, init_arrays=None):
 
 
 def _dev_inputs(cfg, train_ds, dev_trials, eval_ds):
-    """`_trial_inputs` of the dev trials, after the checks both trainers run
-    first: some trials, of records of `eval_ds`, and no training speaker."""
+    """(face_at, face_row, voice_at, voice_row) of the dev trials, as in
+    `_trial_rows` but with face_at and voice_at rows of eval_ds's x, after
+    the checks both trainers run first: some trials, of records of
+    `eval_ds`, and no training speaker."""
     cfg.validate()
     if len(dev_trials) == 0:
         raise ConfigError("dev trial list is empty")
     face_at, face_row, voice_at, voice_row = _trial_rows(dev_trials, eval_ds)
-    dev_spk = np.union1d(eval_ds.face_inputs.speaker_id[face_at],
-                         eval_ds.voice_inputs.speaker_id[voice_at])
-    if _isin(dev_spk, train_ds.speakers()).any():
+    faces, voices = eval_ds.face_inputs[face_at], eval_ds.voice_inputs[voice_at]
+    if _isin(np.union1d(faces.speaker_id, voices.speaker_id),
+             train_ds.speakers()).any():
         raise ConfigError("dev trials must be speaker-disjoint from training")
-    return eval_ds.face_x[face_at], face_row, eval_ds.voice_x[voice_at], voice_row
+    return faces.row, face_row, voices.row, voice_row
 
 
 def _early_stopping(cfg, dev_trials, params, step, score):
@@ -457,24 +445,26 @@ def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
     Dev trials are scored by cosine similarity under the stopping rule of
     `_early_stopping`. Deterministic under cfg.seed.
     """
-    dev_inputs = _dev_inputs(cfg, train_ds, dev_trials, eval_ds)
+    face_at, face_row, voice_at, voice_row = _dev_inputs(cfg, train_ds,
+                                                         dev_trials, eval_ds)
     speakers = train_ds.speakers()
     speaker_index = {s: i for i, s in enumerate(speakers)}
     params = _init_params(train_ds, cfg, len(speakers), init_arrays)
-    xf, yf, xv, yv = train_ds.matrices(speaker_index)
+    af, yf, av, yv = train_ds.matrices(speaker_index)
+    xf, xv = train_ds.face_x, train_ds.voice_x
     rng = make_rng(cfg.seed)
 
     def step():
-        fb = rng.integers(0, len(xf), size=min(cfg.batch_size, len(xf)))
-        vb = rng.integers(0, len(xv), size=min(cfg.batch_size, len(xv)))
-        f_loss, v_loss, grads = joint_step(
-            params, cfg.p_drop, xf[fb], yf[fb], xv[vb], yv[vb], cfg.aam, rng
-        )
+        fb = rng.integers(0, len(af), size=min(cfg.batch_size, len(af)))
+        vb = rng.integers(0, len(av), size=min(cfg.batch_size, len(av)))
+        f_loss, v_loss, grads = joint_step(params, cfg.p_drop, xf[af[fb]], yf[fb],
+                                           xv[av[vb]], yv[vb], cfg.aam, rng)
         return {"face_loss": f_loss, "voice_loss": v_loss}, grads
 
-    def score():
+    def score():  # gathers the distinct dev inputs only while it scores
         heads = [head_from_arrays(params, p, 0.0) for p in ("head_face", "head_voice")]
-        return _score_inputs(*heads, *dev_inputs)
+        return _score_inputs(*heads, eval_ds.face_x[face_at], face_row,
+                             eval_ds.voice_x[voice_at], voice_row)
 
     return _early_stopping(cfg, dev_trials, params, step, score)
 
@@ -707,26 +697,27 @@ class XAttnTrainConfig:
         _check_common(self, d_model=1)
 
 
-def _by_speaker(x, spk, n):
-    """(rows, start, count): the rows of x grouped by their speaker code in
-    `spk` (0 .. n-1), in row order within a group; group s is rows
-    start[s] .. start[s] + count[s] - 1."""
+def _by_speaker(at, spk, n):
+    """(at, start, count): the rows `at` grouped by their speaker code in
+    `spk` (0 .. n-1), in given order within a group; group s is entries
+    start[s] .. start[s] + count[s] - 1 of the returned `at`."""
     count = np.bincount(spk, minlength=n)
-    return x[np.argsort(spk, kind="stable")], np.cumsum(count) - count, count
+    return at[np.argsort(spk, kind="stable")], np.cumsum(count) - count, count
 
 
-def _sample_pairs(faces, voices, batch_size, rng):
+def _sample_pairs(xf, faces, xv, voices, batch_size, rng):
     """Half same-speaker, half cross-speaker (face, voice) training pairs.
 
-    `faces` and `voices` are `_by_speaker` groups over the same n speakers,
-    each with at least one record. Every pair draws its face's speaker s1
+    `faces` and `voices` are `_by_speaker` groups of rows of `xf` and `xv`
+    over the same n speakers, each with at least one record; only the
+    drawn rows are gathered. Every pair draws its face's speaker s1
     uniformly; even positions take the voice from s1 and odd ones from a
     speaker drawn uniformly from the other n - 1 (from s1 when n is 1).
     Records are drawn uniformly within their speaker. Labels are 1.0 for
     same-speaker pairs.
     """
-    xf, f_start, f_count = faces
-    xv, v_start, v_count = voices
+    f_at, f_start, f_count = faces
+    v_at, v_start, v_count = voices
     n = len(f_count)
     s1 = rng.integers(0, n, size=batch_size)
     s2 = s1.copy()
@@ -734,7 +725,7 @@ def _sample_pairs(faces, voices, batch_size, rng):
         s2[1::2] = (s1[1::2] + rng.integers(1, n, size=batch_size // 2)) % n
     f = f_start[s1] + rng.integers(0, f_count[s1])
     v = v_start[s2] + rng.integers(0, v_count[s2])
-    return xf[f], xv[v], (s1 == s2).astype(np.float64)
+    return xf[f_at[f]], xv[v_at[v]], (s1 == s2).astype(np.float64)
 
 
 def train_xattn(train_ds, dev_trials, eval_ds, cfg):
@@ -743,10 +734,9 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
     Dev trials are scored by the raw logit, under the same checks and
     stopping rule (`_early_stopping`) as train_with_early_stopping.
     """
-    xf_dev, face_row, xv_dev, voice_row = _dev_inputs(
-        cfg, train_ds, dev_trials, eval_ds
-    )
-    xf_dev, xv_dev = xf_dev[face_row], xv_dev[voice_row]
+    face_at, face_row, voice_at, voice_row = _dev_inputs(cfg, train_ds,
+                                                         dev_trials, eval_ds)
+    face_at, voice_at = face_at[face_row], voice_at[voice_row]  # one per trial
     rng = make_rng(cfg.seed)
     model = XAttnModel.init(
         make_rng(cfg.seed ^ 0x5EED),
@@ -757,18 +747,20 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
         residual=cfg.residual,
     )
     code = {s: i for i, s in enumerate(train_ds.speakers())}
-    xf, yf, xv, yv = train_ds.matrices(code)
-    faces = _by_speaker(xf, yf, len(code))
-    voices = _by_speaker(xv, yv, len(code))
+    af, yf, av, yv = train_ds.matrices(code)
+    faces = _by_speaker(af, yf, len(code))
+    voices = _by_speaker(av, yv, len(code))
 
     def step():
-        xf, xv, y = _sample_pairs(faces, voices, cfg.batch_size, rng)
+        xf, xv, y = _sample_pairs(train_ds.face_x, faces, train_ds.voice_x, voices,
+                                  cfg.batch_size, rng)
         logits, cache = xattn_forward(model, xv, xf, train=True, rng=rng)
         loss, g_logits = xattn_loss(logits, y)
         return {"loss": loss}, xattn_backward(model, cache, g_logits)[0]
 
     def score():
-        return xattn_forward(model, xv_dev, xf_dev, train=False)[0]
+        return xattn_forward(model, eval_ds.voice_x[voice_at],
+                             eval_ds.face_x[face_at], train=False)[0]
 
     best, log = _early_stopping(cfg, dev_trials, model.params, step, score)
     return model, best, log

@@ -53,7 +53,6 @@ from fvassoc.traineval import (
     default_dev_trials,
     pretrain_then_finetune,
     score_trials,
-    shuffle_speaker_labels,
     train_with_early_stopping,
     train_xattn,
 )
@@ -61,6 +60,7 @@ from testlib import (
     filter_exclude_language,
     finite_difference_grad,
     rel_error,
+    shuffle_speaker_labels,
     softmax_xent_on_cosines,
 )
 
@@ -138,7 +138,7 @@ def fd_check_head(seed):
         y, cache = head_forward(head, x, train=True, rng=make_rng(seed + 200))
         xd, mask = cache
         grad_y = 2.0 * y / y.size
-        gw, gb, gx = head_backward(head, cache, grad_y)
+        gw, gb, gx = head_backward(head, cache, grad_y, input_grad=True)
 
         def loss_w(w):
             return float(((xd @ w.T + head.bias) ** 2).mean())
@@ -206,7 +206,7 @@ def fd_check_xattn(seed):
         labels = np.array([1.0, 0.0])
         logits, cache = xattn_forward(m, xv, xf)
         _, g_logits = xattn_loss(logits, labels)
-        grads, gv, gf = xattn_backward(m, cache, g_logits)
+        grads, gv, gf = xattn_backward(m, cache, g_logits, input_grads=True)
 
         def loss_for(mutate):
             mm = copy.deepcopy(m)

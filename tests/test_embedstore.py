@@ -183,8 +183,9 @@ class TestAssembly:
         (rows, x), skipped = assemble_face_inputs(records)
         assert skipped == []
         assert rows.owner_id.tolist() == sorted(rows.owner_id.tolist())
+        assert rows.row.tolist() == list(range(len(rows)))
         vec = {(r.owner_id, r.modality): r.vector for r in records}
-        for owner, spk, row in zip(rows.owner_id, rows.speaker_id, x):
+        for owner, spk, row in zip(rows.owner_id, rows.speaker_id, x[rows.row]):
             assert owner.startswith(spk + ":")
             assert np.array_equal(row, np.concatenate([
                 vec[owner, ModalityKind.FACE_IDENTITY],

@@ -53,7 +53,7 @@ class TestMappingHead:
         head = MappingHead.init(make_rng(1), in_dim=3, out_dim=2, p_drop=0.5)
         x = make_rng(2).standard_normal((4, 3))
         _, cache = head_forward(head, x, train=True, rng=make_rng(3))
-        gw, gb, gx = head_backward(head, cache, np.zeros((4, 2)))
+        gw, gb, gx = head_backward(head, cache, np.zeros((4, 2)), input_grad=True)
         assert not gw.any() and not gb.any() and not gx.any()
 
     def test_backward_scalar_chain_rule(self):
@@ -61,7 +61,8 @@ class TestMappingHead:
         x = np.array([[3.0]])
         y, cache = head_forward(head, x, train=True, rng=make_rng(4))
         mask = cache[1][0, 0]
-        gw, gb, gx = head_backward(head, cache, np.array([[1.0]]))
+        gw, gb, gx = head_backward(head, cache, np.array([[1.0]]),
+                                   input_grad=True)
         assert gw[0, 0] == mask * 3.0
         assert gb[0] == 1.0
         assert gx[0, 0] == mask * 2.0
@@ -74,7 +75,7 @@ class TestMappingHead:
         y, cache = head_forward(head, x, train=True, rng=make_rng(12))
         xd, mask = cache
         grad_y = 2.0 * y / y.size  # d mean(y^2) / dy
-        gw, gb, gx = head_backward(head, cache, grad_y)
+        gw, gb, gx = head_backward(head, cache, grad_y, input_grad=True)
 
         def loss_w(w):
             return float(((xd @ w.T + head.bias) ** 2).mean())
@@ -84,6 +85,16 @@ class TestMappingHead:
 
         assert rel_error(gw, finite_difference_grad(loss_w, head.weight)) <= 1e-5
         assert rel_error(gx, finite_difference_grad(loss_x, x)) <= 1e-5
+
+    def test_input_gradient_only_on_request(self):
+        head = MappingHead.init(make_rng(13), in_dim=6, out_dim=4, p_drop=0.5)
+        x = make_rng(14).standard_normal((5, 6))
+        _, cache = head_forward(head, x, train=True, rng=make_rng(15))
+        grad_y = make_rng(16).standard_normal((5, 4))
+        gw, gb, gx = head_backward(head, cache, grad_y)
+        gw_x, gb_x, gx_x = head_backward(head, cache, grad_y, input_grad=True)
+        assert gx is None and gx_x.shape == x.shape
+        assert gw.tobytes() == gw_x.tobytes() and gb.tobytes() == gb_x.tobytes()
 
     def test_eval_forward_is_affine(self):
         head = MappingHead.init(make_rng(20), in_dim=5, out_dim=3, p_drop=0.9)
@@ -194,6 +205,22 @@ class TestXAttn:
         out_p, _ = _attn_forward(ft, vt[:, perm, :], m.params, "layer0", m.residual)
         assert np.allclose(out, out_p, atol=1e-12)
 
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_input_gradients_only_on_request(self, residual):
+        m = toy_model(voice_in=12, face_in=8)
+        m.residual, m.p_drop = residual, 0.3
+        rng = make_rng(8)
+        xv, xf = rng.standard_normal((3, 12)), rng.standard_normal((3, 8))
+        logits, cache = xattn_forward(m, xv, xf, train=True, rng=make_rng(9))
+        _, g_logits = xattn_loss(logits, [1.0, 0.0, 1.0])
+        grads, gv, gf = xattn_backward(m, cache, g_logits)
+        grads_x, gv_x, gf_x = xattn_backward(m, cache, g_logits, input_grads=True)
+        assert gv is None and gf is None
+        assert gv_x.shape == xv.shape and gf_x.shape == xf.shape
+        assert grads.keys() == grads_x.keys()
+        for name, g in grads.items():
+            assert np.asarray(g).tobytes() == np.asarray(grads_x[name]).tobytes()
+
     def test_full_stack_gradients_match_finite_differences(self):
         m = toy_model(voice_in=12, face_in=8)  # 3 and 2 tokens at d_model=4
         rng = make_rng(7)
@@ -203,7 +230,7 @@ class TestXAttn:
 
         logits, cache = xattn_forward(m, xv, xf)
         _, g_logits = xattn_loss(logits, labels)
-        grads, gv, gf = xattn_backward(m, cache, g_logits)
+        grads, gv, gf = xattn_backward(m, cache, g_logits, input_grads=True)
 
         def loss_for(mutate):
             mm = copy.deepcopy(m)

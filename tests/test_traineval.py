@@ -44,12 +44,11 @@ from fvassoc.traineval import (
     pretrain_then_finetune,
     run_scenarios,
     score_trials,
-    shuffle_speaker_labels,
     train_with_early_stopping,
     train_xattn,
     trial_table,
 )
-from testlib import filter_exclude_language
+from testlib import filter_exclude_language, shuffle_speaker_labels
 
 
 def make_dataset(n_speakers=10, records_per_speaker=4, seed=42, noise=0.01,
@@ -132,15 +131,17 @@ def _table(kind, speakers, x):
     n = len(speakers)
     rows = np.rec.fromarrays(
         [np.array([f"{kind}{i}" for i in range(n)], dtype=str),
-         np.array(speakers, dtype=str), np.array(["en"] * n, dtype=str)],
-        names="owner_id,speaker_id,language",
+         np.array(speakers, dtype=str), np.array(["en"] * n, dtype=str),
+         np.arange(n)],
+        names="owner_id,speaker_id,language,row",
     )
     return rows, np.asarray(x, dtype=np.float64)
 
 
 def _lookups(ds):
     """Per modality, owner id -> (speaker id, input vector) of its records."""
-    return [dict(zip(rows.owner_id.tolist(), zip(rows.speaker_id.tolist(), x)))
+    return [dict(zip(rows.owner_id.tolist(),
+                     zip(rows.speaker_id.tolist(), x[rows.row])))
             for rows, x in ds.tables()]
 
 
@@ -285,6 +286,34 @@ class TestGenerateTrials:
         a = generate_trials(ds, held, 10, 10, make_rng(3))
         b = generate_trials(ds, held, 10, 10, make_rng(3))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_target, n_nontarget", [
+        (3, 4), (40, 4), (3, 400), (40, 400),
+    ])
+    def test_dev_trials_cap_each_count_at_its_pool(self, n_target, n_nontarget):
+        face_spk = [2, 0, 1, 0, 2, 2, 1, 0, 3]
+        voice_spk = [0, 0, 1, 2, 3, 0, 2, 1, 1, 0]
+        held = ["s0", "s1", "s3"]
+        n_same, n_cross = _pool_sizes(face_spk, voice_spk, held)
+        ds = _dataset(face_spk, voice_spk)
+        cfg = quick_cfg(n_dev_target=n_target, n_dev_nontarget=n_nontarget)
+        got = default_dev_trials(ds, held, cfg, make_rng(5))
+        want = generate_trials(ds, held, min(n_target, n_same),
+                               min(n_nontarget, n_cross), make_rng(5))
+        assert np.array_equal(got, want)
+
+    def test_dev_trials_index_the_held_out_records_once(self):
+        ds, _, _ = make_dataset(n_speakers=5)
+        built = []
+        real = traineval._HeldOutRecords
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        with mock.patch.object(traineval, "_HeldOutRecords", counted):
+            default_dev_trials(ds, ["s000", "s001"], quick_cfg(), make_rng(0))
+        assert len(built) == 1
 
 
 def brute_force_eer(scores, labels):
@@ -495,10 +524,10 @@ def _sampled_pairs(face_speakers, voice_speakers, batch_size, seed):
     element)."""
     ds = _dataset(face_speakers, voice_speakers)
     code = {s: i for i, s in enumerate(ds.speakers())}
-    xf, yf, xv, yv = ds.matrices(code)
+    af, yf, av, yv = ds.matrices(code)
     xf, xv, y = traineval._sample_pairs(
-        traineval._by_speaker(xf, yf, len(code)),
-        traineval._by_speaker(xv, yv, len(code)),
+        ds.face_x, traineval._by_speaker(af, yf, len(code)),
+        ds.voice_x, traineval._by_speaker(av, yv, len(code)),
         batch_size, make_rng(seed),
     )
     return xf[:, 0].astype(int).tolist(), xv[:, 0].astype(int).tolist(), y
@@ -639,6 +668,70 @@ class TestTraining:
         assert len(eers) - 1 - best_idx <= patience + 1
 
 
+class TestSubsetIsAnIndex:
+    """A subset narrows its parent's record tables and shares its input
+    matrices; training and scoring gather rows through that index."""
+
+    def test_subsets_share_the_parent_matrices(self):
+        ds, _, _ = make_dataset(languages={"en": 0.5, "de": 0.5})
+        cfg = quick_cfg()
+        spk = ds.speakers()
+        subsets = [traineval.held_out(ds, spk[:2], cfg, make_rng(0))[0],
+                   traineval.dev_split(ds, 0.2, cfg)[0],
+                   ds.subset(voice_language="de")]
+        faces, voices = _lookups(ds)
+        for sub in subsets:
+            assert len(sub.voice_inputs) < len(ds.voice_inputs)
+            assert np.shares_memory(sub.face_x, ds.face_x)
+            assert np.shares_memory(sub.voice_x, ds.voice_x)
+            for lookup, got in zip((faces, voices), _lookups(sub)):
+                for owner, (speaker, x) in got.items():
+                    assert lookup[owner][0] == speaker
+                    assert np.array_equal(lookup[owner][1], x)
+
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_training_on_a_subset_equals_training_on_its_records(self, trainer):
+        ds, _, records = make_dataset()
+        spk = ds.speakers()
+        # held-out speakers in the middle: neither side's table positions
+        # equal its rows of x
+        held, rest = spk[3:5], spk[:3] + spk[5:]
+        trials = default_dev_trials(ds, held, quick_cfg(), make_rng(0))
+
+        def assembled(speakers):
+            kept = [r for r in records if r.speaker_id in speakers]
+            return PairedDataset(assemble_face_inputs(kept)[0],
+                                 assemble_voice_inputs(kept)[0])
+
+        # the best arrays, the log, and the arrays and dev scores after the
+        # last step
+        runs, loop = [], traineval._early_stopping
+
+        def early_stopping(cfg, dev_trials, params, step, score):
+            best, log = loop(cfg, dev_trials, params, step, score)
+            runs.append((best["arrays"], log, params, score()))
+            return best, log
+
+        with mock.patch.object(traineval, "_early_stopping", early_stopping):
+            TRAINERS[trainer](ds.subset(rest), trials, ds.subset(held))
+            TRAINERS[trainer](assembled(rest), trials, assembled(held))
+        (got_best, got_log, got_last, got_scores), want = runs
+        want_best, want_log, want_last, want_scores = want
+        assert got_log == want_log and got_log[-1]["step"] > 0
+        assert got_scores.tobytes() == want_scores.tobytes()
+        for got, want in ((got_best, want_best), (got_last, want_last)):
+            assert got.keys() == want.keys()
+            for name, arr in want.items():
+                assert got[name].tobytes() == arr.tobytes()
+
+    def test_scores_on_a_subset_equal_scores_on_the_whole(self):
+        ds, head_f, head_v = _scoring_case(12, 10, 56, 80, seed=81)
+        sub = ds.subset(speakers=ds.voice_inputs.speaker_id[1::2])
+        trials = _random_trials(sub, 300, make_rng(82))
+        assert np.array_equal(score_trials(head_f, head_v, trials, sub),
+                              score_trials(head_f, head_v, trials, ds))
+
+
 def _traced_training(trainer, **kw):
     """Run one trainer on a small split, recording what `_early_stopping`
     is given and every `adam_step` call. Returns (params, initial copies of
@@ -676,10 +769,10 @@ class TestOneUpdate:
                                 "head_voice.weight", "head_voice.bias",
                                 "clf.weight"]
         index = {s: i for i, s in enumerate(ds.speakers())}
-        xf, yf, xv, yv = ds.matrices(index)
+        af, yf, av, yv = ds.matrices(index)
         rng = make_rng(1)
-        _, _, grads = joint_step(params, cfg.p_drop, xf[:8], yf[:8], xv[:8],
-                                 yv[:8], cfg.aam, rng)
+        _, _, grads = joint_step(params, cfg.p_drop, ds.face_x[af[:8]], yf[:8],
+                                 ds.voice_x[av[:8]], yv[:8], cfg.aam, rng)
         assert grads.keys() == params.keys()
         for name, g in grads.items():
             assert g.shape == params[name].shape

@@ -1,12 +1,14 @@
 """Code only the tests use: the finite-difference gradient oracle that
 checks every analytic gradient, the plain softmax loss that the AAM loss
-must reduce to, and language filters for records and manifests."""
+must reduce to, language filters for records and manifests, and the
+speaker-label shuffle of the chance-level baseline."""
 
 import numpy as np
 
 from fvassoc.diffcore import as_mat, l2_normalize_rows
 from fvassoc.embedstore import Manifest
 from fvassoc.errors import ConfigError, NumericError
+from fvassoc.traineval import PairedDataset
 
 
 def finite_difference_grad(f, x, h=1e-5):
@@ -62,3 +64,14 @@ def filter_exclude_language(manifest, excluded):
     """Drop every entry whose language equals `excluded`; order preserved."""
     kept = [e for e in manifest.entries if e.language != excluded]
     return Manifest(dataset_name=manifest.dataset_name, entries=kept)
+
+
+def shuffle_speaker_labels(dataset, rng):
+    """Permute the speaker ids of each modality's records (the chance-level
+    baseline); the inputs are shared with `dataset`, not copied."""
+    tables = []
+    for rows, x in dataset.tables():
+        rows = rows.copy()
+        rows.speaker_id = rows.speaker_id[rng.permutation(len(rows))]
+        tables.append((rows, x))
+    return PairedDataset(*tables)
