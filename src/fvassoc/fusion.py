@@ -157,10 +157,9 @@ def _attn_forward(xq, xkv, params, layer, residual):
     return y, (xq, xkv, q, k, v, a, c)
 
 
-def _attn_backward(grad_y, params, layer, cache, residual, want_xq=True,
-                   want_xkv=True):
-    """(grad xq, grad xkv, {weight name: grad}) of one `_attn_forward`; an
-    input's gradient is None unless wanted."""
+def _attn_backward(grad_y, params, layer, cache, residual, input_grads=True):
+    """(grad xq, grad xkv, {weight name: grad}) of one `_attn_forward`; the
+    two input gradients are None unless `input_grads`."""
     names = _layer_names(layer)
     wq, wk, wv, wo = (params[name] for name in names)
     xq, xkv, q, k, v, a, c = cache
@@ -182,12 +181,12 @@ def _attn_backward(grad_y, params, layer, cache, residual, want_xq=True,
     g_wk = weight_grad(xkv, grad_k)
     g_wv = weight_grad(xkv, grad_v)
     g_wo = weight_grad(c, grad_o)
-    grad_xq = grad_xkv = None
-    if want_xq:
-        grad_xq = grad_q @ wq.T + (grad_y if residual else 0.0)
-    if want_xkv:
-        grad_xkv = grad_k @ wk.T + grad_v @ wv.T
-    return grad_xq, grad_xkv, dict(zip(names, (g_wq, g_wk, g_wv, g_wo)))
+    grads = dict(zip(names, (g_wq, g_wk, g_wv, g_wo)))
+    if not input_grads:
+        return None, None, grads
+    grad_xq = grad_q @ wq.T + (grad_y if residual else 0.0)
+    grad_xkv = grad_k @ wk.T + grad_v @ wv.T
+    return grad_xq, grad_xkv, grads
 
 
 def xattn_forward(model, voice_x, face_x, train=False, rng=None):
@@ -235,11 +234,10 @@ def xattn_backward(model, cache, grad_logits, input_grads=False):
     grad_pooled = np.outer(grad_logits, model.params["out_w"])
     grad_v2 = np.repeat(grad_pooled[:, None, :], tv, axis=1) / tv
     grad_vt, grad_f1, grads2 = _attn_backward(
-        grad_v2, model.params, "layer1", cache2, model.residual, input_grads
+        grad_v2, model.params, "layer1", cache2, model.residual
     )
     grad_ft, grad_vt_kv, grads1 = _attn_backward(
-        grad_f1, model.params, "layer0", cache1, model.residual, input_grads,
-        input_grads,
+        grad_f1, model.params, "layer0", cache1, model.residual, input_grads
     )
     param_grads = {**grads1, **grads2, "out_w": g_out_w, "out_b": g_out_b}
     if not input_grads:

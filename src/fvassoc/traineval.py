@@ -181,14 +181,12 @@ def _locate(per_face, idx):
     return face, idx - (end[face] - per_face[face])
 
 
-def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng,
-                    cap=False):
+def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
     """Sample same-speaker and cross-speaker (face, voice) trials.
 
     Sampling is without replacement over the full pair pool; asking for more
-    trials than the pool contains is an error, unless `cap` lowers each
-    count to its pool's size. No speaker outside `held_out_speakers` ever
-    appears.
+    trials than the pool contains is an error. No speaker outside
+    `held_out_speakers` ever appears.
 
     Each pool is ordered by face (dataset order), then by voice (dataset
     order), and the trials of each pool come out in pool order, target
@@ -201,8 +199,7 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng,
     lacking = np.setdiff1d(held, np.intersect1d(rec.face_spk, rec.voice_spk))
     if lacking.size:
         raise SamplingError(f"held-out speaker {lacking[0]} lacks a modality")
-    if cap:
-        n_target, n_nontarget = min(n_target, rec.n_same), min(n_nontarget, rec.n_cross)
+
     if n_target > rec.n_same:
         raise SamplingError(
             f"requested {n_target} target trials, only {rec.n_same} possible"
@@ -241,8 +238,14 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng,
 
 def default_dev_trials(dataset, held_out_speakers, cfg, rng):
     """Dev trials capped at the available pair pool."""
-    return generate_trials(dataset, held_out_speakers, cfg.n_dev_target,
-                           cfg.n_dev_nontarget, rng, cap=True)
+    rec = _HeldOutRecords(dataset, held_out_speakers)
+    return generate_trials(
+        dataset,
+        held_out_speakers,
+        min(cfg.n_dev_target, rec.n_same),
+        min(cfg.n_dev_nontarget, rec.n_cross),
+        rng,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -302,19 +302,6 @@ class TestGenerateTrials:
                                min(n_nontarget, n_cross), make_rng(5))
         assert np.array_equal(got, want)
 
-    def test_dev_trials_index_the_held_out_records_once(self):
-        ds, _, _ = make_dataset(n_speakers=5)
-        built = []
-        real = traineval._HeldOutRecords
-
-        def counted(*args):
-            built.append(args)
-            return real(*args)
-
-        with mock.patch.object(traineval, "_HeldOutRecords", counted):
-            default_dev_trials(ds, ["s000", "s001"], quick_cfg(), make_rng(0))
-        assert len(built) == 1
-
 
 def brute_force_eer(scores, labels):
     """Independent oracle: exhaustive sweep over midpoints plus +-inf."""
