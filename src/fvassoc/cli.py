@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embedstore, synthgen, traineval
-from .embedstore import ModalityKind, read_store
+from .embedstore import ModalityKind, read_store, split_tsv_rows
 from .errors import (
     ConfigError,
     DegenerateVectorError,
@@ -86,7 +86,7 @@ def _exit_code(exc):
 
 
 CONFIG_SCHEMA = {
-    "synth": {"synth": SynthConfig, "dataset_name": "synthetic"},
+    "synth": {"synth": SynthConfig},
     "train": {"data": str, "dev_fraction": 0.05, "train": TrainConfig},
     "crossval": {"data": str, "n_folds": 7, "train": TrainConfig},
     "pretrain-finetune": {
@@ -275,11 +275,11 @@ def make_report(config_echo, body):
 
 
 def load_dataset(path):
-    manifest, records = read_store(path)
-    voices, v_skipped = embedstore.assemble_voice_inputs(records)
-    faces, f_skipped = embedstore.assemble_face_inputs(records)
+    vectors, records = read_store(path)
+    voices, v_skipped = embedstore.assemble_voice_inputs(vectors, records)
+    faces, f_skipped = embedstore.assemble_face_inputs(vectors, records)
     ds = PairedDataset(faces, voices)
-    return manifest, ds, {"skipped_voice": v_skipped, "skipped_face": f_skipped}
+    return records, ds, {"skipped_voice": v_skipped, "skipped_face": f_skipped}
 
 
 def _strip_arrays(obj):
@@ -306,9 +306,7 @@ def _save_checkpoint(path, arrays, architecture, ds, **extra):
 def cmd_synth(cfg, out):
     synth = cfg["synth"]
     out.mkdir(parents=True, exist_ok=True)
-    _, records, _ = synthgen.write_dataset(
-        synth, out, dataset_name=cfg["dataset_name"]
-    )
+    _, records, _ = synthgen.write_dataset(synth, out)
     dims = "/".join(str(synth.dims[k]) for k in ModalityKind)
     print(
         f"synth: {synth.n_speakers} speakers, {len(records)} records, dims {dims}"
@@ -447,16 +445,13 @@ def read_trials_file(path):
     if not lines or lines[0] != TRIALS_HEADER:
         raise FormatError(f"{path}: bad trials header")
     rows = lines[1:]
-    # each row's fields, then a "\n" cell: every row has 3 fields just when
-    # the n "\n" cells are cells 3, 7, ..., 4n - 1
-    cells = ("\t\n\t".join(rows) + "\t\n").split("\t")[:4 * len(rows)]
-    labels = cells[2::4]
-    if (cells[3::4].count("\n") != len(rows)
-            or labels.count("same") + labels.count("different") != len(rows)):
+    cols = split_tsv_rows(rows, 3)
+    if (cols is None
+            or cols[2].count("same") + cols[2].count("different") != len(rows)):
         bad = next(ln for ln in rows
                    if ln.split("\t")[2:] not in (["same"], ["different"]))
         raise FormatError(f"{path}: bad trial row {bad!r}")
-    return trial_table(cells[0::4], cells[1::4], np.array(labels) == "same")
+    return trial_table(cols[0], cols[1], np.array(cols[2]) == "same")
 
 
 def _write_rows(path, header, trials, *extra):

@@ -1,4 +1,4 @@
-"""Embedding records, store format, manifests, input assembly, fold splits.
+"""Embedding stores, manifests, input assembly, fold splits.
 
 On-disk layout of a dataset directory:
 
@@ -20,7 +20,11 @@ Binary store format (little-endian throughout):
         id      UTF-8 bytes
         vector  dim x float32
 
-Vectors are stored in 32-bit and upcast to 64-bit on load for training.
+In memory a stored dataset is one pair (vectors, records): one float32
+matrix per ModalityKind, and a `record_table` whose record r has its vector
+at vectors[r.modality][r.row]. The reader, the writer, the synthetic
+generator and input assembly all take this pair; assembly upcasts vectors to
+64-bit as it writes them into the input matrices.
 
 Record ids follow the convention ``<owner_id>#<modality tag>`` so the
 identity and age-gender embedding of the same utterance/image can be matched
@@ -28,7 +32,6 @@ by their shared owner prefix.
 """
 
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -81,61 +84,48 @@ FULL_DIMS = {
 MANIFEST_HEADER = "record_id\tspeaker_id\tlanguage\tmodality\tdim"
 
 
-@dataclass
-class EmbeddingRecord:
-    record_id: str
-    speaker_id: str
-    language: str
-    modality: ModalityKind
-    vector: np.ndarray  # float32
-
-    @property
-    def owner_id(self):
-        return self.record_id.split("#", 1)[0]
+def record_table(record_ids, speaker_ids, languages, modalities, rows):
+    """The records of a stored dataset: a record array of record_id,
+    speaker_id, language, modality (a ModalityKind code) and row, one entry
+    per record; vectors[modality][row] is the record's vector."""
+    return np.rec.fromarrays(
+        [record_ids, speaker_ids, languages, modalities, rows],
+        names="record_id,speaker_id,language,modality,row",
+    )
 
 
-@dataclass
-class ManifestEntry:
-    record_id: str
-    speaker_id: str
-    language: str
-    modality: ModalityKind
-    dim: int
+def split_tsv_rows(rows, n_fields):
+    """The `n_fields` columns of tab-separated `rows`, as lists of str; None
+    if a row has another number of fields."""
+    # each row's fields, then a "\n" cell: every row has n fields just when
+    # the len(rows) "\n" cells are cells n, 2n + 1, ...
+    step = n_fields + 1
+    cells = ("\t\n\t".join(rows) + "\t\n").split("\t")[:step * len(rows)]
+    if cells[n_fields::step].count("\n") != len(rows):
+        return None
+    return [cells[i::step] for i in range(n_fields)]
 
 
-@dataclass
-class Manifest:
-    dataset_name: str
-    entries: list
-
-
-def write_store_file(records, path):
-    """Write one modality's records to a single .fve file."""
-    if not records:
+def write_store_file(path, modality, ids, vecs, rows):
+    """Write one modality's records to a single .fve file: record i has id
+    ids[i] and vector vecs[rows[i]]."""
+    if not len(ids):
         raise EmptyDatasetError(f"no records to write to {path}")
-    modality = records[0].modality
-    dim = len(records[0].vector)
-    for r in records:
-        if r.modality != modality:
-            raise SchemaError(
-                f"mixed modalities in one store: {modality.tag} vs {r.modality.tag}"
-            )
-        if len(r.vector) != dim:
-            raise SchemaError(
-                f"record {r.record_id}: dim {len(r.vector)} != store dim {dim}"
-            )
+    vecs = np.ascontiguousarray(vecs, dtype="<f4")
+    dim = vecs.shape[1]
+    blob = memoryview(vecs.reshape(-1)).cast("B")
+    parts = [MAGIC, struct.pack("<IBII", FORMAT_VERSION, modality, dim, len(ids))]
+    for rid, row in zip(ids, rows):
+        ident = rid.encode("utf-8")
+        parts += [struct.pack("<H", len(ident)), ident,
+                  blob[4 * dim * row : 4 * dim * (row + 1)]]
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IBII", FORMAT_VERSION, int(modality), dim, len(records)))
-        for r in records:
-            ident = r.record_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(ident)))
-            fh.write(ident)
-            fh.write(np.asarray(r.vector, dtype="<f4").tobytes())
+        fh.writelines(parts)
 
 
 def read_store_file(path):
-    """Read one .fve file; returns (modality, dim, list of (id, float32 vec)).
+    """Read one .fve file; returns (modality, ids, vecs): a str array of
+    record ids and a float32 matrix whose row i is record i's vector.
 
     A vector holding NaN or +-inf is a FormatError that names its record.
     """
@@ -149,11 +139,10 @@ def read_store_file(path):
         raise FormatError(f"{path}: unsupported version {version}")
     if modality_code not in (0, 1, 2, 3):
         raise FormatError(f"{path}: bad modality code {modality_code}")
+    view = memoryview(data)
     off = 17
-    out = []
-    # no more rows than the file can hold; a larger count fails as truncated
-    vecs = np.empty((min(count, (len(data) - off) // (2 + 4 * dim)), dim), "<f4")
-    for i in range(count):
+    ids, blocks = [], []
+    for _ in range(count):
         if off + 2 > len(data):
             raise FormatError(f"{path}: truncated record header at byte {off}")
         (id_len,) = struct.unpack_from("<H", data, off)
@@ -162,21 +151,24 @@ def read_store_file(path):
         if end > len(data):
             raise FormatError(f"{path}: truncated record at byte {off}")
         try:
-            rid = data[off : off + id_len].decode("utf-8")
+            ids.append(str(view[off : off + id_len], "utf-8"))
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: record id at byte {off} is not UTF-8") from exc
-        off += id_len
-        vecs[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
-        off += 4 * dim
-        out.append((rid, vecs[i]))
+        blocks.append(view[off + id_len : end])
+        off = end
+    # one copy of all vectors; a vector's offset need not be 4-byte aligned
+    vecs = np.frombuffer(bytearray().join(blocks), dtype="<f4").reshape(count, dim)
     # a float64 sum of float32 values is non-finite only if one of them is
     bad = np.flatnonzero(~np.isfinite(vecs.sum(axis=1, dtype=np.float64)))
     if bad.size:
-        raise FormatError(f"{path}: record {out[bad[0]][0]} has a non-finite value")
-    return ModalityKind(modality_code), dim, out
+        raise FormatError(f"{path}: record {ids[bad[0]]} has a non-finite value")
+    return ModalityKind(modality_code), np.array(ids, dtype=str), vecs
 
 
-def read_manifest(path, dataset_name=None):
+def _read_manifest(path):
+    """The manifest's record id, speaker id, language and dim columns as
+    arrays, in file order. Modality tags are checked, not returned: a
+    record's modality is that of the store holding its vector."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -184,90 +176,99 @@ def read_manifest(path, dataset_name=None):
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != MANIFEST_HEADER:
         raise FormatError(f"{path}: bad manifest header")
-    entries = []
-    for ln in lines[1:]:
+    cols = split_tsv_rows(lines[1:], 5)
+    if cols is not None and set(cols[3]) <= set(_TAGS.values()):
+        ids, speakers, languages, _, dims = (np.array(c, str) for c in cols)
+        names, at = np.unique(dims, return_inverse=True)
+        try:
+            dims = np.array([int(d) for d in names.tolist()], np.int64)[at]
+            return ids, speakers, languages, dims
+        except ValueError:
+            pass
+    for ln in lines[1:]:  # name the first bad row, checking rows in order
         parts = ln.split("\t")
         if len(parts) != 5:
             raise FormatError(f"{path}: bad manifest row {ln!r}")
-        rid, spk, lang, tag, dim = parts
         try:
-            dim = int(dim)
+            int(parts[4])
         except ValueError as exc:
             raise FormatError(f"{path}: bad dim in manifest row {ln!r}") from exc
-        entries.append(ManifestEntry(rid, spk, lang, ModalityKind.from_tag(tag), dim))
-    name = dataset_name if dataset_name is not None else Path(path).parent.name
-    return Manifest(dataset_name=name, entries=entries)
+        ModalityKind.from_tag(parts[3])
 
 
-def write_store(records, out_dir, dataset_name="dataset"):
-    """Write a full dataset directory: one .fve per modality plus manifest."""
-    if not records:
+def write_store(vectors, records, out_dir):
+    """Write a full dataset directory: one .fve per modality plus manifest,
+    each listing its records in the order of `records`."""
+    if not len(records):
         raise EmptyDatasetError("no records to write")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_mod = {}
-    for r in records:
-        by_mod.setdefault(r.modality, []).append(r)
-    entries = [
-        ManifestEntry(r.record_id, r.speaker_id, r.language, r.modality, len(r.vector))
-        for r in records
-    ]
-    for modality, recs in by_mod.items():
-        write_store_file(recs, out_dir / f"{modality.tag}.fve")
-    lines = [MANIFEST_HEADER] + [
-        f"{e.record_id}\t{e.speaker_id}\t{e.language}\t{e.modality.tag}\t{e.dim}"
-        for e in entries
-    ]
-    (out_dir / "manifest.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return Manifest(dataset_name=dataset_name, entries=entries)
+    for kind in ModalityKind:
+        mine = records.modality == kind
+        if mine.any():
+            write_store_file(out_dir / f"{kind.tag}.fve", kind,
+                             records.record_id[mine].tolist(), vectors[kind],
+                             records.row[mine].tolist())
+    # a record's last two manifest cells, its modality's tag and dim
+    tag_dim = [f"{kind.tag}\t{vectors[kind].shape[1] if kind in vectors else ''}"
+               for kind in ModalityKind]
+    lines = zip(records.record_id.tolist(), records.speaker_id.tolist(),
+                records.language.tolist(),
+                np.array(tag_dim)[records.modality].tolist())
+    (out_dir / "manifest.tsv").write_text(
+        "\n".join([MANIFEST_HEADER, *map("\t".join, lines)]) + "\n",
+        encoding="utf-8",
+    )
 
 
 def read_store(in_dir):
-    """Read a dataset directory back; returns (Manifest, records).
+    """Read a dataset directory back as (vectors, records), the records in
+    manifest order.
 
-    Round-trips write_store losslessly (vectors compared at 32-bit).
+    Round-trips write_store losslessly (vectors compared at 32-bit). A
+    record id that the manifest lists twice, that no store holds, or that
+    the stores hold twice is a SchemaError.
     """
     in_dir = Path(in_dir)
-    manifest = read_manifest(in_dir / "manifest.tsv")
-    meta = {(e.record_id): e for e in manifest.entries}
-    if len(meta) != len(manifest.entries):
+    ids, speakers, languages, dims = _read_manifest(in_dir / "manifest.tsv")
+    order = np.argsort(ids, kind="stable")
+    by_id = ids[order]
+    if (by_id[1:] == by_id[:-1]).any():
         raise SchemaError(f"{in_dir}: duplicate record ids in manifest")
-    records = {}
-    for tag in _TAGS.values():
-        path = in_dir / f"{tag}.fve"
+    modality = np.full(len(ids), -1, np.int8)  # -1 until a store holds it
+    row = np.zeros(len(ids), np.int64)
+    vectors = {}
+    for kind in ModalityKind:
+        path = in_dir / f"{kind.tag}.fve"
         if not path.exists():
             continue
-        modality, dim, rows = read_store_file(path)
-        if modality.tag != tag:
-            raise SchemaError(f"{path}: modality code {modality.tag} != filename tag")
-        for rid, vec in rows:
-            e = meta.get(rid)
-            if e is None:
-                raise SchemaError(f"{path}: record {rid} missing from manifest")
-            if e.dim != dim or len(vec) != dim:
-                raise SchemaError(
-                    f"{path}: record {rid} dim {len(vec)} != manifest dim {e.dim}"
-                )
-            records[rid] = EmbeddingRecord(rid, e.speaker_id, e.language, modality, vec)
-    ordered = []
-    for e in manifest.entries:
-        r = records.get(e.record_id)
-        if r is None:
-            raise SchemaError(f"{in_dir}: manifest record {e.record_id} has no vector")
-        ordered.append(r)
-    return manifest, ordered
+        code, rids, vecs = read_store_file(path)
+        if code != kind:
+            raise SchemaError(f"{path}: modality code {code.tag} != filename tag")
+        # each stored id's manifest index, joined through the sorted ids
+        at = np.searchsorted(by_id, rids)
+        known = at < len(ids)
+        known[known] = by_id[at[known]] == rids[known]
+        entry = order[at[known]]
+        first = np.zeros(len(entry), bool)
+        first[np.unique(entry, return_index=True)[1]] = True
+        bad = ~known
+        bad[known] = (dims[entry] != vecs.shape[1]) | (modality[entry] >= 0) | ~first
+        if bad.any():
+            i = int(bad.argmax())
+            problem = "is stored twice" if known[i] else "missing from manifest"
+            if known[i] and dims[order[at[i]]] != vecs.shape[1]:
+                problem = f"dim {vecs.shape[1]} != manifest dim {dims[order[at[i]]]}"
+            raise SchemaError(f"{path}: record {rids[i]} {problem}")
+        modality[entry], row[entry], vectors[kind] = kind, np.arange(len(entry)), vecs
+    if (modality < 0).any():
+        raise SchemaError(
+            f"{in_dir}: manifest record {ids[modality.argmin()]} has no vector"
+        )
+    return vectors, record_table(ids, speakers, languages, modality, row)
 
 
-def _by_owner(records, kind):
-    """Owner id -> the `kind` record of that owner; one record per owner."""
-    out = {}
-    for r in records:
-        if r.modality == kind and out.setdefault(r.owner_id, r) is not r:
-            raise SchemaError(f"owner {r.owner_id}: two {kind.tag} records")
-    return out
-
-
-def assemble_concat_inputs(records, identity_kind, agegender_kind):
+def assemble_concat_inputs(vectors, records, identity_kind, agegender_kind):
     """Join identity and age-gender records on owner id into one table.
 
     Returns ((rows, x), skipped). `rows` is a record array with fields
@@ -279,41 +280,54 @@ def assemble_concat_inputs(records, identity_kind, agegender_kind):
     records name different speakers, raise SchemaError; so does an empty
     result (EmptyDatasetError).
     """
-    ident = _by_owner(records, identity_kind)
-    ageg = _by_owner(records, agegender_kind)
-    owners = sorted(ident.keys() & ageg.keys())
-    skipped = sorted(ident.keys() ^ ageg.keys())
-    if not owners:
+    sides = []
+    for kind in (identity_kind, agegender_kind):
+        recs = records[records.modality == kind]
+        owners = recs.record_id  # np.char.partition fails on no strings
+        owners = np.char.partition(owners, "#")[:, 0] if len(owners) else owners
+        # a repeated owner: its later records follow it in a stable sort
+        order = np.argsort(owners, kind="stable")
+        again = order[1:][owners[order[1:]] == owners[order[:-1]]]
+        if again.size:
+            raise SchemaError(f"owner {owners[again.min()]}: two {kind.tag} records")
+        sides.append((owners, recs))
+    (ident_owners, ident), (ageg_owners, ageg) = sides
+    owners, at_ident, at_ageg = np.intersect1d(
+        ident_owners, ageg_owners, assume_unique=True, return_indices=True
+    )
+    skipped = np.setxor1d(ident_owners, ageg_owners, assume_unique=True).tolist()
+    if not len(owners):
         raise EmptyDatasetError(
             f"no assemblable {identity_kind.tag}+{agegender_kind.tag} inputs"
         )
-    pairs = [(ident[o], ageg[o]) for o in owners]
-    split = len(pairs[0][0].vector)
-    x = np.empty((len(pairs), split + len(pairs[0][1].vector)))
-    for i, (a, b) in enumerate(pairs):
-        if a.speaker_id != b.speaker_id:
-            raise SchemaError(
-                f"owner {a.owner_id}: speaker mismatch across modalities"
-            )
-        x[i, :split] = a.vector
-        x[i, split:] = b.vector
+    ident, ageg = ident[at_ident], ageg[at_ageg]
+    mismatch = np.flatnonzero(ident.speaker_id != ageg.speaker_id)
+    if mismatch.size:
+        raise SchemaError(
+            f"owner {owners[mismatch[0]]}: speaker mismatch across modalities"
+        )
+    split = vectors[identity_kind].shape[1]
+    x = np.empty((len(owners), split + vectors[agegender_kind].shape[1]))
+    for cols, kind, at in ((slice(None, split), identity_kind, ident.row),
+                           (slice(split, None), agegender_kind, ageg.row)):
+        for i in range(0, len(at), 256):  # a float32 copy of 256 rows at most
+            x[i : i + 256, cols] = vectors[kind][at[i : i + 256]]
     rows = np.rec.fromarrays(
-        [owners, [a.speaker_id for a, _ in pairs], [a.language for a, _ in pairs],
-         np.arange(len(pairs))],
+        [owners, ident.speaker_id, ident.language, np.arange(len(owners))],
         names="owner_id,speaker_id,language,row",
     )
     return (rows, x), skipped
 
 
-def assemble_voice_inputs(records):
+def assemble_voice_inputs(vectors, records):
     return assemble_concat_inputs(
-        records, ModalityKind.VOICE_SPEAKER, ModalityKind.VOICE_AGE_GENDER
+        vectors, records, ModalityKind.VOICE_SPEAKER, ModalityKind.VOICE_AGE_GENDER
     )
 
 
-def assemble_face_inputs(records):
+def assemble_face_inputs(vectors, records):
     return assemble_concat_inputs(
-        records, ModalityKind.FACE_IDENTITY, ModalityKind.FACE_AGE_GENDER
+        vectors, records, ModalityKind.FACE_IDENTITY, ModalityKind.FACE_AGE_GENDER
     )
 
 

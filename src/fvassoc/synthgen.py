@@ -19,8 +19,8 @@ import numpy as np
 
 from .diffcore import make_rng
 from .embedstore import (
-    EmbeddingRecord,
     ModalityKind,
+    record_table,
     write_store,
     write_store_file,
 )
@@ -69,7 +69,8 @@ def _speaker_ids(n):
 
 
 def generate(cfg, base_truth=None, projection_jitter=0.0):
-    """Generate all four modality stores plus ground truth.
+    """Generate all four modality stores plus ground truth, as
+    (vectors, records, truth).
 
     With `base_truth` set, speaker latents and attributes are reused and the
     projections are perturbed by Gaussian noise of scale `projection_jitter`
@@ -107,30 +108,29 @@ def generate(cfg, base_truth=None, projection_jitter=0.0):
         s: tags[int(rng.choice(len(tags), p=probs))] for s in speakers
     }
 
-    records = []
-    for s in speakers:
-        z = latents[s]
-        attr = np.array(attributes[s])
-        lang = speaker_language[s]
-        for group, ident_kind, ag_kind in (
-            ("v", ModalityKind.VOICE_SPEAKER, ModalityKind.VOICE_AGE_GENDER),
-            ("f", ModalityKind.FACE_IDENTITY, ModalityKind.FACE_AGE_GENDER),
-        ):
-            for i in range(cfg.records_per_speaker):
-                owner = f"{s}:{group}{i:03d}"
-                for kind, source in ((ident_kind, z), (ag_kind, attr)):
-                    clean = projections[kind] @ source
-                    noise = cfg.noise_sigma * rng.standard_normal(len(clean))
-                    rid = f"{owner}#{kind.tag}"
-                    records.append(
-                        EmbeddingRecord(
-                            record_id=rid,
-                            speaker_id=s,
-                            language=lang,
-                            modality=kind,
-                            vector=(clean + noise).astype(np.float32),
-                        )
-                    )
+    # Each speaker's records: its voices, then its faces, owner by owner,
+    # identity before age-gender. Noise is drawn in that order, one block
+    # per speaker and group; record i of a speaker is row i of its block.
+    r = cfg.records_per_speaker
+    vectors = {
+        kind: np.empty((len(speakers) * r, cfg.dims[kind]), np.float32)
+        for kind in ModalityKind
+    }
+    for si, s in enumerate(speakers):
+        sources = (latents[s], np.array(attributes[s]))
+        for _, *kinds in _GROUPS:
+            widths = [cfg.dims[kind] for kind in kinds]
+            noise = cfg.noise_sigma * rng.standard_normal((r, sum(widths)))
+            for kind, source, block in zip(kinds, sources,
+                                           np.split(noise, widths[:1], axis=1)):
+                vectors[kind][si * r : (si + 1) * r] = projections[kind] @ source + block
+    records = record_table(*zip(*(
+        (f"{s}:{group}{i:03d}#{kind.tag}", s, speaker_language[s], kind, si * r + i)
+        for si, s in enumerate(speakers)
+        for group, *kinds in _GROUPS
+        for i in range(r)
+        for kind in kinds
+    )))
 
     truth = GroundTruth(
         latent_dim=k,
@@ -139,19 +139,21 @@ def generate(cfg, base_truth=None, projection_jitter=0.0):
         projections=projections,
         speaker_language=speaker_language,
     )
-    return records, truth
+    return vectors, records, truth
 
 
 _IDENTITY_KINDS = {ModalityKind.VOICE_SPEAKER, ModalityKind.FACE_IDENTITY}
+_GROUPS = (("v", ModalityKind.VOICE_SPEAKER, ModalityKind.VOICE_AGE_GENDER),
+           ("f", ModalityKind.FACE_IDENTITY, ModalityKind.FACE_AGE_GENDER))
 
 
-def write_dataset(cfg, out_dir, dataset_name="synthetic", base_truth=None,
-                  projection_jitter=0.0):
-    """Generate and materialize a dataset directory plus ground-truth sidecar."""
-    records, truth = generate(cfg, base_truth, projection_jitter)
-    manifest = write_store(records, out_dir, dataset_name=dataset_name)
+def write_dataset(cfg, out_dir, base_truth=None, projection_jitter=0.0):
+    """Generate and materialize a dataset directory plus ground-truth
+    sidecar; returns generate's (vectors, records, truth)."""
+    vectors, records, truth = generate(cfg, base_truth, projection_jitter)
+    write_store(vectors, records, out_dir)
     write_ground_truth(truth, Path(out_dir) / "ground_truth.fve")
-    return manifest, records, truth
+    return vectors, records, truth
 
 
 def write_ground_truth(truth, path):
@@ -160,19 +162,6 @@ def write_ground_truth(truth, path):
     Reuses the binary store format with modality code 0 and record ids equal
     to speaker ids; consumers recognize it by filename, not manifest.
     """
-    k = truth.latent_dim
-    recs = []
-    for s in sorted(truth.latents):
-        vec = np.concatenate(
-            [truth.latents[s], np.array(truth.attributes[s])]
-        ).astype(np.float32)
-        recs.append(
-            EmbeddingRecord(
-                record_id=s,
-                speaker_id=s,
-                language=truth.speaker_language.get(s, "xx"),
-                modality=ModalityKind.VOICE_SPEAKER,
-                vector=vec,
-            )
-        )
-    write_store_file(recs, path)
+    speakers = sorted(truth.latents)
+    vecs = [np.concatenate([truth.latents[s], truth.attributes[s]]) for s in speakers]
+    write_store_file(path, ModalityKind.VOICE_SPEAKER, speakers, vecs, range(len(vecs)))

@@ -612,21 +612,21 @@ REFERENCE_EER_PERCENT = {
 }
 
 
-def audit_manifest(manifest, excluded_language):
-    """Record ids of the excluded language present in a training manifest."""
-    return [e.record_id for e in manifest.entries if e.language == excluded_language]
+def audit_manifest(records, excluded_language):
+    """Record ids of the excluded language among a training corpus's records."""
+    return records.record_id[records.language == excluded_language].tolist()
 
 
 def run_scenarios(corpora, test_ds, cfg, n_trials_target=200,
                   n_trials_nontarget=200, dev_fraction=0.1):
     """Execute all four scenario recipes and assemble a results table.
 
-    `corpora` maps scenario name to {"pretrain": (manifest, dataset),
-    "finetune": (manifest, dataset) or None}; only unheard scenarios read
-    "finetune". Before any scenario trains, each unheard one is checked for
-    a fine-tune corpus, for records of its test language in either manifest
-    (a hard protocol violation) and for enough fine-tune speakers to give
-    its dev fold two.
+    `corpora` maps scenario name to {"pretrain": (records, dataset),
+    "finetune": (records, dataset) or None}, `records` as read_store
+    returns them; only unheard scenarios read "finetune". Before any
+    scenario trains, each unheard one is checked for a fine-tune corpus,
+    for records of its test language in either corpus (a hard protocol
+    violation) and for enough fine-tune speakers to give its dev fold two.
     """
     cfg.validate()
     if min(n_trials_target, n_trials_nontarget) < 1:
@@ -637,12 +637,12 @@ def run_scenarios(corpora, test_ds, cfg, n_trials_target=200,
         entry, language = corpora[name], recipe["test_language"]
         if entry.get("finetune") is None:
             raise ConfigError(f"{name}: fine-tune corpus required")
-        for manifest, _ in (entry["pretrain"], entry["finetune"]):
-            bad = audit_manifest(manifest, language)
+        for stage in ("pretrain", "finetune"):
+            bad = audit_manifest(entry[stage][0], language)
             if bad:
                 raise ProtocolViolationError(
-                    f"{name}: {len(bad)} {language!r} records in training "
-                    f"manifest {manifest.dataset_name} (first: {bad[0]})"
+                    f"{name}: {len(bad)} {language!r} records in its {stage} "
+                    f"corpus (first: {bad[0]})"
                 )
         n_speakers = len(entry["finetune"][1].speakers())
         if n_speakers <= _FT_DEV_FOLDS:

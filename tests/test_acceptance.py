@@ -24,13 +24,11 @@ from fvassoc.diffcore import (
 )
 from fvassoc.embedstore import (
     FULL_DIMS,
-    EmbeddingRecord,
-    Manifest,
-    ManifestEntry,
     ModalityKind,
     assemble_face_inputs,
     assemble_voice_inputs,
     read_store,
+    record_table,
     write_store,
 )
 from fvassoc.fusion import (
@@ -62,6 +60,8 @@ from testlib import (
     rel_error,
     shuffle_speaker_labels,
     softmax_xent_on_cosines,
+    store_entries,
+    store_pair,
 )
 
 
@@ -79,9 +79,10 @@ def check(name, ok, detail=""):
 
 
 def build_dataset(cfg, base_truth=None, jitter=0.0):
-    records, truth = generate(cfg, base_truth=base_truth, projection_jitter=jitter)
-    voices, _ = assemble_voice_inputs(records)
-    faces, _ = assemble_face_inputs(records)
+    vectors, records, truth = generate(cfg, base_truth=base_truth,
+                                       projection_jitter=jitter)
+    voices, _ = assemble_voice_inputs(vectors, records)
+    faces, _ = assemble_face_inputs(vectors, records)
     return PairedDataset(faces, voices), truth
 
 
@@ -376,7 +377,7 @@ def test_a5_chance_level_sanity(small_dataset):
 # A6: unheard-language protocol audit
 
 
-def multilingual_manifest(seed, excluded=None):
+def multilingual_records(seed, excluded=None):
     cfg = SynthConfig(
         n_speakers=12,
         latent_dim=8,
@@ -385,23 +386,17 @@ def multilingual_manifest(seed, excluded=None):
         seed=seed,
         languages={"en": 0.4, "de": 0.4, "fr": 0.2},
     )
-    records, _ = generate(cfg)
-    entries = [
-        ManifestEntry(r.record_id, r.speaker_id, r.language, r.modality,
-                      len(r.vector))
-        for r in records
-    ]
-    manifest = Manifest(dataset_name=f"corpus{seed}", entries=entries)
+    _, records, _ = generate(cfg)
     if excluded is not None:
-        manifest = filter_exclude_language(manifest, excluded)
-    return manifest
+        records = filter_exclude_language(records, excluded)
+    return records
 
 
 def test_a6_unheard_protocol_audit(tmp_path):
     clean = True
     for lang in ("en", "de"):
         for seed in (1, 2):
-            m = multilingual_manifest(seed, excluded=lang)
+            m = multilingual_records(seed, excluded=lang)
             clean = clean and audit_manifest(m, lang) == []
 
     # the CLI must turn an injected excluded-language record into exit 3
@@ -423,11 +418,9 @@ def test_a6_unheard_protocol_audit(tmp_path):
     ft = synth("ft", 10, 4, langs)
 
     def variant(src, excluded, dst):
-        from testlib import filter_records_exclude_language
-
-        _, records = read_store(src)
-        kept = filter_records_exclude_language(records, excluded)
-        write_store(kept, tmp_path / dst, dataset_name=dst)
+        vectors, records = read_store(src)
+        write_store(vectors, filter_exclude_language(records, excluded),
+                    tmp_path / dst)
         return str(tmp_path / dst)
 
     no_en = variant(full, "en", "full_no_en")
@@ -436,16 +429,15 @@ def test_a6_unheard_protocol_audit(tmp_path):
     ft_no_de = variant(ft, "de", "ft_no_de")
 
     # inject a single english voice record into the english-unheard corpus
-    _, records = read_store(no_en)
+    vectors, records = read_store(no_en)
+    entries = store_entries(vectors, records)
     for kind in (ModalityKind.VOICE_SPEAKER, ModalityKind.VOICE_AGE_GENDER):
-        dim = next(len(r.vector) for r in records if r.modality == kind)
-        records.append(
-            EmbeddingRecord(
-                f"leak:v000#{kind.tag}", "leak", "en", kind,
-                np.ones(dim, dtype=np.float32),
-            )
+        dim = vectors[kind].shape[1]
+        entries.append(
+            (f"leak:v000#{kind.tag}", "leak", "en", kind,
+             np.ones(dim, dtype=np.float32))
         )
-    write_store(records, no_en, dataset_name="full_no_en")
+    write_store(*store_pair(entries), no_en)
 
     scen_cfg = tmp_path / "scen.json"
     scen_cfg.write_text(json.dumps({
@@ -665,12 +657,9 @@ def test_a9_cli_determinism(tmp_path):
             },
         }),
     )
-    from testlib import filter_records_exclude_language
-
-    _, records = read_store(data)
+    vectors, records = read_store(data)
     for lang, dst in (("en", "no_en"), ("de", "no_de")):
-        kept = filter_records_exclude_language(records, lang)
-        write_store(kept, tmp_path / dst, dataset_name=dst)
+        write_store(vectors, filter_exclude_language(records, lang), tmp_path / dst)
 
     failures = []
     for name, (command, cfg) in commands.items():
@@ -697,28 +686,29 @@ def test_a9_cli_determinism(tmp_path):
 def test_a10_format_round_trip(tmp_path):
     rng = make_rng(10)
     per_modality = 2500  # 4 modalities -> 10,000 records
-    records = []
+    vectors, entries = {}, []
     for kind in ModalityKind:
         dim = FULL_DIMS[kind]
-        block = rng.standard_normal((per_modality, dim)).astype(np.float32)
+        vectors[kind] = rng.standard_normal((per_modality, dim)).astype(np.float32)
         for i in range(per_modality):
             spk = f"s{i % 50:03d}"
             group = "v" if kind.tag.startswith("v") else "f"
-            records.append(
-                EmbeddingRecord(
-                    f"{spk}:{group}{i:04d}#{kind.tag}", spk, "en", kind, block[i]
-                )
-            )
+            entries.append((f"{spk}:{group}{i:04d}#{kind.tag}", spk, "en", kind, i))
+    records = record_table(*zip(*entries))
     start = time.perf_counter()
-    write_store(records, tmp_path / "big")
-    _, back = read_store(tmp_path / "big")
+    write_store(vectors, records, tmp_path / "big")
+    back_vectors, back = read_store(tmp_path / "big")
     elapsed = time.perf_counter() - start
-    by_id = {r.record_id: r for r in back}
+    # both tables by record id: the same ids, speakers, modalities and vectors
+    a = records[np.argsort(records.record_id)]
+    b = back[np.argsort(back.record_id)]
     exact = len(back) == len(records) and all(
-        by_id[r.record_id].vector.tobytes() == r.vector.tobytes()
-        and by_id[r.record_id].speaker_id == r.speaker_id
-        and by_id[r.record_id].modality == r.modality
-        for r in records
+        (a[field] == b[field]).all()
+        for field in ("record_id", "speaker_id", "modality")
+    ) and all(
+        vectors[kind][a.row[a.modality == kind]].tobytes()
+        == back_vectors[kind][b.row[b.modality == kind]].tobytes()
+        for kind in ModalityKind
     )
     check(
         "A10 format round-trip",

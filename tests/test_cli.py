@@ -399,12 +399,12 @@ def scenario_dirs(tmp_path):
 
     # prepare language-excluded variants the way the protocol requires
     from fvassoc.embedstore import read_store, write_store
-    from testlib import filter_records_exclude_language
+    from testlib import filter_exclude_language
 
     def variant(src, excluded, dst):
-        _, records = read_store(src)
-        kept = filter_records_exclude_language(records, excluded)
-        write_store(kept, tmp_path / dst, dataset_name=dst)
+        vectors, records = read_store(src)
+        write_store(vectors, filter_exclude_language(records, excluded),
+                    tmp_path / dst)
         return str(tmp_path / dst)
 
     return {
@@ -456,30 +456,20 @@ class TestScenarios:
     def test_injected_leakage_exits_3(self, tmp_path):
         dirs = scenario_dirs(tmp_path)
         # inject one excluded-language record into the english-unheard corpus
-        from fvassoc.embedstore import read_store, write_store, EmbeddingRecord
+        from fvassoc.embedstore import read_store, write_store
         from fvassoc.embedstore import ModalityKind
+        from testlib import store_entries, store_pair
 
-        manifest, records = read_store(dirs["no_en"])
-        dim = next(
-            len(r.vector)
-            for r in records
-            if r.modality == ModalityKind.VOICE_SPEAKER
-        )
+        vectors, records = read_store(dirs["no_en"])
+        entries = store_entries(vectors, records)
         leak_owner = "leak:v000"
-        for kind, d in (
-            (ModalityKind.VOICE_SPEAKER, dim),
-            (ModalityKind.VOICE_AGE_GENDER, None),
-        ):
-            d = d or next(
-                len(r.vector) for r in records if r.modality == kind
+        for kind in (ModalityKind.VOICE_SPEAKER, ModalityKind.VOICE_AGE_GENDER):
+            d = vectors[kind].shape[1]
+            entries.append(
+                (f"{leak_owner}#{kind.tag}", "leak", "en", kind,
+                 np.zeros(d, dtype=np.float32) + 1.0)
             )
-            records.append(
-                EmbeddingRecord(
-                    f"{leak_owner}#{kind.tag}", "leak", "en", kind,
-                    np.zeros(d, dtype=np.float32) + 1.0,
-                )
-            )
-        write_store(records, dirs["no_en"], dataset_name="full_no_en")
+        write_store(*store_pair(entries), dirs["no_en"])
         cfg = scenarios_config(tmp_path, dirs)
         assert main(["scenarios", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
@@ -577,15 +567,15 @@ def schema_corpus(tmp_path_factory):
     """A corpus with en/de/fr speakers, its no-en and no-de variants, a
     checkpoint and a trial file: every command's base config runs on them."""
     from fvassoc.embedstore import read_store, write_store
-    from testlib import filter_records_exclude_language
+    from testlib import filter_exclude_language
 
     tmp = tmp_path_factory.mktemp("schema")
     data = make_data(tmp, n_speakers=14,
                      languages={"en": 0.4, "de": 0.4, "fr": 0.2})
-    _, records = read_store(data)
+    vectors, records = read_store(data)
     for lang in ("en", "de"):
-        kept = filter_records_exclude_language(records, lang)
-        write_store(kept, tmp / f"no_{lang}", dataset_name=f"no_{lang}")
+        write_store(vectors, filter_exclude_language(records, lang),
+                    tmp / f"no_{lang}")
     train_cfg = write_config(
         tmp / "ckpt.json",
         {"data": data, "dev_fraction": 0.25, "train": SCHEMA_TRAIN},
@@ -609,7 +599,6 @@ def schema_base_configs(corpus):
             "synth": {"n_speakers": 4, "latent_dim": 4, "dims": "small",
                       "noise_sigma": 0.01, "records_per_speaker": 2,
                       "seed": 1, "languages": {"en": 1.0}},
-            "dataset_name": "schema",
         },
         "train": {"data": data, "dev_fraction": 0.25, "train": SCHEMA_TRAIN},
         "crossval": {"data": data, "n_folds": 2, "train": SCHEMA_TRAIN},
@@ -858,16 +847,17 @@ def test_synth_without_languages_writes_one_language(tmp_path):
     cfg = write_config(tmp_path / "s.json",
                        {"synth": {"n_speakers": 4, "records_per_speaker": 2}})
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
-    from fvassoc.embedstore import read_manifest
+    from fvassoc.embedstore import read_store
 
-    entries = read_manifest(tmp_path / "d" / "manifest.tsv").entries
-    assert {e.language for e in entries} == {"en"}
+    _, records = read_store(tmp_path / "d")
+    assert set(records.language.tolist()) == {"en"}
 
 
 class TestDecodeErrors:
     def test_non_utf8_config_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_bytes(b'{"synth": {"seed": 1}, "dataset_name": "\xff"}')
+        # read as Latin-1 this would be a valid config with language "\xff"
+        cfg.write_bytes(b'{"synth": {"seed": 1, "languages": {"\xff": 1.0}}}')
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert not (tmp_path / "o").exists()
@@ -941,21 +931,40 @@ class TestDecodeErrors:
 
     def test_duplicate_owner_in_one_modality_exits_4(self, schema_corpus,
                                                      tmp_path, capsys):
-        from dataclasses import replace
-
         from fvassoc.embedstore import ModalityKind, read_store, write_store
+        from testlib import store_entries, store_pair
 
-        _, records = read_store(schema_corpus[1])
-        first = next(r for r in records
-                     if r.modality == ModalityKind.VOICE_SPEAKER)
+        entries = store_entries(*read_store(schema_corpus[1]))
+        first = next(e for e in entries if e[3] == ModalityKind.VOICE_SPEAKER)
+        owner = first[0].split("#", 1)[0]
         # same owner, so assembly would have to drop one of the two silently
-        records.append(replace(first, record_id=f"{first.owner_id}#vspk2"))
-        write_store(records, tmp_path / "data")
+        entries.append((f"{owner}#vspk2", *first[1:]))
+        write_store(*store_pair(entries), tmp_path / "data")
         config = {"data": str(tmp_path / "data"), "dev_fraction": 0.25,
                   "train": SCHEMA_TRAIN}
         capsys.readouterr()
         assert run_config(tmp_path, "train", config) == (4, False)
-        assert f"owner {first.owner_id}: two vspk records" in capsys.readouterr().err
+        assert f"owner {owner}: two vspk records" in capsys.readouterr().err
+
+    def test_record_stored_twice_exits_4(self, schema_corpus, tmp_path, capsys):
+        # vspk.fve holds its first record a second time, all 99s, while the
+        # manifest lists it once: reading must not keep either vector
+        data = tmp_path / "data"
+        shutil.copytree(schema_corpus[1], data)
+        blob = (data / "vspk.fve").read_bytes()
+        count = int.from_bytes(blob[13:17], "little")
+        id_len = int.from_bytes(blob[17:19], "little")
+        rid = blob[19 : 19 + id_len]
+        width = (len(blob) - 17) // count - 2 - id_len  # ids of one length
+        again = blob[17 : 19 + id_len] + np.full(width // 4, 99, "<f4").tobytes()
+        (data / "vspk.fve").write_bytes(
+            blob[:13] + struct.pack("<I", count + 1) + blob[17:] + again
+        )
+        config = {"data": str(data), "dev_fraction": 0.25, "train": SCHEMA_TRAIN}
+        capsys.readouterr()
+        assert run_config(tmp_path, "train", config) == (4, False)
+        err = capsys.readouterr().err
+        assert f"vspk.fve: record {rid.decode()} is stored twice" in err
 
     @pytest.mark.parametrize("bad", [b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f",
                                      b"\x00\x00\x80\xff"],

@@ -4,21 +4,20 @@ import pytest
 from fvassoc.diffcore import make_rng
 from fvassoc.embedstore import (
     FULL_DIMS,
-    EmbeddingRecord,
-    Manifest,
-    ManifestEntry,
     ModalityKind,
     assemble_face_inputs,
     assemble_voice_inputs,
     read_store,
     split_folds,
     write_store,
+    write_store_file,
 )
 from fvassoc.errors import ConfigError, EmptyDatasetError, FormatError, SchemaError
-from testlib import filter_exclude_language
+from testlib import filter_exclude_language, store_entries, store_pair
 
 
 def make_records(n_per_mod=3, dim=6, speakers=("a", "b"), language="en"):
+    """(record_id, speaker_id, language, modality, vector) per record."""
     rng = make_rng(7)
     records = []
     for kind in ModalityKind:
@@ -26,31 +25,46 @@ def make_records(n_per_mod=3, dim=6, speakers=("a", "b"), language="en"):
             spk = speakers[i % len(speakers)]
             group = "v" if kind.tag.startswith("v") else "f"
             owner = f"{spk}:{group}{i:03d}"
-            records.append(
-                EmbeddingRecord(
-                    record_id=f"{owner}#{kind.tag}",
-                    speaker_id=spk,
-                    language=language,
-                    modality=kind,
-                    vector=rng.standard_normal(dim).astype(np.float32),
-                )
-            )
+            records.append((f"{owner}#{kind.tag}", spk, language, kind,
+                            rng.standard_normal(dim).astype(np.float32)))
     return records
 
 
 class TestStoreRoundTrip:
     def test_three_records_bit_exact(self, tmp_path):
         records = make_records(n_per_mod=3)
-        write_store(records, tmp_path / "ds")
-        manifest, back = read_store(tmp_path / "ds")
+        write_store(*store_pair(records), tmp_path / "ds")
+        back = store_entries(*read_store(tmp_path / "ds"))
         assert len(back) == len(records)
-        by_id = {r.record_id: r for r in back}
-        for r in records:
-            got = by_id[r.record_id]
-            assert np.array_equal(got.vector, r.vector)
-            assert got.speaker_id == r.speaker_id
-            assert got.language == r.language
-            assert got.modality == r.modality
+        by_id = {r[0]: r for r in back}
+        for rid, spk, lang, kind, vec in records:
+            _, got_spk, got_lang, got_kind, got_vec = by_id[rid]
+            assert np.array_equal(got_vec, vec)
+            assert got_spk == spk
+            assert got_lang == lang
+            assert got_kind == kind
+
+    def test_ids_of_mixed_byte_lengths_round_trip_bit_exact(self, tmp_path):
+        # ids of 5 to 14 bytes, one with 2-, 3- and 4-byte UTF-8 characters,
+        # so most vectors start at a byte offset that is not a multiple of 4
+        owners = ["a", "bb", "ccc", "dddd", "\u00e9\u4e2d\U0001f600", "f0"]
+        rng = make_rng(5)
+        records = [
+            (f"{o}#{kind.tag}", f"spk{len(o)}", ["en", "de", "fr"][n % 3], kind,
+             rng.standard_normal(3 + kind).astype(np.float32))
+            for n, o in enumerate(owners) for kind in ModalityKind
+        ]
+        write_store(*store_pair(records), tmp_path / "ds")
+        blob = (tmp_path / "ds" / "vspk.fve").read_bytes()
+        offsets, off = [], 17
+        for _ in owners:
+            off += 2 + int.from_bytes(blob[off : off + 2], "little")
+            offsets.append(off)
+            off += 4 * 3
+        assert {o % 4 for o in offsets} == {0, 1, 2, 3}
+        back = store_entries(*read_store(tmp_path / "ds"))
+        assert [r[:4] for r in back] == [r[:4] for r in records]
+        assert [r[4].tobytes() for r in back] == [r[4].tobytes() for r in records]
 
     def test_random_records_round_trip(self, tmp_path):
         rng = make_rng(123)
@@ -61,14 +75,14 @@ class TestStoreRoundTrip:
                 speakers=tuple(f"s{i}" for i in range(int(rng.integers(1, 4)))),
             )
             out = tmp_path / f"ds{trial}"
-            write_store(records, out)
-            _, back = read_store(out)
-            assert [(r.record_id, r.vector.tobytes()) for r in back] == [
-                (r.record_id, r.vector.tobytes()) for r in records
+            write_store(*store_pair(records), out)
+            back = store_entries(*read_store(out))
+            assert [(r[0], r[4].tobytes()) for r in back] == [
+                (r[0], r[4].tobytes()) for r in records
             ]
 
     def test_corrupted_magic(self, tmp_path):
-        write_store(make_records(), tmp_path / "ds")
+        write_store(*store_pair(make_records()), tmp_path / "ds")
         path = tmp_path / "ds" / "vspk.fve"
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
@@ -77,7 +91,7 @@ class TestStoreRoundTrip:
             read_store(tmp_path / "ds")
 
     def test_truncated_file_reports_offset(self, tmp_path):
-        write_store(make_records(), tmp_path / "ds")
+        write_store(*store_pair(make_records()), tmp_path / "ds")
         path = tmp_path / "ds" / "vspk.fve"
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 5])
@@ -87,8 +101,8 @@ class TestStoreRoundTrip:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_names_file_and_record(self, tmp_path, bad):
         records = make_records()
-        records[7].vector[4] = bad  # the second face-identity record
-        write_store(records, tmp_path / "ds")
+        records[7][4][4] = bad  # the second face-identity record
+        write_store(*store_pair(records), tmp_path / "ds")
         with pytest.raises(
             FormatError, match="fid.fve: record b:f001#fid has a non-finite value"
         ):
@@ -97,43 +111,85 @@ class TestStoreRoundTrip:
     def test_largest_finite_values_are_read(self, tmp_path):
         records = make_records()
         top = np.finfo(np.float32).max
-        records[7].vector[:] = top
-        records[8].vector[:] = -top
-        write_store(records, tmp_path / "ds")
-        _, back = read_store(tmp_path / "ds")
-        assert (back[7].vector == top).all() and (back[8].vector == -top).all()
+        records[7][4][:] = top
+        records[8][4][:] = -top
+        write_store(*store_pair(records), tmp_path / "ds")
+        back = store_entries(*read_store(tmp_path / "ds"))
+        assert (back[7][4] == top).all() and (back[8][4] == -top).all()
+
+    @pytest.mark.parametrize("edits, error, message", [
+        ({2: "x\ty"}, FormatError, "bad manifest row 'x"),
+        ({2: "6x"}, FormatError, "bad dim in manifest row"),
+        ({2: "zz"}, SchemaError, "unknown modality tag 'zz'"),
+        # the first bad row is named, whatever is wrong with later ones
+        ({2: "6x", 5: "x\ty"}, FormatError, "bad dim in manifest row"),
+        ({2: "zz", 5: "6x"}, SchemaError, "unknown modality tag 'zz'"),
+        ({2: "x\ty", 5: "zz"}, FormatError, "bad manifest row 'x"),
+    ])
+    def test_bad_manifest_row_named(self, tmp_path, edits, error, message):
+        write_store(*store_pair(make_records()), tmp_path / "ds")
+        path = tmp_path / "ds" / "manifest.tsv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for n, edit in edits.items():  # a whole row, a dim or a modality tag
+            cells = lines[n].split("\t")
+            if edit == "6x":
+                cells[4] = edit
+            elif edit == "zz":
+                cells[3] = edit
+            else:
+                cells = [edit]
+            lines[n] = "\t".join(cells)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(error, match=message):
+            read_store(tmp_path / "ds")
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
-            write_store([], tmp_path / "ds")
+            write_store(*store_pair([]), tmp_path / "ds")
+
+    @pytest.mark.parametrize("tag", ["vspk", "vag"])
+    def test_record_stored_twice_rejected(self, tmp_path, tag):
+        # the manifest lists a:v000#vspk once; vspk.fve itself or vag.fve
+        # holds it a second time, all 99s
+        records = make_records(n_per_mod=2, dim=3, speakers=("a",))
+        write_store(*store_pair(records), tmp_path / "ds")
+        kind = ModalityKind.from_tag(tag)
+        mine = [r for r in records if r[3] == kind]
+        write_store_file(tmp_path / "ds" / f"{tag}.fve", kind,
+                         [r[0] for r in mine] + ["a:v000#vspk"],
+                         [r[4] for r in mine] + [np.full(3, 99.0)], range(3))
+        with pytest.raises(SchemaError, match=f"{tag}.fve: record a:v000#vspk "
+                           "is stored twice"):
+            read_store(tmp_path / "ds")
 
 
-def manifest_of(langs):
-    entries = [
-        ManifestEntry(f"r{i}", f"s{i}", lang, ModalityKind.VOICE_SPEAKER, 4)
-        for i, lang in enumerate(langs)
-    ]
-    return Manifest(dataset_name="m", entries=entries)
+def records_of(langs):
+    return store_pair([(f"r{i}", f"s{i}", lang, ModalityKind.VOICE_SPEAKER,
+                        np.zeros(4)) for i, lang in enumerate(langs)])[1]
 
 
 class TestLanguageFilter:
     def test_absent_language_is_noop(self):
-        m = manifest_of(["en", "de", "en"])
+        m = records_of(["en", "de", "en"])
         out = filter_exclude_language(m, "fr")
-        assert out.entries == m.entries
+        assert out.tolist() == m.tolist()
 
     def test_counting(self):
-        m = manifest_of(["en", "en", "en", "de", "de"])
+        m = records_of(["en", "en", "en", "de", "de"])
         out = filter_exclude_language(m, "en")
-        assert len(out.entries) == 2
-        assert all(e.language == "de" for e in out.entries)
+        assert len(out) == 2
+        assert all(lang == "de" for lang in out.language)
 
     def test_idempotent_and_order_preserving(self):
-        m = manifest_of(["de", "en", "fr", "en", "de"])
+        m = records_of(["de", "en", "fr", "en", "de"])
         once = filter_exclude_language(m, "en")
         twice = filter_exclude_language(once, "en")
-        assert once.entries == twice.entries
-        assert [e.record_id for e in once.entries] == ["r0", "r2", "r4"]
+        assert once.tolist() == twice.tolist()
+        assert once.record_id.tolist() == ["r0", "r2", "r4"]
+
+
+def owner(record):
+    return record[0].split("#", 1)[0]
 
 
 class TestAssembly:
@@ -141,76 +197,98 @@ class TestAssembly:
         rng = make_rng(0)
         records = []
         for kind in ModalityKind:
-            records.append(
-                EmbeddingRecord(
-                    record_id=f"a:x000#{kind.tag}",
-                    speaker_id="a",
-                    language="en",
-                    modality=kind,
-                    vector=rng.standard_normal(FULL_DIMS[kind]).astype(np.float32),
-                )
-            )
-        (_, xv), _ = assemble_voice_inputs(records)
-        (_, xf), _ = assemble_face_inputs(records)
+            records.append((f"a:x000#{kind.tag}", "a", "en", kind,
+                            rng.standard_normal(FULL_DIMS[kind]).astype(np.float32)))
+        (_, xv), _ = assemble_voice_inputs(*store_pair(records))
+        (_, xf), _ = assemble_face_inputs(*store_pair(records))
         assert xv.shape == (1, 7680) and xv.dtype == np.float64
         assert xf.shape == (1, 4864) and xf.dtype == np.float64
 
     def test_identity_comes_first(self):
         records = make_records(n_per_mod=1, dim=3, speakers=("a",))
-        (_, x), _ = assemble_voice_inputs(records)
+        (_, x), _ = assemble_voice_inputs(*store_pair(records))
         ident, ageg = (
-            next(r for r in records if r.modality == kind)
+            next(r[4] for r in records if r[3] == kind)
             for kind in (ModalityKind.VOICE_SPEAKER, ModalityKind.VOICE_AGE_GENDER)
         )
-        assert np.array_equal(x[0], np.concatenate([ident.vector, ageg.vector]))
+        assert np.array_equal(x[0], np.concatenate([ident, ageg]))
 
     def test_missing_modality_skipped_and_reported(self):
         records = make_records(n_per_mod=2, dim=3, speakers=("a", "b"))
         records = [
             r
             for r in records
-            if not (
-                r.speaker_id == "b" and r.modality == ModalityKind.VOICE_AGE_GENDER
-            )
+            if not (r[1] == "b" and r[3] == ModalityKind.VOICE_AGE_GENDER)
         ]
-        (rows, x), skipped = assemble_voice_inputs(records)
+        (rows, x), skipped = assemble_voice_inputs(*store_pair(records))
         assert rows.speaker_id.tolist() == ["a"] and x.shape == (1, 6)
         assert skipped and all(owner.startswith("b") for owner in skipped)
 
     def test_rows_sorted_by_owner_and_aligned_with_x(self):
         records = make_records(n_per_mod=4, dim=3, speakers=("b", "a"))
         records.reverse()
-        (rows, x), skipped = assemble_face_inputs(records)
+        (rows, x), skipped = assemble_face_inputs(*store_pair(records))
         assert skipped == []
         assert rows.owner_id.tolist() == sorted(rows.owner_id.tolist())
         assert rows.row.tolist() == list(range(len(rows)))
-        vec = {(r.owner_id, r.modality): r.vector for r in records}
-        for owner, spk, row in zip(rows.owner_id, rows.speaker_id, x[rows.row]):
-            assert owner.startswith(spk + ":")
+        vec = {(owner(r), r[3]): r[4] for r in records}
+        for own, spk, row in zip(rows.owner_id, rows.speaker_id, x[rows.row]):
+            assert own.startswith(spk + ":")
             assert np.array_equal(row, np.concatenate([
-                vec[owner, ModalityKind.FACE_IDENTITY],
-                vec[owner, ModalityKind.FACE_AGE_GENDER],
+                vec[own, ModalityKind.FACE_IDENTITY],
+                vec[own, ModalityKind.FACE_AGE_GENDER],
             ]))
 
     def test_duplicate_owner_in_one_modality_rejected(self):
         records = make_records(n_per_mod=2, dim=3)
-        first = next(r for r in records if r.modality == ModalityKind.VOICE_SPEAKER)
-        records.append(EmbeddingRecord(
-            f"{first.owner_id}#vspk2", first.speaker_id, first.language,
-            first.modality, first.vector.copy(),
-        ))
-        with pytest.raises(SchemaError, match=f"owner {first.owner_id}: two vspk"):
-            assemble_voice_inputs(records)
-        assemble_face_inputs(records)  # the other modality is unaffected
+        first = next(r for r in records if r[3] == ModalityKind.VOICE_SPEAKER)
+        records.append((f"{owner(first)}#vspk2", *first[1:4], first[4].copy()))
+        with pytest.raises(SchemaError, match=f"owner {owner(first)}: two vspk"):
+            assemble_voice_inputs(*store_pair(records))
+        assemble_face_inputs(*store_pair(records))  # the other modality is unaffected
+
+    def test_first_repeated_owner_in_record_order_is_named(self):
+        records = make_records(n_per_mod=2, dim=3)
+        voices = [r for r in records if r[3] == ModalityKind.VOICE_SPEAKER]
+        # the later owner's second record comes first
+        for r in voices[::-1]:
+            records.append((f"{owner(r)}#vspk2", *r[1:]))
+        with pytest.raises(SchemaError, match=f"owner {owner(voices[1])}: two"):
+            assemble_voice_inputs(*store_pair(records))
+
+    def test_matches_a_per_record_join(self):
+        # the join assembly replaced: one owner -> record dict per modality;
+        # more than 256 owners, so assembly copies in more than one block
+        rng = make_rng(3)
+        records = make_records(n_per_mod=400, dim=3, speakers=("a", "bb", "c"))
+        records = [records[i] for i in rng.permutation(len(records))
+                   if rng.random() < 0.8]
+        for assemble, kinds in (
+            (assemble_voice_inputs,
+             (ModalityKind.VOICE_SPEAKER, ModalityKind.VOICE_AGE_GENDER)),
+            (assemble_face_inputs,
+             (ModalityKind.FACE_IDENTITY, ModalityKind.FACE_AGE_GENDER)),
+        ):
+            (rows, x), skipped = assemble(*store_pair(records))
+            ident, ageg = ({owner(r): r for r in records if r[3] == kind}
+                           for kind in kinds)
+            owners = sorted(ident.keys() & ageg.keys())
+            assert skipped == sorted(ident.keys() ^ ageg.keys())
+            assert rows.owner_id.tolist() == owners
+            assert rows.speaker_id.tolist() == [ident[o][1] for o in owners]
+            assert rows.language.tolist() == [ident[o][2] for o in owners]
+            assert np.array_equal(x[rows.row], [
+                np.concatenate([ident[o][4], ageg[o][4]]) for o in owners
+            ])
 
     def test_nothing_assemblable(self):
         records = [
             r
             for r in make_records()
-            if r.modality == ModalityKind.VOICE_SPEAKER
+            if r[3] == ModalityKind.VOICE_SPEAKER
         ]
         with pytest.raises(EmptyDatasetError):
-            assemble_voice_inputs(records)
+            assemble_voice_inputs(*store_pair(records))
 
 
 class TestFoldSplit:

@@ -6,9 +6,9 @@ from fvassoc.synthgen import SynthConfig, generate, write_dataset
 
 def read_ground_truth_latents(path):
     """Read the sidecar back: speaker -> (latent, age_norm, gender)."""
-    _, dim, rows = read_store_file(path)
+    _, ids, vecs = read_store_file(path)
     out = {}
-    for rid, vec in rows:
+    for rid, vec in zip(ids.tolist(), vecs):
         out[rid] = (vec[:-2].astype(np.float64), float(vec[-2]), float(vec[-1]))
     return out
 
@@ -26,19 +26,17 @@ def small_cfg(**kw):
 
 
 def test_zero_noise_same_speaker_identical_vectors():
-    records, _ = generate(small_cfg(noise_sigma=0.0))
-    voice = [
-        r
-        for r in records
-        if r.speaker_id == "s000" and r.modality == ModalityKind.VOICE_SPEAKER
-    ]
+    vectors, records, _ = generate(small_cfg(noise_sigma=0.0))
+    voice = records[(records.speaker_id == "s000")
+                    & (records.modality == ModalityKind.VOICE_SPEAKER)]
     assert len(voice) >= 2
-    assert np.array_equal(voice[0].vector, voice[1].vector)
+    vecs = vectors[ModalityKind.VOICE_SPEAKER][voice.row]
+    assert np.array_equal(vecs[0], vecs[1])
 
 
 def test_distinct_speaker_latents_near_orthogonal():
     cfg = small_cfg(n_speakers=40, latent_dim=16)
-    _, truth = generate(cfg)
+    _, _, truth = generate(cfg)
     rng = np.random.default_rng(0)
     speakers = sorted(truth.latents)
     sims = []
@@ -61,12 +59,13 @@ def test_same_seed_bit_identical_stores(tmp_path):
 
 
 def test_generated_store_round_trips(tmp_path):
-    manifest, records, _ = write_dataset(small_cfg(), tmp_path / "ds")
-    back_manifest, back = read_store(tmp_path / "ds")
+    vectors, records, _ = write_dataset(small_cfg(), tmp_path / "ds")
+    back_vectors, back = read_store(tmp_path / "ds")
     assert len(back) == len(records)
-    assert [r.record_id for r in back] == [r.record_id for r in records]
+    assert back.record_id.tolist() == records.record_id.tolist()
     assert all(
-        np.array_equal(a.vector, b.vector) for a, b in zip(records, back)
+        np.array_equal(vectors[a.modality][a.row], back_vectors[b.modality][b.row])
+        for a, b in zip(records, back)
     )
 
 
@@ -82,7 +81,7 @@ def test_ground_truth_sidecar_round_trip(tmp_path):
 
 def test_language_assignment_follows_config():
     cfg = small_cfg(n_speakers=30, languages={"en": 0.5, "de": 0.3, "fr": 0.2})
-    records, truth = generate(cfg)
+    _, records, truth = generate(cfg)
     langs = set(truth.speaker_language.values())
     assert langs <= {"en", "de", "fr"}
     for r in records:
@@ -91,9 +90,9 @@ def test_language_assignment_follows_config():
 
 def test_domain_shift_reuses_latents():
     cfg = small_cfg()
-    _, truth = generate(cfg)
+    _, _, truth = generate(cfg)
     shifted_cfg = small_cfg(seed=99)
-    _, shifted = generate(shifted_cfg, base_truth=truth, projection_jitter=0.5)
+    _, _, shifted = generate(shifted_cfg, base_truth=truth, projection_jitter=0.5)
     for s in truth.latents:
         assert np.array_equal(truth.latents[s], shifted.latents[s])
     g0 = truth.projections[ModalityKind.VOICE_SPEAKER]

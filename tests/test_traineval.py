@@ -9,11 +9,10 @@ from fvassoc import traineval
 from fvassoc.diffcore import make_rng
 from fvassoc.embedstore import (
     FULL_DIMS,
-    Manifest,
-    ManifestEntry,
     ModalityKind,
     assemble_face_inputs,
     assemble_voice_inputs,
+    record_table,
 )
 from fvassoc.errors import (
     ConfigError,
@@ -61,10 +60,11 @@ def make_dataset(n_speakers=10, records_per_speaker=4, seed=42, noise=0.01,
         seed=seed,
         languages=languages or {"en": 1.0},
     )
-    records, truth = generate(cfg, base_truth=base_truth, projection_jitter=jitter)
-    voices, _ = assemble_voice_inputs(records)
-    faces, _ = assemble_face_inputs(records)
-    return PairedDataset(faces, voices), truth, records
+    vectors, records, truth = generate(cfg, base_truth=base_truth,
+                                       projection_jitter=jitter)
+    voices, _ = assemble_voice_inputs(vectors, records)
+    faces, _ = assemble_face_inputs(vectors, records)
+    return PairedDataset(faces, voices), truth, (vectors, records)
 
 
 def quick_cfg(**kw):
@@ -678,7 +678,7 @@ class TestSubsetIsAnIndex:
 
     @pytest.mark.parametrize("trainer", TRAINERS)
     def test_training_on_a_subset_equals_training_on_its_records(self, trainer):
-        ds, _, records = make_dataset()
+        ds, _, (vectors, records) = make_dataset()
         spk = ds.speakers()
         # held-out speakers in the middle: neither side's table positions
         # equal its rows of x
@@ -686,9 +686,9 @@ class TestSubsetIsAnIndex:
         trials = default_dev_trials(ds, held, quick_cfg(), make_rng(0))
 
         def assembled(speakers):
-            kept = [r for r in records if r.speaker_id in speakers]
-            return PairedDataset(assemble_face_inputs(kept)[0],
-                                 assemble_voice_inputs(kept)[0])
+            kept = records[np.isin(records.speaker_id, speakers)]
+            return PairedDataset(assemble_face_inputs(vectors, kept)[0],
+                                 assemble_voice_inputs(vectors, kept)[0])
 
         # the best arrays, the log, and the arrays and dev scores after the
         # last step
@@ -882,23 +882,25 @@ class TestPretrainFinetune:
 
 
 def multilingual_corpus(seed, excluded=None, n_speakers=12, languages=None):
-    ds, _, records = make_dataset(
+    ds, _, (_, records) = make_dataset(
         n_speakers=n_speakers,
         records_per_speaker=4,
         seed=seed,
         languages=languages or {"en": 0.4, "de": 0.4, "fr": 0.2},
     )
-    entries = [
-        ManifestEntry(r.record_id, r.speaker_id, r.language, r.modality,
-                      len(r.vector))
-        for r in records
-    ]
-    manifest = Manifest(dataset_name=f"corpus{seed}", entries=entries)
     if excluded is not None:
-        manifest = filter_exclude_language(manifest, excluded)
-        keep_spk = {e.speaker_id for e in manifest.entries}
+        records = filter_exclude_language(records, excluded)
+        keep_spk = set(records.speaker_id.tolist())
         ds = ds.subset(keep_spk)
-    return manifest, ds
+    return records, ds
+
+
+def with_leak(corpus):
+    """`corpus` with one English voice record added to its records."""
+    records, ds = corpus
+    leak = ("leak#vspk", "sX", "en", ModalityKind.VOICE_SPEAKER, 0)
+    return record_table(*(np.append(records[name], value) for name, value
+                          in zip(records.dtype.names, leak))), ds
 
 
 class TestScenarios:
@@ -943,10 +945,8 @@ class TestScenarios:
 
     def test_injected_leakage_is_hard_failure(self):
         corpora = self.build_corpora()
-        manifest, _ = corpora["english_unheard"]["pretrain"]
-        manifest.entries.append(
-            ManifestEntry("leak#vspk", "sX", "en", ModalityKind.VOICE_SPEAKER, 4)
-        )
+        entry = corpora["english_unheard"]
+        entry["pretrain"] = with_leak(entry["pretrain"])
         test_ds, _, _ = make_dataset(
             n_speakers=12, records_per_speaker=4, seed=3,
             languages={"en": 0.5, "de": 0.5},
@@ -960,12 +960,12 @@ class TestScenarios:
     def test_leak_raised_before_any_training(self, monkeypatch):
         # the leak sits in the third scenario; both heard ones come first
         corpora = self.build_corpora()
-        manifest, _ = corpora["english_unheard"]["finetune"]
-        manifest.entries.append(
-            ManifestEntry("leak#vspk", "sX", "en", ModalityKind.VOICE_SPEAKER, 4)
-        )
+        entry = corpora["english_unheard"]
+        entry["finetune"] = with_leak(entry["finetune"])
         forbid_training(monkeypatch)
-        with pytest.raises(ProtocolViolationError, match="english_unheard"):
+        with pytest.raises(ProtocolViolationError, match=(
+                r"english_unheard: 1 'en' records in its finetune corpus "
+                r"\(first: leak#vspk\)")):
             run_scenarios(corpora, None, quick_cfg())
 
     @pytest.mark.parametrize("n_speakers", [1, 2, 3, 5, 6])

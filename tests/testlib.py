@@ -1,12 +1,13 @@
 """Code only the tests use: the finite-difference gradient oracle that
 checks every analytic gradient, the plain softmax loss that the AAM loss
-must reduce to, language filters for records and manifests, and the
+must reduce to, the stored-dataset pair built from per-record tuples and
+taken back apart, the language filter of a corpus's records, and the
 speaker-label shuffle of the chance-level baseline."""
 
 import numpy as np
 
 from fvassoc.diffcore import as_mat, l2_normalize_rows
-from fvassoc.embedstore import Manifest
+from fvassoc.embedstore import ModalityKind, record_table
 from fvassoc.errors import ConfigError, NumericError
 from fvassoc.traineval import PairedDataset
 
@@ -55,15 +56,32 @@ def softmax_xent_on_cosines(x, clf_weight, targets):
     return -float(log_probs[np.arange(len(targets)), targets].mean())
 
 
-def filter_records_exclude_language(records, excluded):
+def store_pair(entries):
+    """The (vectors, records) pair of a stored dataset (embedstore's
+    docstring) from per-record (record_id, speaker_id, language, modality,
+    vector) tuples, the records in the order of `entries`."""
+    ids, speakers, languages, kinds, vecs = list(zip(*entries)) or [()] * 5
+    kinds = np.array(kinds, np.int8)
+    rows = np.zeros(len(kinds), np.int64)
+    vectors = {}
+    for kind in ModalityKind:
+        at = np.flatnonzero(kinds == kind)
+        if at.size:
+            vectors[kind] = np.array([vecs[i] for i in at], np.float32)
+            rows[at] = np.arange(at.size)
+    return vectors, record_table(ids, speakers, languages, kinds, rows)
+
+
+def store_entries(vectors, records):
+    """The per-record tuples of a (vectors, records) pair, in record order:
+    store_pair's inverse."""
+    return [(r.record_id, r.speaker_id, r.language, r.modality,
+             vectors[r.modality][r.row]) for r in records]
+
+
+def filter_exclude_language(records, excluded):
     """The records whose language is not `excluded`; order preserved."""
-    return [r for r in records if r.language != excluded]
-
-
-def filter_exclude_language(manifest, excluded):
-    """Drop every entry whose language equals `excluded`; order preserved."""
-    kept = [e for e in manifest.entries if e.language != excluded]
-    return Manifest(dataset_name=manifest.dataset_name, entries=kept)
+    return records[records.language != excluded]
 
 
 def shuffle_speaker_labels(dataset, rng):

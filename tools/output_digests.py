@@ -78,10 +78,9 @@ def run_all(work):
     (inputs / "trials.tsv").write_text(eval_trials())
     data, no_en, no_de = (str(work / d) for d in ("data", "no_en", "no_de"))
     run(work, "data", "synth", {"synth": SYNTH})
-    _, records = read_store(data)
+    vectors, records = read_store(data)
     for lang, dst in (("en", "no_en"), ("de", "no_de")):
-        kept = [r for r in records if r.language != lang]
-        write_store(kept, work / dst, dataset_name=dst)
+        write_store(vectors, records[records.language != lang], work / dst)
     run(work, "train", "train",
         {"data": data, "dev_fraction": 0.25, "train": TRAIN})
     run(work, "crossval", "crossval", {"data": data, "n_folds": 3, "train": TRAIN})
