@@ -15,9 +15,10 @@ int only a JSON integer, a float an integer or a finite number. Ranges are
 checked by each dataclass's validate() and, for top-level numbers, by the
 traineval function that uses them.
 
-Exit statuses: 0 success, 2 config/parse error, 3 protocol violation
-(unheard-language leakage), 4 data/schema error, 5 internal numeric error
-or an exception nobody mapped (printed with its type name).
+Exit statuses: 0 success, else the `status` of the FvError that ended the
+command (2 config/parse error, 3 protocol violation, 4 data/schema error,
+5 numeric error; see errors.py), 4 for an input path that cannot be read
+(OSError) and 5 for any other exception (printed with its type name).
 """
 
 import argparse
@@ -33,56 +34,18 @@ import numpy as np
 
 from . import embedstore, synthgen, traineval
 from .embedstore import ModalityKind, read_store, split_tsv_rows
-from .errors import (
-    ConfigError,
-    DegenerateVectorError,
-    EmptyDatasetError,
-    FormatError,
-    FvError,
-    LookupError_,
-    MetricError,
-    NumericError,
-    ProtocolViolationError,
-    SamplingError,
-    SchemaError,
-    ShapeError,
-)
+from .errors import ConfigError, FormatError, FvError, MetricError, SchemaError
 from .fusion import load_checkpoint, save_checkpoint
 from .synthgen import SynthConfig
 from .traineval import PairedDataset, TrainConfig, XAttnTrainConfig, trial_table
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_PROTOCOL = 3
-EXIT_DATA = 4
-EXIT_NUMERIC = 5
-
-_EXIT_BY_ERROR = [
-    (ProtocolViolationError, EXIT_PROTOCOL),
-    (ConfigError, EXIT_CONFIG),
-    (NumericError, EXIT_NUMERIC),
-    (
-        (
-            FormatError,
-            SchemaError,
-            EmptyDatasetError,
-            LookupError_,
-            SamplingError,
-            MetricError,
-            ShapeError,
-            DegenerateVectorError,
-            OSError,  # an input path that is missing, a directory, unreadable
-        ),
-        EXIT_DATA,
-    ),
-]
-
 
 def _exit_code(exc):
-    for types, code in _EXIT_BY_ERROR:
-        if isinstance(exc, types):
-            return code
-    return EXIT_NUMERIC
+    """The exit status of the exception `exc` that ended a command: an
+    FvError's own status, 4 for an unusable input path (an OSError), else 5."""
+    if isinstance(exc, FvError):
+        return exc.status
+    return 4 if isinstance(exc, OSError) else 5
 
 
 CONFIG_SCHEMA = {
@@ -195,7 +158,8 @@ def load_config(command, path, seed_override=None):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    # not JSON, nested too deeply, or holding an integer too long to convert
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     schema = CONFIG_SCHEMA[command]
     _check_keys(_check_type(raw, dict, "config root"), schema, "config")
@@ -282,15 +246,6 @@ def load_dataset(path):
     return records, ds, {"skipped_voice": v_skipped, "skipped_face": f_skipped}
 
 
-def _strip_arrays(obj):
-    """Drop in-memory weight snapshots before JSON serialization."""
-    if isinstance(obj, dict):
-        return {k: _strip_arrays(v) for k, v in obj.items() if k != "arrays"}
-    if isinstance(obj, list):
-        return [_strip_arrays(v) for v in obj]
-    return obj
-
-
 def _save_checkpoint(path, arrays, architecture, ds, **extra):
     """Save a checkpoint whose meta holds `architecture`, the input dims of
     `ds` and `extra` (out_dim, stage, fold; d_model, residual)."""
@@ -311,7 +266,6 @@ def cmd_synth(cfg, out):
     print(
         f"synth: {synth.n_speakers} speakers, {len(records)} records, dims {dims}"
     )
-    return EXIT_OK
 
 
 def cmd_train(cfg, out):
@@ -335,7 +289,6 @@ def cmd_train(cfg, out):
     )
     atomic_write_json(out / "report.json", report)
     print(f"train: best dev EER {best['dev_eer']:.4f} at step {best['step']}")
-    return EXIT_OK
 
 
 def cmd_crossval(cfg, out):
@@ -344,19 +297,17 @@ def cmd_crossval(cfg, out):
     cv = traineval.cross_validate(ds, train, n_folds=n_folds)
     out.mkdir(parents=True, exist_ok=True)
     for entry in cv["folds"]:
-        _save_checkpoint(out / f"fold{entry['fold']}.fvh", entry["arrays"],
+        _save_checkpoint(out / f"fold{entry['fold']}.fvh", entry.pop("arrays"),
                          "mapping-heads", ds, out_dim=train.out_dim,
                          fold=entry["fold"])
     report = make_report(
-        {"train": asdict(train), "data": cfg["data"], "n_folds": n_folds},
-        _strip_arrays(cv),
+        {"train": asdict(train), "data": cfg["data"], "n_folds": n_folds}, cv
     )
     atomic_write_json(out / "report.json", report)
     print(
         f"crossval: mean EER {cv['mean_eer']:.4f} +- {cv['std_eer']:.4f} "
         f"over {n_folds} folds"
     )
-    return EXIT_OK
 
 
 def cmd_pretrain_finetune(cfg, out):
@@ -372,12 +323,12 @@ def cmd_pretrain_finetune(cfg, out):
         dev_fraction=cfg["dev_fraction"],
     )
     out.mkdir(parents=True, exist_ok=True)
-    _save_checkpoint(out / "pretrained.fvh", result["pretrain"]["arrays"],
+    _save_checkpoint(out / "pretrained.fvh", result["pretrain"].pop("arrays"),
                      "mapping-heads", pre_ds, out_dim=cfg_pre.out_dim,
                      stage="pretrain")
     for entry in result["finetune"]["folds"]:
         _save_checkpoint(out / f"finetuned_fold{entry['fold']}.fvh",
-                         entry["arrays"], "mapping-heads", ft_ds,
+                         entry.pop("arrays"), "mapping-heads", ft_ds,
                          out_dim=cfg_ft.out_dim, stage="finetune",
                          fold=entry["fold"])
     report = make_report(
@@ -387,7 +338,7 @@ def cmd_pretrain_finetune(cfg, out):
             "pretrain_data": cfg["pretrain_data"],
             "finetune_data": cfg["finetune_data"],
         },
-        _strip_arrays(result),
+        result,
     )
     atomic_write_json(out / "report.json", report)
     print(
@@ -395,7 +346,6 @@ def cmd_pretrain_finetune(cfg, out):
         f"fine-tuned mean EER {result['finetune']['mean_eer']:.4f} "
         f"(frozen baseline {result['frozen_mean_eer']:.4f})"
     )
-    return EXIT_OK
 
 
 def cmd_scenarios(cfg, out):
@@ -430,7 +380,6 @@ def cmd_scenarios(cfg, out):
     for name, row in table["scenarios"].items():
         print(f"{name}: EER {row['eer']:.4f}")
     print(f"overall mean EER {table['overall_mean_eer']:.4f}")
-    return EXIT_OK
 
 
 TRIALS_HEADER = "face_record_id\tvoice_record_id\tlabel"
@@ -497,7 +446,6 @@ def cmd_eval(cfg, out):
     )
     atomic_write_json(out / "report.json", payload)
     print(f"eval: EER {report.eer:.4f} over {len(trials)} trials")
-    return EXIT_OK
 
 
 def cmd_xattn(cfg, out):
@@ -525,7 +473,6 @@ def cmd_xattn(cfg, out):
     )
     atomic_write_json(out / "report.json", report)
     print(f"xattn: best dev EER {best['dev_eer']:.4f} at step {best['step']}")
-    return EXIT_OK
 
 
 COMMANDS = {
@@ -561,11 +508,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.command, args.config, args.seed)
-        return COMMANDS[args.command](cfg, Path(args.out))
+        COMMANDS[args.command](cfg, Path(args.out))
     except Exception as exc:  # mapped to the stable exit-status contract
         unmapped = "" if isinstance(exc, FvError) else f"{type(exc).__name__}: "
         print(f"error: {unmapped}{exc}", file=sys.stderr)
         return _exit_code(exc)
+    return 0
 
 
 if __name__ == "__main__":

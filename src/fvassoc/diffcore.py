@@ -35,12 +35,6 @@ def as_mat(x):
     return a
 
 
-def check_finite(x, what="result"):
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"non-finite values in {what}")
-    return x
-
-
 def l2_normalize_rows(x):
     """Divide each row by its Euclidean norm.
 
@@ -93,6 +87,7 @@ def apply_dropout(x, mask):
 
 
 _ADAM_BLOCK = 16384  # elements per block of the in-place Adam update
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -103,21 +98,11 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_param(cls, param, lr=1e-3):
         shape = np.shape(param)
-        return cls(
-            m=np.zeros(shape),
-            v=np.zeros(shape),
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+        return cls(m=np.zeros(shape), v=np.zeros(shape), lr=lr)
 
 
 def adam_step(param, grad, state):
@@ -144,10 +129,11 @@ def adam_step(param, grad, state):
             f"adam_step: param {param.shape}, grad {grad.shape}, "
             f"state {state.m.shape}"
         )
-    check_finite(grad, "adam gradient")
+    if not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite values in adam gradient")
     state.step += 1
     t = state.step
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
     c1, c2 = 1.0 - b1, 1.0 - b2
     bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
     p, g = param.reshape(-1), grad.reshape(-1)

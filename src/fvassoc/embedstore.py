@@ -166,9 +166,8 @@ def read_store_file(path):
 
 
 def _read_manifest(path):
-    """The manifest's record id, speaker id, language and dim columns as
-    arrays, in file order. Modality tags are checked, not returned: a
-    record's modality is that of the store holding its vector."""
+    """The manifest's record id, speaker id, language, modality (as
+    ModalityKind codes) and dim columns as arrays, in file order."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -178,11 +177,13 @@ def _read_manifest(path):
         raise FormatError(f"{path}: bad manifest header")
     cols = split_tsv_rows(lines[1:], 5)
     if cols is not None and set(cols[3]) <= set(_TAGS.values()):
-        ids, speakers, languages, _, dims = (np.array(c, str) for c in cols)
-        names, at = np.unique(dims, return_inverse=True)
+        ids, speakers, languages, tags, dims = (np.array(c, str) for c in cols)
+        names, at = np.unique(tags, return_inverse=True)
+        codes = np.array([ModalityKind.from_tag(t) for t in names.tolist()], np.int8)
+        names, dim_at = np.unique(dims, return_inverse=True)
         try:
-            dims = np.array([int(d) for d in names.tolist()], np.int64)[at]
-            return ids, speakers, languages, dims
+            dims = np.array([int(d) for d in names.tolist()], np.int64)[dim_at]
+            return ids, speakers, languages, codes[at], dims
         except ValueError:
             pass
     for ln in lines[1:]:  # name the first bad row, checking rows in order
@@ -226,16 +227,17 @@ def read_store(in_dir):
     manifest order.
 
     Round-trips write_store losslessly (vectors compared at 32-bit). A
-    record id that the manifest lists twice, that no store holds, or that
-    the stores hold twice is a SchemaError.
+    record id that the manifest lists twice, that no store holds, that the
+    stores hold twice, or that a store of another modality than its manifest
+    tag holds is a SchemaError.
     """
     in_dir = Path(in_dir)
-    ids, speakers, languages, dims = _read_manifest(in_dir / "manifest.tsv")
+    ids, speakers, languages, tags, dims = _read_manifest(in_dir / "manifest.tsv")
     order = np.argsort(ids, kind="stable")
     by_id = ids[order]
     if (by_id[1:] == by_id[:-1]).any():
         raise SchemaError(f"{in_dir}: duplicate record ids in manifest")
-    modality = np.full(len(ids), -1, np.int8)  # -1 until a store holds it
+    held = np.zeros(len(ids), bool)  # whether a store holds the record yet
     row = np.zeros(len(ids), np.int64)
     vectors = {}
     for kind in ModalityKind:
@@ -253,19 +255,25 @@ def read_store(in_dir):
         first = np.zeros(len(entry), bool)
         first[np.unique(entry, return_index=True)[1]] = True
         bad = ~known
-        bad[known] = (dims[entry] != vecs.shape[1]) | (modality[entry] >= 0) | ~first
+        bad[known] = ((tags[entry] != kind) | (dims[entry] != vecs.shape[1])
+                      | held[entry] | ~first)
         if bad.any():
             i = int(bad.argmax())
-            problem = "is stored twice" if known[i] else "missing from manifest"
-            if known[i] and dims[order[at[i]]] != vecs.shape[1]:
-                problem = f"dim {vecs.shape[1]} != manifest dim {dims[order[at[i]]]}"
+            e = order[at[i]] if known[i] else None
+            problem = "missing from manifest" if e is None else "is stored twice"
+            if e is not None and not held[e]:  # no earlier store holds it
+                if tags[e] != kind:
+                    problem = (f"has manifest tag {ModalityKind(tags[e]).tag} "
+                               f"!= store tag {kind.tag}")
+                elif dims[e] != vecs.shape[1]:
+                    problem = f"dim {vecs.shape[1]} != manifest dim {dims[e]}"
             raise SchemaError(f"{path}: record {rids[i]} {problem}")
-        modality[entry], row[entry], vectors[kind] = kind, np.arange(len(entry)), vecs
-    if (modality < 0).any():
+        held[entry], row[entry], vectors[kind] = True, np.arange(len(entry)), vecs
+    if not held.all():
         raise SchemaError(
-            f"{in_dir}: manifest record {ids[modality.argmin()]} has no vector"
+            f"{in_dir}: manifest record {ids[held.argmin()]} has no vector"
         )
-    return vectors, record_table(ids, speakers, languages, modality, row)
+    return vectors, record_table(ids, speakers, languages, tags, row)
 
 
 def assemble_concat_inputs(vectors, records, identity_kind, agegender_kind):

@@ -1,17 +1,20 @@
 """Exception hierarchy shared by all modules.
 
-Each class maps to one CLI exit status (see cli._EXIT_BY_ERROR):
-config problems -> 2, protocol violations -> 3, data/schema problems -> 4,
-numeric failures -> 5.
+Each class carries the CLI exit status of its kind as `status`: config
+problems 2, protocol violations 3, data/schema problems 4 (every
+`DataError`), numeric failures 5. The CLI exits with the status of the
+error that ends a command.
 """
 
 
 class FvError(Exception):
-    pass
+    status = 5
 
 
 class ConfigError(FvError):
     """Bad configuration value or malformed config file."""
+
+    status = 2
 
 
 def check_min(cfg, **minimums):
@@ -22,41 +25,49 @@ def check_min(cfg, **minimums):
             raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
-class ShapeError(FvError):
-    """Matrix dimension mismatch; message names both shapes."""
+class ProtocolViolationError(FvError):
+    """Unheard-language leakage detected in a consumed training manifest."""
+
+    status = 3
 
 
-class DegenerateVectorError(FvError):
-    """A vector with norm below eps that cannot be normalized."""
+class DataError(FvError):
+    """An input that is malformed or unusable for the requested step."""
+
+    status = 4
 
 
 class NumericError(FvError):
     """NaN/Inf or other non-finite value where a finite one is required."""
 
 
-class FormatError(FvError):
+class ShapeError(DataError):
+    """Matrix dimension mismatch; message names both shapes."""
+
+
+class DegenerateVectorError(DataError):
+    """A vector with norm below eps that cannot be normalized."""
+
+
+class FormatError(DataError):
     """Bad magic, version, or truncated binary container."""
 
 
-class SchemaError(FvError):
+class SchemaError(DataError):
     """Inconsistent dims or manifest/store disagreement."""
 
 
-class EmptyDatasetError(FvError):
+class EmptyDatasetError(DataError):
     """An assembly or sampling step produced nothing usable."""
 
 
-class LookupError_(FvError):
+class LookupError_(DataError):
     """Unknown record or speaker id."""
 
 
-class SamplingError(FvError):
+class SamplingError(DataError):
     """Requested more trials than the record pool can provide."""
 
 
-class MetricError(FvError):
+class MetricError(DataError):
     """Metric undefined for the given inputs (e.g. single-class EER)."""
-
-
-class ProtocolViolationError(FvError):
-    """Unheard-language leakage detected in a consumed training manifest."""

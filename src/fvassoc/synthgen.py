@@ -147,10 +147,10 @@ _GROUPS = (("v", ModalityKind.VOICE_SPEAKER, ModalityKind.VOICE_AGE_GENDER),
            ("f", ModalityKind.FACE_IDENTITY, ModalityKind.FACE_AGE_GENDER))
 
 
-def write_dataset(cfg, out_dir, base_truth=None, projection_jitter=0.0):
+def write_dataset(cfg, out_dir):
     """Generate and materialize a dataset directory plus ground-truth
     sidecar; returns generate's (vectors, records, truth)."""
-    vectors, records, truth = generate(cfg, base_truth, projection_jitter)
+    vectors, records, truth = generate(cfg)
     write_store(vectors, records, out_dir)
     write_ground_truth(truth, Path(out_dir) / "ground_truth.fve")
     return vectors, records, truth

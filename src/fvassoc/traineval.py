@@ -312,19 +312,17 @@ _SCORE_BLOCK = 16384
 def _trial_rows(trials, dataset):
     """(face_at, face_row, voice_at, voice_row): face_at holds the table
     position in `face_inputs` of every distinct face of the trials once, in
-    first-seen order, and face_at[face_row[i]] is trial i's face; likewise
+    sorted id order, and face_at[face_row[i]] is trial i's face; likewise
     for voices. Every id that names no record of its modality is reported,
     sorted."""
     out, unknown = [], []
     for kind, (rows, _) in zip(("face", "voice"), dataset.tables()):
-        ids, first, inverse = np.unique(trials[f"{kind}_id"], return_index=True,
-                                        return_inverse=True)
+        ids, inverse = np.unique(trials[f"{kind}_id"], return_inverse=True)
         unknown += [f"{kind} {i}" for i in np.setdiff1d(ids, rows.owner_id).tolist()]
-        seen = np.argsort(first)  # the distinct ids in first-seen order
         sorter = np.argsort(rows.owner_id)
-        pos = np.searchsorted(rows.owner_id, ids[seen], sorter=sorter)
+        pos = np.searchsorted(rows.owner_id, ids, sorter=sorter)
         # an unknown id may land past the last owner (-1); it is raised below
-        out += [np.append(sorter, -1)[pos], np.argsort(seen)[inverse]]
+        out += [np.append(sorter, -1)[pos], inverse]
     if unknown:
         raise LookupError_(f"unknown trial record ids: {', '.join(unknown)}")
     return out

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fvassoc
-from fvassoc.cli import CONFIG_SCHEMA, build_parser, main
+from fvassoc.cli import CONFIG_SCHEMA, build_parser, load_config, main
+from fvassoc.errors import ConfigError, FvError
 from fvassoc.fusion import load_checkpoint, save_checkpoint
 
 
@@ -753,6 +754,42 @@ def test_wrong_type_for_every_schema_key_exits_2(schema_corpus, tmp_path):
     assert not failures
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_config_loads_or_raises_config_error(tmp_path, data):
+    """A config file of any JSON value, or a base config with up to three
+    keys (an unknown one included) set to any JSON value, either loads or
+    raises ConfigError."""
+    command = data.draw(st.sampled_from(list(CONFIG_SCHEMA)), label="command")
+    config = _SHAPES[command]
+    if data.draw(st.booleans(), label="whole file"):
+        config = data.draw(_JSON, label="config")
+    else:
+        paths = [*schema_leaves(config), ("extra",),
+                 *((key, "extra") for key in config if key in SCHEMA_BLOCKS)]
+        drawn = data.draw(st.lists(st.sampled_from(paths), min_size=1,
+                                   max_size=3, unique=True), label="keys")
+        for path in sorted(drawn, key=len, reverse=True):  # inner keys first
+            config = with_value(config, path, data.draw(_JSON, label=str(path)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    seed = data.draw(st.none() | st.integers(), label="seed")
+    try:
+        loaded = load_config(command, path, seed)
+    except ConfigError:
+        return
+    assert set(loaded) == set(CONFIG_SCHEMA[command])
+
+
 @pytest.mark.parametrize("command", list(CONFIG_SCHEMA))
 def test_schema_base_config_runs(schema_corpus, tmp_path, command):
     config = schema_base_configs(schema_corpus)[command]
@@ -868,6 +905,12 @@ class TestDecodeErrors:
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_over_long_integer_in_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"synth": {"seed": ' + "1" * 5000 + "}}", encoding="utf-8")
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+
     def test_data_path_that_is_a_file_exits_4(self, schema_corpus, tmp_path):
         config = schema_base_configs(schema_corpus)["train"]
         config = with_value(config, ("data",), schema_corpus[3])
@@ -928,6 +971,20 @@ class TestDecodeErrors:
         assert self._corrupt_copy(
             schema_corpus, tmp_path, "manifest.tsv", edit
         ) == (4, False)
+
+    def test_manifest_tag_other_than_its_store_exits_4(self, schema_corpus,
+                                                       tmp_path, capsys):
+        # vspk.fve holds s000:v000#vspk; its manifest row now tags it fid
+        def edit(blob):
+            return blob.replace(b"s000:v000#vspk\ts000\ten\tvspk\t",
+                                b"s000:v000#vspk\ts000\ten\tfid\t")
+
+        capsys.readouterr()
+        assert self._corrupt_copy(
+            schema_corpus, tmp_path, "manifest.tsv", edit
+        ) == (4, False)
+        assert ("record s000:v000#vspk has manifest tag fid != store tag vspk"
+                in capsys.readouterr().err)
 
     def test_duplicate_owner_in_one_modality_exits_4(self, schema_corpus,
                                                      tmp_path, capsys):
@@ -1019,7 +1076,7 @@ class TestDecodeErrors:
 
 # ---------------------------------------------------------------------------
 # Corrupted input files: every outcome is exit 0 or a documented status,
-# reached through an exception that `_EXIT_BY_ERROR` maps
+# reached through an exception that has one (an FvError or an OSError)
 
 
 STORE_FILES = ["vspk.fve", "vag.fve", "fid.fve", "fag.fve"]
@@ -1032,15 +1089,15 @@ def corrupt_inputs(schema_corpus, tmp_path, monkeypatch):
     `run(command, path, blob)`: run `command` on the copy with the file at
     `path` replaced by `blob`, put the file back, and return the exit status.
 
-    An exception that no entry of `_EXIT_BY_ERROR` maps fails the test
+    An exception that is neither an FvError nor an OSError fails the test
     instead of taking `_exit_code`'s fallback to exit 5.
     """
     import fvassoc.cli
 
-    exit_code, mapped = fvassoc.cli._exit_code, fvassoc.cli._EXIT_BY_ERROR
+    exit_code = fvassoc.cli._exit_code
 
     def mapped_exit_code(exc):
-        if not any(isinstance(exc, types) for types, _ in mapped):
+        if not isinstance(exc, (FvError, OSError)):
             raise AssertionError(
                 f"unmapped {type(exc).__name__}: {exc}") from exc
         return exit_code(exc)
@@ -1069,13 +1126,21 @@ def corrupt_inputs(schema_corpus, tmp_path, monkeypatch):
 
 
 def _edit(data, blob):
-    """`blob` truncated, or with 1-4 of its bytes overwritten, as drawn."""
-    if data.draw(st.booleans(), label="truncate"):
+    """`blob` truncated, or with 1-4 of its bytes overwritten, inserted or
+    deleted, as drawn."""
+    mode = data.draw(st.sampled_from(["truncate", "overwrite", "insert",
+                                      "delete"]), label="mode")
+    if mode == "truncate":
         return blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
     out = bytearray(blob)
     for _ in range(data.draw(st.integers(1, 4), label="n_bytes")):
-        at = data.draw(st.integers(0, len(blob) - 1), label="at")
-        out[at] = data.draw(st.integers(0, 255), label="byte")
+        at = data.draw(st.integers(0, len(out) - 1), label="at")
+        if mode == "delete":
+            del out[at]
+        elif mode == "insert":
+            out.insert(at, data.draw(st.integers(0, 255), label="byte"))
+        else:
+            out[at] = data.draw(st.integers(0, 255), label="byte")
     return bytes(out)
 
 

@@ -143,6 +143,19 @@ class TestStoreRoundTrip:
         with pytest.raises(error, match=message):
             read_store(tmp_path / "ds")
 
+    def test_manifest_tag_other_than_its_store_rejected(self, tmp_path):
+        # vspk.fve holds a:v000#vspk, whose manifest row (of the same dim)
+        # tags it fid
+        write_store(*store_pair(make_records()), tmp_path / "ds")
+        path = tmp_path / "ds" / "manifest.tsv"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("a:v000#vspk\ta\ten\tvspk\t",
+                                     "a:v000#vspk\ta\ten\tfid\t"),
+                        encoding="utf-8")
+        with pytest.raises(SchemaError, match="vspk.fve: record a:v000#vspk "
+                           "has manifest tag fid != store tag vspk"):
+            read_store(tmp_path / "ds")
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
             write_store(*store_pair([]), tmp_path / "ds")

@@ -489,20 +489,30 @@ class TestScoreTrialsMatchesOracle:
         trials = trial_table([], [], [])
         assert score_trials(head_f, head_v, trials, ds).shape == (0,)
 
-    def test_distinct_rows_in_first_seen_order(self):
-        # Distinct records are projected in first-seen order. Outputs are
-        # compared byte for byte across versions, and a BLAS build may round
-        # a row by its place in the matmul, so the order is part of the
-        # contract. The table is not sorted by owner id (f10 before f2).
-        ds, _, _ = _scoring_case(11, 4, 3, 3, seed=71)
-        trials = trial_table(["f2", "f0", "f2", "f10", "f1", "f0"],
-                             ["v3", "v3", "v1", "v0", "v1", "v2"],
-                             [False] * 6)
-        face_at, face_row, voice_at, voice_row = traineval._trial_rows(trials, ds)
-        assert face_at.tolist() == [2, 0, 10, 1]
-        assert face_row.tolist() == [0, 1, 0, 2, 3, 1]
-        assert voice_at.tolist() == [3, 1, 0, 2]
-        assert voice_row.tolist() == [0, 0, 1, 2, 1, 3]
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_permuting_or_duplicating_trials_keeps_every_score(self, data):
+        # Distinct records are projected in sorted id order, so a list that
+        # holds the same trials in any order and multiplicity projects the
+        # same matrix. Widths 56 and 80 are ones where OpenBLAS 0.3.31 rounds
+        # a row of a batch of up to 6 rows by the batch size.
+        ds, head_f, head_v = _scoring_case(
+            n_faces=data.draw(st.integers(1, 10)),
+            n_voices=data.draw(st.integers(1, 10)),
+            face_dim=data.draw(st.sampled_from([1, 3, 8, 56])),
+            voice_dim=data.draw(st.sampled_from([2, 5, 16, 80])),
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+            out_dim=data.draw(st.integers(1, 12)),
+        )
+        n = data.draw(st.integers(1, 30))
+        trials = _random_trials(ds, n, make_rng(data.draw(st.integers(0, 99))))
+        extra = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        order = data.draw(st.permutations(list(range(n)) + extra))
+        scores = score_trials(head_f, head_v, trials, ds)
+        with mock.patch.object(traineval, "_SCORE_BLOCK",
+                               data.draw(st.integers(1, 8))):
+            got = score_trials(head_f, head_v, trials[order], ds)
+        assert got.tobytes() == scores[order].tobytes()
 
 
 def _sampled_pairs(face_speakers, voice_speakers, batch_size, seed):

@@ -14,11 +14,10 @@ Two trees give the same output exactly when their outputs are byte-identical:
 
 The `eval` trial list names 10 faces and 10 voices three times each, first
 seen in an order that is not sorted, so it exercises how the scorer projects
-each distinct record once, in first-seen order: a change to either shows in
+each distinct record once, in sorted id order: a change to either shows in
 the outputs on a BLAS build that rounds a row by its place in the matmul or
-by the rows it shares the matmul with. OpenBLAS 0.3.31 does neither for 10
-rows at these widths; there a unit test of `traineval._trial_rows` pins the
-order.
+by the rows it shares the matmul with. A unit test checks that the order
+and repetition of a trial list leave every score bit for bit unchanged.
 
 The `xattn` run holds out 40% of the speakers and trains at lr 0.03 for up
 to 60 steps, so its best dev EER comes after step 0 (step 40 on OpenBLAS
