@@ -23,8 +23,9 @@ Binary store format (little-endian throughout):
 In memory a stored dataset is one pair (vectors, records): one float32
 matrix per ModalityKind, and a `record_table` whose record r has its vector
 at vectors[r.modality][r.row]. The reader, the writer, the synthetic
-generator and input assembly all take this pair; assembly upcasts vectors to
-64-bit as it writes them into the input matrices.
+generator and input assembly all take this pair. The input matrices that
+assembly builds stay float32 as stored; the numerics widen the rows they
+gather to float64, which is exact.
 
 Record ids follow the convention ``<owner_id>#<modality tag>`` so the
 identity and age-gender embedding of the same utterance/image can be matched
@@ -127,7 +128,8 @@ def read_store_file(path):
     """Read one .fve file; returns (modality, ids, vecs): a str array of
     record ids and a float32 matrix whose row i is record i's vector.
 
-    A vector holding NaN or +-inf is a FormatError that names its record.
+    Bytes after the last record, or a vector holding NaN or +-inf (named by
+    its record), are a FormatError.
     """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != MAGIC:
@@ -156,6 +158,8 @@ def read_store_file(path):
             raise FormatError(f"{path}: record id at byte {off} is not UTF-8") from exc
         blocks.append(view[off + id_len : end])
         off = end
+    if off != len(data):
+        raise FormatError(f"{path}: {len(data) - off} trailing bytes at byte {off}")
     # one copy of all vectors; a vector's offset need not be 4-byte aligned
     vecs = np.frombuffer(bytearray().join(blocks), dtype="<f4").reshape(count, dim)
     # a float64 sum of float32 values is non-finite only if one of them is
@@ -282,8 +286,9 @@ def assemble_concat_inputs(vectors, records, identity_kind, agegender_kind):
     Returns ((rows, x), skipped). `rows` is a record array with fields
     owner_id, speaker_id, language and row, sorted by owner id, with row i
     holding row == i; x[row] is the record's identity vector followed by its
-    age-gender vector, in float64. Owners missing either component are
-    skipped and listed, sorted, in `skipped`.
+    age-gender vector, in float32 as stored (half the memory of float64;
+    whoever reads rows of x widens them to float64, exactly). Owners missing
+    either component are skipped and listed, sorted, in `skipped`.
     Two records of one modality with the same owner, or an owner whose two
     records name different speakers, raise SchemaError; so does an empty
     result (EmptyDatasetError).
@@ -315,10 +320,11 @@ def assemble_concat_inputs(vectors, records, identity_kind, agegender_kind):
             f"owner {owners[mismatch[0]]}: speaker mismatch across modalities"
         )
     split = vectors[identity_kind].shape[1]
-    x = np.empty((len(owners), split + vectors[agegender_kind].shape[1]))
+    x = np.empty((len(owners), split + vectors[agegender_kind].shape[1]),
+                 np.float32)
     for cols, kind, at in ((slice(None, split), identity_kind, ident.row),
                            (slice(split, None), agegender_kind, ageg.row)):
-        for i in range(0, len(at), 256):  # a float32 copy of 256 rows at most
+        for i in range(0, len(at), 256):  # a gathered copy of 256 rows at most
             x[i : i + 256, cols] = vectors[kind][at[i : i + 256]]
     rows = np.rec.fromarrays(
         [owners, ident.speaker_id, ident.language, np.arange(len(owners))],

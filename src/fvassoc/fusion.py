@@ -336,6 +336,8 @@ def load_checkpoint(path):
             data[off : off + nbytes], dtype="<f8"
         ).reshape(rows, cols).copy()
         off += nbytes
+    if off != len(data):
+        raise FormatError(f"{path}: {len(data) - off} trailing bytes at byte {off}")
     return arrays, meta
 
 

@@ -1023,6 +1023,28 @@ class TestDecodeErrors:
         err = capsys.readouterr().err
         assert f"vspk.fve: record {rid.decode()} is stored twice" in err
 
+    def test_bytes_after_the_last_store_record_exit_4(self, schema_corpus,
+                                                      tmp_path, capsys):
+        size = (Path(schema_corpus[1]) / "vspk.fve").stat().st_size
+        capsys.readouterr()
+        assert self._corrupt_copy(
+            schema_corpus, tmp_path, "vspk.fve", lambda blob: blob + b"garbage"
+        ) == (4, False)
+        assert (f"vspk.fve: 7 trailing bytes at byte {size}"
+                in capsys.readouterr().err)
+
+    def test_bytes_after_the_last_checkpoint_array_exit_4(self, schema_corpus,
+                                                          tmp_path, capsys):
+        blob = Path(schema_corpus[2]).read_bytes()
+        ckpt = tmp_path / "joined.fvh"
+        ckpt.write_bytes(blob + b"junk")
+        config = with_value(schema_base_configs(schema_corpus)["eval"],
+                            ("checkpoint",), str(ckpt))
+        capsys.readouterr()
+        assert run_config(tmp_path, "eval", config) == (4, False)
+        assert (f"joined.fvh: 4 trailing bytes at byte {len(blob)}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("bad", [b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f",
                                      b"\x00\x00\x80\xff"],
                              ids=["nan", "inf", "-inf"])

@@ -98,6 +98,15 @@ class TestStoreRoundTrip:
         with pytest.raises(FormatError, match="byte"):
             read_store(tmp_path / "ds")
 
+    def test_bytes_after_the_last_record_report_offset(self, tmp_path):
+        write_store(*store_pair(make_records()), tmp_path / "ds")
+        path = tmp_path / "ds" / "fag.fve"
+        data = path.read_bytes()
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(FormatError,
+                           match=f"fag.fve: 1 trailing bytes at byte {len(data)}"):
+            read_store(tmp_path / "ds")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_names_file_and_record(self, tmp_path, bad):
         records = make_records()
@@ -214,8 +223,8 @@ class TestAssembly:
                             rng.standard_normal(FULL_DIMS[kind]).astype(np.float32)))
         (_, xv), _ = assemble_voice_inputs(*store_pair(records))
         (_, xf), _ = assemble_face_inputs(*store_pair(records))
-        assert xv.shape == (1, 7680) and xv.dtype == np.float64
-        assert xf.shape == (1, 4864) and xf.dtype == np.float64
+        assert xv.shape == (1, 7680) and xv.dtype == np.float32
+        assert xf.shape == (1, 4864) and xf.dtype == np.float32
 
     def test_identity_comes_first(self):
         records = make_records(n_per_mod=1, dim=3, speakers=("a",))
@@ -290,9 +299,11 @@ class TestAssembly:
             assert rows.owner_id.tolist() == owners
             assert rows.speaker_id.tolist() == [ident[o][1] for o in owners]
             assert rows.language.tolist() == [ident[o][2] for o in owners]
-            assert np.array_equal(x[rows.row], [
+            # the stored float32 vectors, bit for bit
+            assert x.dtype == np.float32
+            assert x[rows.row].tobytes() == np.array([
                 np.concatenate([ident[o][4], ageg[o][4]]) for o in owners
-            ])
+            ], np.float32).tobytes()
 
     def test_nothing_assemblable(self):
         records = [

@@ -442,6 +442,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(tmp_path / "cut.fvh")
 
+    def test_bytes_after_the_last_array_are_format_error(self, tmp_path):
+        data, _ = self._saved(tmp_path)
+        (tmp_path / "joined.fvh").write_bytes(data + data)
+        with pytest.raises(FormatError, match=f"joined.fvh: {len(data)} "
+                                              f"trailing bytes at byte {len(data)}"):
+            load_checkpoint(tmp_path / "joined.fvh")
+
     @pytest.mark.parametrize("meta", [b'{"a": "\xff"}', b"[1, 2]", b"{not json"])
     def test_bad_meta_block_is_format_error(self, tmp_path, meta):
         data, meta_len = self._saved(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -468,6 +469,20 @@ class TestScoreTrialsMatchesOracle:
         assert np.array_equal(got, _reference_score_trials(head_f, head_v,
                                                            trials, ds))
 
+    def test_scoring_memory_is_the_distinct_records_plus_one_block(self):
+        # 50,000 trials over 100 faces and 100 voices at out_dim 192: blocks
+        # of 16,384 trials peaked at 53 MB of gathered float64 rows; the
+        # per-trial indices and the scores take under 4 MB
+        ds, head_f, head_v = _scoring_case(100, 100, 56, 80, seed=71)
+        trials = _random_trials(ds, 50_000, make_rng(72))
+        tracemalloc.start()
+        try:
+            score_trials(head_f, head_v, trials, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
     def test_trial_order_only_permutes_scores(self):
         ds, head_f, head_v = _scoring_case(12, 10, 56, 80, seed=31)
         trials = _random_trials(ds, 500, make_rng(32))
@@ -624,10 +639,15 @@ class TestTraining:
 
     @pytest.mark.parametrize("trainer", TRAINERS)
     def test_best_checkpoint_is_min_over_evaluations(self, trainer):
+        # 4 of 10 speakers held out, and d_model 8 for xattn: both trainers
+        # then improve on their step-0 dev EER, so the best arrays are
+        # trained ones (xattn: 0.5 at steps 0-40, 0.25 at step 60)
         ds, _, _ = make_dataset()
         spk = ds.speakers()
-        trials = default_dev_trials(ds, spk[:2], quick_cfg(), make_rng(0))
-        best, log = TRAINERS[trainer](ds.subset(spk[2:]), trials, ds)
+        trials = default_dev_trials(ds, spk[:4], quick_cfg(), make_rng(0))
+        kw = {"d_model": 8} if trainer == "xattn" else {}
+        best, log = TRAINERS[trainer](ds.subset(spk[4:]), trials, ds, **kw)
+        assert best["step"] > 0
         assert best["dev_eer"] == min(e["dev_eer"] for e in log)
         # the earliest evaluation that reached it
         assert best["step"] == next(
@@ -700,26 +720,20 @@ class TestSubsetIsAnIndex:
             return PairedDataset(assemble_face_inputs(vectors, kept)[0],
                                  assemble_voice_inputs(vectors, kept)[0])
 
-        # the best arrays, the log, and the arrays and dev scores after the
-        # last step
-        runs, loop = [], traineval._early_stopping
+        _assert_same_runs(trainer, trials, (ds.subset(rest), ds.subset(held)),
+                          (assembled(rest), assembled(held)))
 
-        def early_stopping(cfg, dev_trials, params, step, score):
-            best, log = loop(cfg, dev_trials, params, step, score)
-            runs.append((best["arrays"], log, params, score()))
-            return best, log
-
-        with mock.patch.object(traineval, "_early_stopping", early_stopping):
-            TRAINERS[trainer](ds.subset(rest), trials, ds.subset(held))
-            TRAINERS[trainer](assembled(rest), trials, assembled(held))
-        (got_best, got_log, got_last, got_scores), want = runs
-        want_best, want_log, want_last, want_scores = want
-        assert got_log == want_log and got_log[-1]["step"] > 0
-        assert got_scores.tobytes() == want_scores.tobytes()
-        for got, want in ((got_best, want_best), (got_last, want_last)):
-            assert got.keys() == want.keys()
-            for name, arr in want.items():
-                assert got[name].tobytes() == arr.tobytes()
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_float32_inputs_train_as_their_float64_copies(self, trainer):
+        # the models widen the rows they gather to float64, which is exact
+        ds, _, _ = make_dataset()
+        assert ds.face_x.dtype == ds.voice_x.dtype == np.float32
+        wide = PairedDataset((ds.face_inputs, ds.face_x.astype(np.float64)),
+                             (ds.voice_inputs, ds.voice_x.astype(np.float64)))
+        spk = ds.speakers()
+        trials = default_dev_trials(ds, spk[:2], quick_cfg(), make_rng(0))
+        _assert_same_runs(trainer, trials, (ds.subset(spk[2:]), ds),
+                          (wide.subset(spk[2:]), wide))
 
     def test_scores_on_a_subset_equal_scores_on_the_whole(self):
         ds, head_f, head_v = _scoring_case(12, 10, 56, 80, seed=81)
@@ -727,6 +741,30 @@ class TestSubsetIsAnIndex:
         trials = _random_trials(sub, 300, make_rng(82))
         assert np.array_equal(score_trials(head_f, head_v, trials, sub),
                               score_trials(head_f, head_v, trials, ds))
+
+
+def _assert_same_runs(trainer, trials, *splits):
+    """Train `trainer` on each (train_ds, eval_ds) split with `trials`; the
+    runs must give the same log, best arrays, and arrays and dev scores
+    after the last step, bit for bit."""
+    runs, loop = [], traineval._early_stopping
+
+    def early_stopping(cfg, dev_trials, params, step, score):
+        best, log = loop(cfg, dev_trials, params, step, score)
+        runs.append((best["arrays"], log, params, score()))
+        return best, log
+
+    with mock.patch.object(traineval, "_early_stopping", early_stopping):
+        for train_ds, eval_ds in splits:
+            TRAINERS[trainer](train_ds, trials, eval_ds)
+    (got_best, got_log, got_last, got_scores), *others = runs
+    for want_best, want_log, want_last, want_scores in others:
+        assert got_log == want_log and got_log[-1]["step"] > 0
+        assert got_scores.tobytes() == want_scores.tobytes()
+        for got, want in ((got_best, want_best), (got_last, want_last)):
+            assert got.keys() == want.keys()
+            for name, arr in want.items():
+                assert got[name].tobytes() == arr.tobytes()
 
 
 def _traced_training(trainer, **kw):

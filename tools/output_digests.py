@@ -12,12 +12,17 @@ Two trees give the same output exactly when their outputs are byte-identical:
     PYTHONPATH=/path/to/other/src python3 tools/output_digests.py > old.json
     cmp new.json old.json
 
-The `eval` trial list names 10 faces and 10 voices three times each, first
-seen in an order that is not sorted, so it exercises how the scorer projects
-each distinct record once, in sorted id order: a change to either shows in
-the outputs on a BLAS build that rounds a row by its place in the matmul or
-by the rows it shares the matmul with. A unit test checks that the order
-and repetition of a trial list leave every score bit for bit unchanged.
+The `eval` trial list starts with 30 rows that name 10 faces and 10 voices
+three times each, first seen in an order that is not sorted, so it exercises
+how the scorer projects each distinct record once, in sorted id order: a
+change to either shows in the outputs on a BLAS build that rounds a row by
+its place in the matmul or by the rows it shares the matmul with. A unit
+test checks that the order and repetition of a trial list leave every score
+bit for bit unchanged. Its other 784 rows pair each of the 56 faces with a
+voice of each of the 14 speakers, so the 814 trials fill three 256-trial
+scoring blocks (`traineval._SCORE_BLOCK`) and part of a fourth: a fault
+at a block boundary, such as a trial left unscored, shows in
+`eval/scores.tsv`.
 
 The `xattn` run holds out 40% of the speakers and trains at lr 0.03 for up
 to 60 steps, so its best dev EER comes after step 0 (step 40 on OpenBLAS
@@ -49,14 +54,19 @@ SYNTH = {"n_speakers": 14, "latent_dim": 8, "dims": "small",
 
 
 def eval_trials():
-    """The `eval` trial file: trial n pairs the face of speaker order[n % 10]
-    with the voice of order[n % 10] (rows 0-9, same speaker),
-    order[(n + 3) % 10] (rows 10-19) or order[(n + 6) % 10] (rows 20-29)."""
+    """The `eval` trial file: trial n < 30 pairs the face of speaker
+    order[n % 10] with the voice of order[n % 10] (rows 0-9, same speaker),
+    order[(n + 3) % 10] (rows 10-19) or order[(n + 6) % 10] (rows 20-29).
+    Rows 30-813 pair face i of speaker a, for each a and then each i, with
+    voice (a + i + b) % 4 of speaker b, for b = 0 .. 13."""
     order = [9, 2, 11, 5, 0, 7, 13, 3, 6, 1]
     pairs = [(order[n % 10], order[(n + 3 * (n // 10)) % 10]) for n in range(30)]
+    rows = [(a, a % 4, b, b % 3) for a, b in pairs]
+    rows += [(a, i, b, (a + i + b) % 4)
+             for a in range(14) for i in range(4) for b in range(14)]
     return "face_record_id\tvoice_record_id\tlabel\n" + "".join(
-        f"s{a:03d}:f{a % 4:03d}\ts{b:03d}:v{b % 3:03d}\t"
-        f"{'same' if a == b else 'different'}\n" for a, b in pairs
+        f"s{a:03d}:f{i:03d}\ts{b:03d}:v{j:03d}\t"
+        f"{'same' if a == b else 'different'}\n" for a, i, b, j in rows
     )
 
 
