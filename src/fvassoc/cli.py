@@ -2,9 +2,11 @@
 
 Commands: synth, train, crossval, pretrain-finetune, scenarios, eval, xattn.
 Every command takes --config <json>, --out <dir>, and an optional --seed
-that overrides the seed of every config block. Reports are JSON, written
-atomically (temp file + rename); the only non-deterministic field is
-"timestamp".
+that overrides the seed of every config block. An `Output` owns --out: each
+file is staged as <name>.tmp as soon as it exists, and only a command that
+succeeds gives them their final names, report.json last; a failed one
+leaves --out as it found it. The JSON report echoes the whole resolved
+config; its only non-deterministic field is "timestamp".
 
 CONFIG_SCHEMA describes each command's config keys; `load_config` and the
 --help epilog both read it. A top-level key maps to its default (whose JSON
@@ -22,6 +24,7 @@ command (2 config/parse error, 3 protocol violation, 4 data/schema error,
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -222,22 +225,6 @@ def _help_epilog():
     ]) + "\n"
 
 
-def atomic_write_json(path, payload):
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    os.replace(tmp, path)
-
-
-def make_report(config_echo, body):
-    report = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    report["config"] = config_echo
-    report.update(body)
-    return report
-
-
 def load_dataset(path):
     vectors, records = read_store(path)
     voices, v_skipped = embedstore.assemble_voice_inputs(vectors, records)
@@ -246,22 +233,58 @@ def load_dataset(path):
     return records, ds, {"skipped_voice": v_skipped, "skipped_face": f_skipped}
 
 
-def _save_checkpoint(path, arrays, architecture, ds, **extra):
-    """Save a checkpoint whose meta holds `architecture`, the input dims of
-    `ds` and `extra` (out_dim, stage, fold; d_model, residual)."""
-    meta = {"architecture": architecture, "face_in_dim": ds.face_dim,
-            "voice_in_dim": ds.voice_dim, **extra}
-    save_checkpoint(path, arrays, meta)
+class Output:
+    """A command's --out directory, made with its parents at once. Files are
+    staged as <name>.tmp as soon as they exist; commit() adds report.json and
+    gives them all their final names, and discard() deletes them and each
+    directory made here."""
+
+    def __init__(self, path):
+        self.path, self._staged = Path(path), []
+        self._made = [p for p in (self.path, *self.path.parents) if not p.exists()]
+        self.path.mkdir(parents=True, exist_ok=True)
+
+    def write(self, name, fn, *args):
+        """Stage the file `name`, written by fn(its staging path, *args)."""
+        tmp = self.path / f"{name}.tmp"
+        self._staged.append(tmp)
+        fn(tmp, *args)
+
+    def checkpoint(self, name, arrays, architecture, ds, **extra):
+        """Stage a checkpoint whose meta holds `architecture`, the input dims
+        of `ds` and `extra` (out_dim, stage, fold; d_model, residual)."""
+        meta = {"architecture": architecture, "face_in_dim": ds.face_dim,
+                "voice_in_dim": ds.voice_dim, **extra}
+        self.write(name, save_checkpoint, arrays, meta)
+
+    def commit(self, cfg, body):
+        """Stage report.json, `body` with the timestamp and the resolved
+        config `cfg`, each block a dict; then rename every staged file into
+        place, the report last."""
+        config = {k: asdict(v) if is_dataclass(v) else v for k, v in cfg.items()}
+        report = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                  "config": config, **body}
+        self.write("report.json", Path.write_text,
+                   json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8")
+        for tmp in self._staged:
+            os.replace(tmp, tmp.with_suffix(""))
+
+    def discard(self):
+        """Delete the staged files, then each directory made here if empty."""
+        for tmp in self._staged:
+            tmp.unlink(missing_ok=True)
+        for made in self._made:
+            with contextlib.suppress(OSError):
+                made.rmdir()
 
 
 # ---------------------------------------------------------------------------
-# Commands: each takes the resolved config and the output directory
+# Commands: each takes the resolved config and the Output of --out
 
 
 def cmd_synth(cfg, out):
     synth = cfg["synth"]
-    out.mkdir(parents=True, exist_ok=True)
-    _, records, _ = synthgen.write_dataset(synth, out)
+    _, records, _ = synthgen.write_dataset(synth, out.path)
     dims = "/".join(str(synth.dims[k]) for k in ModalityKind)
     print(
         f"synth: {synth.n_speakers} speakers, {len(records)} records, dims {dims}"
@@ -274,36 +297,28 @@ def cmd_train(cfg, out):
     best, log, dev_spk = traineval.pretrain(
         ds, train, dev_fraction=cfg["dev_fraction"]
     )
-    out.mkdir(parents=True, exist_ok=True)
-    _save_checkpoint(out / "checkpoint.fvh", best["arrays"], "mapping-heads", ds,
-                     out_dim=train.out_dim)
-    report = make_report(
-        {"train": asdict(train), "data": cfg["data"]},
-        {
-            "dev_eer": best["dev_eer"],
-            "best_step": best["step"],
-            "dev_speakers": dev_spk,
-            "log": log,
-            "skipped": skipped,
-        },
-    )
-    atomic_write_json(out / "report.json", report)
+    out.checkpoint("checkpoint.fvh", best["arrays"], "mapping-heads", ds,
+                   out_dim=train.out_dim)
+    out.commit(cfg, {
+        "dev_eer": best["dev_eer"],
+        "best_step": best["step"],
+        "dev_speakers": dev_spk,
+        "log": log,
+        "skipped": skipped,
+    })
     print(f"train: best dev EER {best['dev_eer']:.4f} at step {best['step']}")
 
 
 def cmd_crossval(cfg, out):
     train, n_folds = cfg["train"], cfg["n_folds"]
     _, ds, _ = load_dataset(cfg["data"])
-    cv = traineval.cross_validate(ds, train, n_folds=n_folds)
-    out.mkdir(parents=True, exist_ok=True)
-    for entry in cv["folds"]:
-        _save_checkpoint(out / f"fold{entry['fold']}.fvh", entry.pop("arrays"),
-                         "mapping-heads", ds, out_dim=train.out_dim,
-                         fold=entry["fold"])
-    report = make_report(
-        {"train": asdict(train), "data": cfg["data"], "n_folds": n_folds}, cv
-    )
-    atomic_write_json(out / "report.json", report)
+
+    def save(fold, arrays):
+        out.checkpoint(f"fold{fold}.fvh", arrays, "mapping-heads", ds,
+                       out_dim=train.out_dim, fold=fold)
+
+    cv = traineval.cross_validate(ds, train, save, n_folds=n_folds)
+    out.commit(cfg, cv)
     print(
         f"crossval: mean EER {cv['mean_eer']:.4f} +- {cv['std_eer']:.4f} "
         f"over {n_folds} folds"
@@ -314,33 +329,21 @@ def cmd_pretrain_finetune(cfg, out):
     cfg_pre, cfg_ft = cfg["pretrain"], cfg["finetune"]
     _, pre_ds, _ = load_dataset(cfg["pretrain_data"])
     _, ft_ds, _ = load_dataset(cfg["finetune_data"])
+
+    def save(fold, arrays):
+        if fold is None:
+            out.checkpoint("pretrained.fvh", arrays, "mapping-heads", pre_ds,
+                           out_dim=cfg_pre.out_dim, stage="pretrain")
+        else:
+            out.checkpoint(f"finetuned_fold{fold}.fvh", arrays, "mapping-heads",
+                           ft_ds, out_dim=cfg_ft.out_dim, stage="finetune",
+                           fold=fold)
+
     result = traineval.pretrain_then_finetune(
-        pre_ds,
-        ft_ds,
-        cfg_pre,
-        cfg_ft,
-        n_folds=cfg["n_folds"],
-        dev_fraction=cfg["dev_fraction"],
+        pre_ds, ft_ds, cfg_pre, cfg_ft, save,
+        n_folds=cfg["n_folds"], dev_fraction=cfg["dev_fraction"],
     )
-    out.mkdir(parents=True, exist_ok=True)
-    _save_checkpoint(out / "pretrained.fvh", result["pretrain"].pop("arrays"),
-                     "mapping-heads", pre_ds, out_dim=cfg_pre.out_dim,
-                     stage="pretrain")
-    for entry in result["finetune"]["folds"]:
-        _save_checkpoint(out / f"finetuned_fold{entry['fold']}.fvh",
-                         entry.pop("arrays"), "mapping-heads", ft_ds,
-                         out_dim=cfg_ft.out_dim, stage="finetune",
-                         fold=entry["fold"])
-    report = make_report(
-        {
-            "pretrain": asdict(cfg_pre),
-            "finetune": asdict(cfg_ft),
-            "pretrain_data": cfg["pretrain_data"],
-            "finetune_data": cfg["finetune_data"],
-        },
-        result,
-    )
-    atomic_write_json(out / "report.json", report)
+    out.commit(cfg, result)
     print(
         f"pretrain dev EER {result['pretrain']['dev_eer']:.4f}; "
         f"fine-tuned mean EER {result['finetune']['mean_eer']:.4f} "
@@ -374,9 +377,7 @@ def cmd_scenarios(cfg, out):
         n_trials_nontarget=cfg["n_trials_nontarget"],
         dev_fraction=cfg["dev_fraction"],
     )
-    out.mkdir(parents=True, exist_ok=True)
-    report = make_report({"train": asdict(train)}, table)
-    atomic_write_json(out / "report.json", report)
+    out.commit(cfg, table)
     for name, row in table["scenarios"].items():
         print(f"{name}: EER {row['eer']:.4f}")
     print(f"overall mean EER {table['overall_mean_eer']:.4f}")
@@ -411,10 +412,6 @@ def _write_rows(path, header, trials, *extra):
                           encoding="utf-8")
 
 
-def write_trials_file(path, trials):
-    _write_rows(path, TRIALS_HEADER, trials)
-
-
 def write_score_file(path, trials, scores):
     _write_rows(path, TRIALS_HEADER + "\tscore", trials,
                 map("{:.9g}".format, scores.tolist()))
@@ -438,13 +435,8 @@ def cmd_eval(cfg, out):
     if len(trials) == 0:
         raise MetricError("empty trial file")
     scores, report = traineval.score_arrays(arrays, trials, ds)
-    out.mkdir(parents=True, exist_ok=True)
-    write_score_file(out / "scores.tsv", trials, scores)
-    payload = make_report(
-        {"checkpoint": cfg["checkpoint"], "data": cfg["data"], "trials": cfg["trials"]},
-        {"eval": report.to_dict(), "score_file": "scores.tsv"},
-    )
-    atomic_write_json(out / "report.json", payload)
+    out.write("scores.tsv", write_score_file, trials, scores)
+    out.commit(cfg, {"eval": report.to_dict(), "score_file": "scores.tsv"})
     print(f"eval: EER {report.eer:.4f} over {len(trials)} trials")
 
 
@@ -456,22 +448,17 @@ def cmd_xattn(cfg, out):
         ds, cfg["dev_fraction"], TrainConfig(seed=train.seed)
     )
     model, best, log = traineval.train_xattn(train_ds, trials, ds, train)
-    out.mkdir(parents=True, exist_ok=True)
-    _save_checkpoint(out / "checkpoint.fvh", best["arrays"], "cross-attention", ds,
-                     d_model=train.d_model, residual=train.residual)
-    write_trials_file(out / "dev_trials.tsv", trials)
-    report = make_report(
-        {"train": asdict(train), "data": cfg["data"]},
-        {
-            "architecture": "cross-attention",
-            "dev_eer": best["dev_eer"],
-            "best_step": best["step"],
-            "dev_speakers": dev_spk,
-            "dev_trials_file": "dev_trials.tsv",
-            "log": log,
-        },
-    )
-    atomic_write_json(out / "report.json", report)
+    out.checkpoint("checkpoint.fvh", best["arrays"], "cross-attention", ds,
+                   d_model=train.d_model, residual=train.residual)
+    out.write("dev_trials.tsv", _write_rows, TRIALS_HEADER, trials)
+    out.commit(cfg, {
+        "architecture": "cross-attention",
+        "dev_eer": best["dev_eer"],
+        "best_step": best["step"],
+        "dev_speakers": dev_spk,
+        "dev_trials_file": "dev_trials.tsv",
+        "log": log,
+    })
     print(f"xattn: best dev EER {best['dev_eer']:.4f} at step {best['step']}")
 
 
@@ -506,10 +493,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    out = None
     try:
         cfg = load_config(args.command, args.config, args.seed)
-        COMMANDS[args.command](cfg, Path(args.out))
+        out = Output(args.out)  # an unusable --out fails before any work
+        COMMANDS[args.command](cfg, out)
     except Exception as exc:  # mapped to the stable exit-status contract
+        if out is not None:
+            out.discard()
         unmapped = "" if isinstance(exc, FvError) else f"{type(exc).__name__}: "
         print(f"error: {unmapped}{exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -328,6 +328,8 @@ def load_checkpoint(path):
             name = data[off : off + name_len].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: bad array name at byte {off}") from exc
+        if name in arrays:
+            raise FormatError(f"{path}: array {name} appears twice")
         off += name_len
         nbytes = rows * cols * 8
         if off + nbytes > len(data):

@@ -520,9 +520,10 @@ def _check_n_folds(n_folds, n_speakers):
                           f"{n_speakers // 2} folds")
 
 
-def cross_validate(dataset, cfg, n_folds=7, init_arrays=None):
+def cross_validate(dataset, cfg, save, n_folds=7, init_arrays=None):
     """Speaker-disjoint k-fold CV; per-fold dev trials come from the held-out
-    fold. When `init_arrays` is given each fold is initialized from it and a
+    fold, and each fold's best arrays go to save(fold, arrays) as it ends.
+    When `init_arrays` is given each fold is initialized from it and a
     frozen-initialization baseline EER on the same trials is reported too.
     """
     cfg.validate()
@@ -533,15 +534,15 @@ def cross_validate(dataset, cfg, n_folds=7, init_arrays=None):
         fold_seed = cfg.seed * 1009 + f
         train_ds, trials = held_out(dataset, held, cfg,
                                     make_rng(fold_seed ^ 0x7 * 0x1001))
-        best, log = train_with_early_stopping(
+        best, _ = train_with_early_stopping(
             train_ds, trials, dataset, replace(cfg, seed=fold_seed), init_arrays
         )
+        save(f, best.pop("arrays"))
         entry = {
             "fold": f,
             "held_out_speakers": held,
             "eer": best["dev_eer"],
             "best_step": best["step"],
-            "arrays": best["arrays"],
         }
         if init_arrays is not None:
             _, frozen = score_arrays(init_arrays, trials, dataset)
@@ -562,25 +563,28 @@ def pretrain(dataset, cfg, dev_fraction=0.05):
     return best, log, dev_spk
 
 
-def pretrain_then_finetune(pre_ds, ft_ds, cfg_pre, cfg_ft, n_folds=7,
+def pretrain_then_finetune(pre_ds, ft_ds, cfg_pre, cfg_ft, save, n_folds=7,
                            dev_fraction=0.05):
     """Stage 1: pretrain with a 5% speaker dev split. Stage 2: CV fine-tune
     initialized from the stage-1 heads, reporting frozen-head baselines so
-    the pre/post fine-tune comparison is explicit."""
+    the pre/post fine-tune comparison is explicit. The stage-1 arrays go to
+    save(None, arrays) before stage 2 starts, and each fold's as in
+    `cross_validate`."""
     if pre_ds.face_dim != ft_ds.face_dim or pre_ds.voice_dim != ft_ds.voice_dim:
         raise SchemaError(
             "pretrain and finetune corpora have different embedding dims"
         )
     _check_n_folds(n_folds, len(ft_ds.speakers()))
-    best, log, dev_spk = pretrain(pre_ds, cfg_pre, dev_fraction)
-    cv = cross_validate(ft_ds, cfg_ft, n_folds=n_folds, init_arrays=best["arrays"])
+    best, _, dev_spk = pretrain(pre_ds, cfg_pre, dev_fraction)
+    save(None, best["arrays"])
+    cv = cross_validate(ft_ds, cfg_ft, save, n_folds=n_folds,
+                        init_arrays=best["arrays"])
     frozen = [r["frozen_init_eer"] for r in cv["folds"]]
     return {
         "pretrain": {
             "dev_eer": best["dev_eer"],
             "best_step": best["step"],
             "dev_speakers": dev_spk,
-            "arrays": best["arrays"],
         },
         "finetune": cv,
         "frozen_mean_eer": float(np.mean(frozen)),

@@ -57,6 +57,7 @@ from fvassoc.traineval import (
 from testlib import (
     filter_exclude_language,
     finite_difference_grad,
+    no_save,
     rel_error,
     shuffle_speaker_labels,
     softmax_xent_on_cosines,
@@ -495,7 +496,8 @@ def test_a7_finetune_domain_gap():
             lr=3e-3, max_steps=150, seed=seed,
             n_dev_target=200, n_dev_nontarget=200,
         )
-        res = pretrain_then_finetune(ds_a, ds_b, cfg_pre, cfg_ft, n_folds=3)
+        res = pretrain_then_finetune(ds_a, ds_b, cfg_pre, cfg_ft, no_save,
+                                     n_folds=3)
         margin = res["frozen_mean_eer"] - res["finetune"]["mean_eer"]
         margins.append(margin)
         if margin > 0.0:

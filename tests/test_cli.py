@@ -4,6 +4,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fvassoc
+from fvassoc import traineval
 from fvassoc.cli import CONFIG_SCHEMA, build_parser, load_config, main
-from fvassoc.errors import ConfigError, FvError
+from fvassoc.errors import ConfigError, DegenerateVectorError, FvError
 from fvassoc.fusion import load_checkpoint, save_checkpoint
 
 
@@ -796,6 +798,70 @@ def test_schema_base_config_runs(schema_corpus, tmp_path, command):
     assert run_config(tmp_path, command, config) == (0, True)
 
 
+@pytest.mark.parametrize("command", [c for c in CONFIG_SCHEMA if c != "synth"])
+def test_report_echoes_the_resolved_config(schema_corpus, tmp_path, command):
+    # every key, defaults filled in, so that the echo can reproduce the run
+    config = schema_base_configs(schema_corpus)[command]
+    path = write_config(tmp_path / "c.json", config)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    resolved = {key: asdict(value) if is_dataclass(value) else value
+                for key, value in load_config(command, path).items()}
+    assert load_report(tmp_path / "o")["config"] == resolved
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_that_cannot_be_a_directory_exits_4_before_any_work(
+            self, schema_corpus, tmp_path, monkeypatch, capsys, below):
+        import fvassoc.cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reached after a failed --out")
+
+        monkeypatch.setattr(fvassoc.cli, "load_dataset", forbidden)
+        monkeypatch.setattr(traineval, "train_with_early_stopping", forbidden)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub" if below else taken
+        path = write_config(tmp_path / "c.json",
+                            schema_base_configs(schema_corpus)["train"])
+        capsys.readouterr()
+        assert main(["train", "--config", path, "--out", str(out)]) == 4
+        assert str(taken) in capsys.readouterr().err
+        assert taken.read_text() == "kept"
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new_out", "existing_out"])
+    def test_a_fold_failing_mid_run_leaves_out_as_it_was(
+            self, schema_corpus, tmp_path, monkeypatch, existing):
+        out = tmp_path / "made" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept")
+        before = sorted(p.name for p in out.iterdir()) if existing else []
+        staged = []
+        train = traineval.train_with_early_stopping
+
+        def third_fails(*args, **kwargs):
+            staged.append(sorted(p.name for p in out.iterdir()))
+            if len(staged) == 3:
+                raise DegenerateVectorError("injected at the third fold")
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(traineval, "train_with_early_stopping", third_fails)
+        config = with_value(schema_base_configs(schema_corpus)["crossval"],
+                            ("n_folds",), 3)
+        path = write_config(tmp_path / "c.json", config)
+        assert main(["crossval", "--config", path, "--out", str(out)]) == 4
+        # the folds that ended were staged, then discarded with the directory
+        assert staged[2] == sorted(before + ["fold0.fvh.tmp", "fold1.fvh.tmp"])
+        if existing:
+            assert sorted(p.name for p in out.iterdir()) == before
+            assert (out / "notes.txt").read_text() == "kept"
+        else:
+            assert not (tmp_path / "made").exists()
+
+
 _PROBES = [
     ("train", ("train", "seed"), -1),
     ("train", ("train", "out_dim"), 0),
@@ -1081,6 +1147,22 @@ class TestDecodeErrors:
         capsys.readouterr()
         assert run_config(tmp_path, "eval", config) == (4, False)
         assert message in capsys.readouterr().err
+
+    def test_an_array_named_twice_in_the_checkpoint_exits_4(
+            self, schema_corpus, tmp_path, capsys):
+        # a placeholder of the same length is saved, then renamed in the bytes
+        arrays, meta = load_checkpoint(schema_corpus[2])
+        arrays["head_face.biaz"] = arrays["head_face.bias"] + 1.0
+        save_checkpoint(tmp_path / "c.fvh", arrays, meta)
+        ckpt = tmp_path / "twice.fvh"
+        ckpt.write_bytes((tmp_path / "c.fvh").read_bytes().replace(
+            b"head_face.biaz", b"head_face.bias"))
+        config = with_value(schema_base_configs(schema_corpus)["eval"],
+                            ("checkpoint",), str(ckpt))
+        capsys.readouterr()
+        assert run_config(tmp_path, "eval", config) == (4, False)
+        assert ("twice.fvh: array head_face.bias appears twice"
+                in capsys.readouterr().err)
 
     def test_unmapped_exception_exits_5_with_its_type_name(
             self, schema_corpus, tmp_path, monkeypatch, capsys):

@@ -449,6 +449,19 @@ class TestCheckpoint:
                                               f"trailing bytes at byte {len(data)}"):
             load_checkpoint(tmp_path / "joined.fvh")
 
+    def test_an_array_named_twice_is_format_error(self, tmp_path):
+        # a placeholder of the same length is saved, then renamed in the bytes
+        head = MappingHead.init(make_rng(8), in_dim=7, out_dim=3)
+        arrays = head_to_arrays(head, "head_face")
+        arrays["head_face.biaz"] = arrays["head_face.bias"] + 1.0
+        save_checkpoint(tmp_path / "c.fvh", arrays, {})
+        data = (tmp_path / "c.fvh").read_bytes()
+        (tmp_path / "twice.fvh").write_bytes(
+            data.replace(b"head_face.biaz", b"head_face.bias"))
+        with pytest.raises(FormatError,
+                           match="twice.fvh: array head_face.bias appears twice"):
+            load_checkpoint(tmp_path / "twice.fvh")
+
     @pytest.mark.parametrize("meta", [b'{"a": "\xff"}', b"[1, 2]", b"{not json"])
     def test_bad_meta_block_is_format_error(self, tmp_path, meta):
         data, meta_len = self._saved(tmp_path)

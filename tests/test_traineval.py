@@ -48,7 +48,7 @@ from fvassoc.traineval import (
     train_xattn,
     trial_table,
 )
-from testlib import filter_exclude_language, shuffle_speaker_labels
+from testlib import filter_exclude_language, no_save, shuffle_speaker_labels
 
 
 def make_dataset(n_speakers=10, records_per_speaker=4, seed=42, noise=0.01,
@@ -865,7 +865,7 @@ class TestCrossValidate:
     def test_structure_and_mean(self):
         ds, _, _ = make_dataset(n_speakers=8)
         cfg = quick_cfg(max_steps=40, eval_every=20)
-        cv = cross_validate(ds, cfg, n_folds=4)
+        cv = cross_validate(ds, cfg, no_save, n_folds=4)
         assert len(cv["folds"]) == 4
         eers = [f["eer"] for f in cv["folds"]]
         assert abs(cv["mean_eer"] - np.mean(eers)) <= 1e-12
@@ -873,7 +873,7 @@ class TestCrossValidate:
     def test_fold_speaker_sets_disjoint(self):
         ds, _, _ = make_dataset(n_speakers=9)
         cfg = quick_cfg(max_steps=20, eval_every=20)
-        cv = cross_validate(ds, cfg, n_folds=3)
+        cv = cross_validate(ds, cfg, no_save, n_folds=3)
         seen = []
         for f in cv["folds"]:
             seen.extend(f["held_out_speakers"])
@@ -883,7 +883,7 @@ class TestCrossValidate:
         ds, _, _ = make_dataset(n_speakers=12, records_per_speaker=6)
         shuffled = shuffle_speaker_labels(ds, make_rng(17))
         cfg = quick_cfg(max_steps=60, eval_every=20)
-        cv = cross_validate(shuffled, cfg, n_folds=3)
+        cv = cross_validate(shuffled, cfg, no_save, n_folds=3)
         assert 0.40 <= cv["mean_eer"] <= 0.60
 
     def test_one_speaker_fold_rejected_before_training(self, monkeypatch):
@@ -891,9 +891,49 @@ class TestCrossValidate:
         ds, _, _ = make_dataset(n_speakers=6)
         forbid_training(monkeypatch)
         with pytest.raises(ConfigError, match="n_folds 4 .* 6 speakers"):
-            cross_validate(ds, quick_cfg(), n_folds=4)
+            cross_validate(ds, quick_cfg(), no_save, n_folds=4)
         with pytest.raises(_Trained):  # 3 folds of 2 speakers each train
-            cross_validate(ds, quick_cfg(), n_folds=3)
+            cross_validate(ds, quick_cfg(), no_save, n_folds=3)
+
+
+def record_training_and_saves(monkeypatch):
+    """(events, save): training appends "train" to events as it starts, and
+    save(fold, arrays) appends (fold, sorted array names)."""
+    events = []
+    train = traineval.train_with_early_stopping
+
+    def recorded(*args, **kwargs):
+        events.append("train")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(traineval, "train_with_early_stopping", recorded)
+    return events, lambda fold, arrays: events.append((fold, sorted(arrays)))
+
+
+HEAD_ARRAYS = ["clf.weight", "head_face.bias", "head_face.weight",
+               "head_voice.bias", "head_voice.weight"]
+
+
+class TestSaveAsEachFoldEnds:
+    def test_cross_validate(self, monkeypatch):
+        ds, _, _ = make_dataset(n_speakers=9)
+        events, save = record_training_and_saves(monkeypatch)
+        cv = cross_validate(ds, quick_cfg(max_steps=2, eval_every=1), save,
+                            n_folds=3)
+        assert events == ["train", (0, HEAD_ARRAYS), "train", (1, HEAD_ARRAYS),
+                          "train", (2, HEAD_ARRAYS)]
+        assert not any("arrays" in entry for entry in cv["folds"])
+
+    def test_pretrain_then_finetune(self, monkeypatch):
+        ds_a, _, _ = make_dataset(n_speakers=8)
+        ds_b, _, _ = make_dataset(n_speakers=8, seed=5)
+        events, save = record_training_and_saves(monkeypatch)
+        cfg = quick_cfg(max_steps=2, eval_every=1)
+        res = pretrain_then_finetune(ds_a, ds_b, cfg, cfg, save, n_folds=2)
+        assert events == ["train", (None, HEAD_ARRAYS), "train",
+                          (0, HEAD_ARRAYS), "train", (1, HEAD_ARRAYS)]
+        assert "arrays" not in res["pretrain"]
+        assert not any("arrays" in entry for entry in res["finetune"]["folds"])
 
 
 class TestPretrainFinetune:
@@ -905,7 +945,8 @@ class TestPretrainFinetune:
         )
         cfg_pre = quick_cfg(max_steps=60, eval_every=20)
         cfg_ft = quick_cfg(lr=0.0, max_steps=20, eval_every=10)
-        res = pretrain_then_finetune(ds_a, ds_b, cfg_pre, cfg_ft, n_folds=3)
+        res = pretrain_then_finetune(ds_a, ds_b, cfg_pre, cfg_ft, no_save,
+                                     n_folds=3)
         for fold in res["finetune"]["folds"]:
             assert fold["eer"] == pytest.approx(fold["frozen_init_eer"], abs=1e-12)
 
@@ -916,7 +957,7 @@ class TestPretrainFinetune:
             base_truth=truth, jitter=0.3,
         )
         cfg = quick_cfg(max_steps=30, eval_every=15)
-        res = pretrain_then_finetune(ds_a, ds_b, cfg, cfg, n_folds=2)
+        res = pretrain_then_finetune(ds_a, ds_b, cfg, cfg, no_save, n_folds=2)
         assert "dev_eer" in res["pretrain"]
         assert "mean_eer" in res["finetune"]
         assert "frozen_mean_eer" in res
@@ -926,7 +967,8 @@ class TestPretrainFinetune:
         ds_b, _, _ = make_dataset(n_speakers=5, seed=5)
         forbid_training(monkeypatch)
         with pytest.raises(ConfigError, match="n_folds 3 .* 5 speakers"):
-            pretrain_then_finetune(ds_a, ds_b, quick_cfg(), quick_cfg(), n_folds=3)
+            pretrain_then_finetune(ds_a, ds_b, quick_cfg(), quick_cfg(), no_save,
+                                   n_folds=3)
 
 
 def multilingual_corpus(seed, excluded=None, n_speakers=12, languages=None):

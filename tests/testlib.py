@@ -1,8 +1,9 @@
 """Code only the tests use: the finite-difference gradient oracle that
 checks every analytic gradient, the plain softmax loss that the AAM loss
 must reduce to, the stored-dataset pair built from per-record tuples and
-taken back apart, the language filter of a corpus's records, and the
-speaker-label shuffle of the chance-level baseline."""
+taken back apart, the language filter of a corpus's records, the
+speaker-label shuffle of the chance-level baseline, and the `save` that
+drops a recipe's arrays."""
 
 import numpy as np
 
@@ -93,3 +94,7 @@ def shuffle_speaker_labels(dataset, rng):
         rows.speaker_id = rows.speaker_id[rng.permutation(len(rows))]
         tables.append((rows, x))
     return PairedDataset(*tables)
+
+
+def no_save(fold, arrays):
+    """A recipe's `save` that keeps none of the arrays it is given."""
