@@ -8,6 +8,9 @@ succeeds gives them their final names, report.json last; a failed one
 leaves --out as it found it. The JSON report echoes the whole resolved
 config; its only non-deterministic field is "timestamp".
 
+`eval` reads its trial file with `embedstore.read_tsv`; `scores.tsv` and
+`dev_trials.tsv` are written `_WRITE_BLOCK` rows at a time, never whole.
+
 CONFIG_SCHEMA describes each command's config keys; `load_config` and the
 --help epilog both read it. A top-level key maps to its default (whose JSON
 type is the key's type), to the type of a required key (`str` for a path,
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embedstore, synthgen, traineval
-from .embedstore import ModalityKind, read_store, split_tsv_rows
+from .embedstore import ModalityKind, read_store, read_tsv, tsv_rows
 from .errors import ConfigError, FormatError, FvError, MetricError, SchemaError
 from .fusion import load_checkpoint, save_checkpoint
 from .synthgen import SynthConfig
@@ -387,34 +390,34 @@ TRIALS_HEADER = "face_record_id\tvoice_record_id\tlabel"
 
 
 def read_trials_file(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: trials file is not UTF-8 text") from exc
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != TRIALS_HEADER:
-        raise FormatError(f"{path}: bad trials header")
-    rows = lines[1:]
-    cols = split_tsv_rows(rows, 3)
-    if (cols is None
-            or cols[2].count("same") + cols[2].count("different") != len(rows)):
-        bad = next(ln for ln in rows
+    cols = read_tsv(path, TRIALS_HEADER, "trials file",
+                    {2: [b"different", b"same"]})
+    if cols is None:
+        bad = next(ln for ln in tsv_rows(path)
                    if ln.split("\t")[2:] not in (["same"], ["different"]))
         raise FormatError(f"{path}: bad trial row {bad!r}")
-    return trial_table(cols[0], cols[1], np.array(cols[2]) == "same")
+    return trial_table(cols[0], cols[1], cols[2] == 1)
 
 
-def _write_rows(path, header, trials, *extra):
-    """Write `header`, then per trial its ids, label and `extra` entries."""
-    labels = np.where(trials.label, "same", "different").tolist()
-    rows = zip(trials.face_id.tolist(), trials.voice_id.tolist(), labels, *extra)
-    Path(path).write_text("\n".join([header, *map("\t".join, rows)]) + "\n",
-                          encoding="utf-8")
+_WRITE_BLOCK = 4096  # rows formatted, joined and written at a time
+
+
+def _write_rows(path, header, trials, scores=None):
+    """Write `header`, then per trial its ids, label and, if given, score,
+    one block of rows at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(trials), _WRITE_BLOCK):
+            block = slice(i, i + _WRITE_BLOCK)
+            cols = [trials.face_id[block].tolist(), trials.voice_id[block].tolist(),
+                    np.where(trials.label[block], "same", "different").tolist()]
+            if scores is not None:
+                cols.append(map("{:.9g}".format, scores[block].tolist()))
+            fh.write("\n".join(map("\t".join, zip(*cols))) + "\n")
 
 
 def write_score_file(path, trials, scores):
-    _write_rows(path, TRIALS_HEADER + "\tscore", trials,
-                map("{:.9g}".format, scores.tolist()))
+    _write_rows(path, TRIALS_HEADER + "\tscore", trials, scores)
 
 
 def cmd_eval(cfg, out):

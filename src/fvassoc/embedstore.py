@@ -30,6 +30,10 @@ gather to float64, which is exact.
 Record ids follow the convention ``<owner_id>#<modality tag>`` so the
 identity and age-gender embedding of the same utterance/image can be matched
 by their shared owner prefix.
+
+`read_tsv` reads the manifest and trial files: it cuts column arrays out of
+a file's bytes with no Python object per row, and reads the file as text
+only to name a bad row.
 """
 
 import struct
@@ -95,16 +99,62 @@ def record_table(record_ids, speaker_ids, languages, modalities, rows):
     )
 
 
-def split_tsv_rows(rows, n_fields):
-    """The `n_fields` columns of tab-separated `rows`, as lists of str; None
-    if a row has another number of fields."""
-    # each row's fields, then a "\n" cell: every row has n fields just when
-    # the len(rows) "\n" cells are cells n, 2n + 1, ...
-    step = n_fields + 1
-    cells = ("\t\n\t".join(rows) + "\t\n").split("\t")[:step * len(rows)]
-    if cells[n_fields::step].count("\n") != len(rows):
+def read_tsv(path, header, what, choices):
+    """The columns of the tab-separated file at `path`: str arrays of the
+    dtype np.array(cells, str) has, and for j in `choices` each cell's int8
+    index in choices[j] (bytes); None if a row has other than the header's
+    number of fields or a cell is none of its choices. Lines end as in text
+    mode and blank lines are skipped; a file that is not UTF-8 or does not
+    start with `header` is a FormatError naming it as `what`. No Python
+    object is made per row or cell; a non-ASCII column decodes each
+    distinct cell once."""
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {what} is not UTF-8 text") from exc
+    while b"\n\n" in data:
+        data = data.replace(b"\n\n", b"\n")
+    data = data.strip(b"\n") + b"\n"  # every line, the last too, ends in "\n"
+    head = header.encode() + b"\n"
+    if not data.startswith(head):  # "trials file" -> "bad trials header"
+        raise FormatError(f"{path}: bad {what.split()[0]} header")
+    buf = np.frombuffer(data, np.uint8, offset=len(head))
+    ends = np.flatnonzero((buf == 9) | (buf == 10))  # each cell's end
+    n = header.count("\t") + 1
+    # every row has n fields just when each n-th cell, and no other, ends a line
+    newline = buf[ends] == 10
+    if newline.sum() * n != len(ends) or not newline[n - 1 :: n].all():
         return None
-    return [cells[i::step] for i in range(n_fields)]
+    starts = np.concatenate([[0], ends + 1])[: len(ends)].reshape(-1, n)
+    lens = ends.reshape(-1, n) - starts
+    padded = np.concatenate([buf, np.zeros(max(lens.max(initial=0), 1), np.uint8)])
+    del data, buf, ends, newline
+    columns = []
+    for j in range(n):
+        width = max(lens[:, j].max(initial=0), 1)
+        cells = np.lib.stride_tricks.sliding_window_view(padded, width)[starts[:, j]]
+        cells[np.arange(width) >= lens[:, j, None]] = 0  # (rows, width), 0-padded
+        as_bytes = cells.view(f"S{width}")[:, 0]
+        if j in choices:  # lengths too: "same\0" is not "same"
+            hits = [(lens[:, j] == len(v)) & (as_bytes == v) for v in choices[j]]
+            if not np.logical_or.reduce(hits).all():
+                return None
+            columns.append(np.argmax(hits, axis=0).astype(np.int8))
+        elif cells.max(initial=0) < 128:  # ASCII: each byte is one character
+            columns.append(cells.astype(np.uint32).view(f"U{width}")[:, 0])
+        else:  # decode each distinct cell once, sized by its characters
+            names, at = np.unique(as_bytes, return_inverse=True)
+            chars = lens[:, j] - ((cells & 0xC0) == 0x80).sum(axis=1)
+            width = max(chars.max(initial=0), 1)
+            names = np.array([x.decode() for x in names.tolist()], f"U{width}")
+            columns.append(names[at])
+    return columns
+
+
+def tsv_rows(path):
+    """The rows after the header of a file read_tsv read, as str lines."""
+    return [ln for ln in Path(path).read_text(encoding="utf-8").split("\n") if ln][1:]
 
 
 def write_store_file(path, modality, ids, vecs, rows):
@@ -172,31 +222,23 @@ def read_store_file(path):
 def _read_manifest(path):
     """The manifest's record id, speaker id, language, modality (as
     ModalityKind codes) and dim columns as arrays, in file order."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: manifest is not UTF-8 text") from exc
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != MANIFEST_HEADER:
-        raise FormatError(f"{path}: bad manifest header")
-    cols = split_tsv_rows(lines[1:], 5)
-    if cols is not None and set(cols[3]) <= set(_TAGS.values()):
-        ids, speakers, languages, tags, dims = (np.array(c, str) for c in cols)
-        names, at = np.unique(tags, return_inverse=True)
-        codes = np.array([ModalityKind.from_tag(t) for t in names.tolist()], np.int8)
+    cols = read_tsv(path, MANIFEST_HEADER, "manifest",
+                    {3: [kind.tag.encode() for kind in ModalityKind]})
+    if cols is not None:
+        ids, speakers, languages, codes, dims = cols
         names, dim_at = np.unique(dims, return_inverse=True)
         try:
             dims = np.array([int(d) for d in names.tolist()], np.int64)[dim_at]
-            return ids, speakers, languages, codes[at], dims
-        except ValueError:
+            return ids, speakers, languages, codes, dims
+        except (ValueError, OverflowError):
             pass
-    for ln in lines[1:]:  # name the first bad row, checking rows in order
+    for ln in tsv_rows(path):  # name the first bad row, checking rows in order
         parts = ln.split("\t")
         if len(parts) != 5:
             raise FormatError(f"{path}: bad manifest row {ln!r}")
         try:
-            int(parts[4])
-        except ValueError as exc:
+            np.int64(int(parts[4]))
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad dim in manifest row {ln!r}") from exc
         ModalityKind.from_tag(parts[3])
 

@@ -997,7 +997,10 @@ class TestDecodeErrors:
         ["s000:f000\ts000:v001\tSame"],
         # 6 cells that regroup into two rows of 3, each with a valid label
         ["s000:f000\ts000:v001", "same\ts000:f001\ts001:v000\tdifferent"],
-    ], ids=["2-fields", "4-fields", "label-Same", "2-then-4-fields"])
+        # 3 cells in a row of 2 and a row of 1
+        ["s000:f000\ts000:v001", "same"],
+    ], ids=["2-fields", "4-fields", "label-Same", "2-then-4-fields",
+            "2-then-1-fields"])
     def test_bad_trial_row_exits_4_and_is_named(self, schema_corpus, tmp_path,
                                                 capsys, rows):
         config = schema_base_configs(schema_corpus)["eval"]
@@ -1037,6 +1040,19 @@ class TestDecodeErrors:
         assert self._corrupt_copy(
             schema_corpus, tmp_path, "manifest.tsv", edit
         ) == (4, False)
+
+    def test_manifest_dim_beyond_int64_exits_4(self, schema_corpus, tmp_path,
+                                               capsys):
+        def edit(blob):
+            lines = blob.split(b"\n")
+            lines[1] = lines[1].rsplit(b"\t", 1)[0] + b"\t99999999999999999999"
+            return b"\n".join(lines)
+
+        capsys.readouterr()
+        assert self._corrupt_copy(
+            schema_corpus, tmp_path, "manifest.tsv", edit
+        ) == (4, False)
+        assert "bad dim in manifest row" in capsys.readouterr().err
 
     def test_manifest_tag_other_than_its_store_exits_4(self, schema_corpus,
                                                        tmp_path, capsys):
