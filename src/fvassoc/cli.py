@@ -34,6 +34,7 @@ import sys
 import textwrap
 import time
 from dataclasses import asdict, fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -399,12 +400,13 @@ def read_trials_file(path):
     return trial_table(cols[0], cols[1], cols[2] == 1)
 
 
-_WRITE_BLOCK = 4096  # rows formatted, joined and written at a time
+_WRITE_BLOCK = 4096  # rows formatted and written at a time
 
 
 def _write_rows(path, header, trials, scores=None):
-    """Write `header`, then per trial its ids, label and, if given, score,
-    one block of rows at a time."""
+    """Write `header`, then per trial its ids, label and, if given, score
+    (as "%.9g"), one block of rows at a time, each formatted by one `%`."""
+    row = "%s\t%s\t%s\n" if scores is None else "%s\t%s\t%s\t%.9g\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for i in range(0, len(trials), _WRITE_BLOCK):
@@ -412,8 +414,9 @@ def _write_rows(path, header, trials, scores=None):
             cols = [trials.face_id[block].tolist(), trials.voice_id[block].tolist(),
                     np.where(trials.label[block], "same", "different").tolist()]
             if scores is not None:
-                cols.append(map("{:.9g}".format, scores[block].tolist()))
-            fh.write("\n".join(map("\t".join, zip(*cols))) + "\n")
+                cols.append(scores[block].tolist())
+            flat = tuple(chain.from_iterable(zip(*cols)))
+            fh.write(row * len(cols[0]) % flat)
 
 
 def write_score_file(path, trials, scores):

@@ -105,7 +105,8 @@ def read_tsv(path, header, what, choices):
     index in choices[j] (bytes); None if a row has other than the header's
     number of fields or a cell is none of its choices. Lines end as in text
     mode and blank lines are skipped; a file that is not UTF-8 or does not
-    start with `header` is a FormatError naming it as `what`. No Python
+    start with `header` is a FormatError naming it as `what`, and so is a
+    NUL character, naming the first row that holds one. No Python
     object is made per row or cell; a non-ASCII column decodes each
     distinct cell once."""
     data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -120,6 +121,9 @@ def read_tsv(path, header, what, choices):
     if not data.startswith(head):  # "trials file" -> "bad trials header"
         raise FormatError(f"{path}: bad {what.split()[0]} header")
     buf = np.frombuffer(data, np.uint8, offset=len(head))
+    if not buf.all():  # a numpy str would drop a trailing NUL
+        bad = next(ln for ln in tsv_rows(path) if "\0" in ln)
+        raise FormatError(f"{path}: NUL character in {what} row {bad!r}")
     ends = np.flatnonzero((buf == 9) | (buf == 10))  # each cell's end
     n = header.count("\t") + 1
     # every row has n fields just when each n-th cell, and no other, ends a line
@@ -178,8 +182,8 @@ def read_store_file(path):
     """Read one .fve file; returns (modality, ids, vecs): a str array of
     record ids and a float32 matrix whose row i is record i's vector.
 
-    Bytes after the last record, or a vector holding NaN or +-inf (named by
-    its record), are a FormatError.
+    Bytes after the last record, a record id with a NUL character, or a
+    vector holding NaN or +-inf (named by its record), are a FormatError.
     """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != MAGIC:
@@ -206,6 +210,8 @@ def read_store_file(path):
             ids.append(str(view[off : off + id_len], "utf-8"))
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: record id at byte {off} is not UTF-8") from exc
+        if "\0" in ids[-1]:  # a numpy str would drop a trailing NUL
+            raise FormatError(f"{path}: record id at byte {off} has a NUL")
         blocks.append(view[off + id_len : end])
         off = end
     if off != len(data):

@@ -334,29 +334,48 @@ def _trial_rows(trials, dataset):
 
 
 def _trial_inputs(trials, dataset):
-    """(xf, face_row, xv, voice_row): the inputs at `_trial_rows`."""
+    """`_trial_rows`, each `at` paired with its input matrix as (x, at)."""
     face_at, face_row, voice_at, voice_row = _trial_rows(trials, dataset)
-    return (dataset.face_x[dataset.face_inputs.row[face_at]], face_row,
-            dataset.voice_x[dataset.voice_inputs.row[voice_at]], voice_row)
+    return ((dataset.face_x, dataset.face_inputs.row[face_at]), face_row,
+            (dataset.voice_x, dataset.voice_inputs.row[voice_at]), voice_row)
 
 
-def _score_inputs(head_face, head_voice, xf, face_row, xv, voice_row):
-    """Cosine scores of trials given as rows of distinct inputs.
+# Rows per forward call in scoring: a row's projection or logit then does not
+# depend on the other rows of its list, and temporaries hold one chunk.
+_CHUNK = 64
 
-    Each distinct input is projected once and its norm taken once; a
-    projected vector of norm <= EPS_NORM cannot be scored. The projected
-    rows and their norms are gathered and scored `_SCORE_BLOCK` trials at a
-    time.
+
+def _in_chunks(forward, out, *inputs):
+    """Fill and return `out` with forward(*(x[at] for x, at in inputs)), run
+    on `_CHUNK` rows at a time, the last chunk padded with its own rows."""
+    for start in range(0, len(out), _CHUNK):
+        rows = [x[np.resize(at[start : start + _CHUNK], _CHUNK)] for x, at in inputs]
+        out[start : start + _CHUNK] = forward(*rows)[: len(out) - start]
+    return out
+
+
+def _score_inputs(head_face, head_voice, faces, face_row, voices, voice_row):
+    """Cosine scores of trials given as rows of distinct inputs: with faces
+    = (x, at), trial i's face input is x[at[face_row[i]]]; likewise voices.
+
+    Each distinct input is projected once, `_in_chunks`, and its norm taken
+    once; a projected vector of norm <= EPS_NORM cannot be scored. The
+    projected rows and their norms are gathered and scored `_SCORE_BLOCK`
+    trials at a time.
     """
-    yf, _ = head_forward(head_face, xf, train=False)
-    yv, _ = head_forward(head_voice, xv, train=False)
-    if yf.shape[1] != yv.shape[1]:
-        raise ShapeError(f"cannot score {yf.shape[1]}-dim face projections "
-                         f"against {yv.shape[1]}-dim voice projections")
-    norm_f = np.linalg.norm(yf, axis=1)
-    norm_v = np.linalg.norm(yv, axis=1)
-    if np.any(norm_f <= EPS_NORM) or np.any(norm_v <= EPS_NORM):
-        raise DegenerateVectorError("cannot score a zero vector")
+    if head_face.out_dim != head_voice.out_dim:
+        raise ShapeError(f"cannot score {head_face.out_dim}-dim face projections "
+                         f"against {head_voice.out_dim}-dim voice projections")
+    projected = []
+    for head, (x, at) in ((head_face, faces), (head_voice, voices)):
+        y = _in_chunks(lambda rows: head_forward(head, rows)[0],
+                       np.empty((len(at), head.out_dim)), (x, at))
+        norm = _in_chunks(lambda rows: np.linalg.norm(rows, axis=1),
+                          np.empty(len(at)), (y, np.arange(len(at))))
+        if np.any(norm <= EPS_NORM):
+            raise DegenerateVectorError("cannot score a zero vector")
+        projected += [y, norm]
+    yf, norm_f, yv, norm_v = projected
     scores = np.empty(len(face_row))
     for start in range(0, len(face_row), _SCORE_BLOCK):
         block = slice(start, start + _SCORE_BLOCK)
@@ -467,10 +486,10 @@ def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
                                            xv[av[vb]], yv[vb], cfg.aam, rng)
         return {"face_loss": f_loss, "voice_loss": v_loss}, grads
 
-    def score():  # gathers the distinct dev inputs only while it scores
+    def score():
         heads = [head_from_arrays(params, p, 0.0) for p in ("head_face", "head_voice")]
-        return _score_inputs(*heads, eval_ds.face_x[face_at], face_row,
-                             eval_ds.voice_x[voice_at], voice_row)
+        return _score_inputs(*heads, (eval_ds.face_x, face_at), face_row,
+                             (eval_ds.voice_x, voice_at), voice_row)
 
     return _early_stopping(cfg, dev_trials, params, step, score)
 
@@ -746,7 +765,7 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
     """
     face_at, face_row, voice_at, voice_row = _dev_inputs(cfg, train_ds,
                                                          dev_trials, eval_ds)
-    face_at, voice_at = face_at[face_row], voice_at[voice_row]  # one per trial
+    pairs = (eval_ds.voice_x, voice_at[voice_row]), (eval_ds.face_x, face_at[face_row])
     rng = make_rng(cfg.seed)
     model = XAttnModel.init(
         make_rng(cfg.seed ^ 0x5EED),
@@ -769,8 +788,8 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
         return {"loss": loss}, xattn_backward(model, cache, g_logits)[0]
 
     def score():
-        return xattn_forward(model, eval_ds.voice_x[voice_at],
-                             eval_ds.face_x[face_at], train=False)[0]
+        return _in_chunks(lambda v, f: xattn_forward(model, v, f)[0],
+                          np.empty(len(face_row)), *pairs)
 
     best, log = _early_stopping(cfg, dev_trials, model.params, step, score)
     return model, best, log

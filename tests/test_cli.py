@@ -1014,6 +1014,47 @@ class TestDecodeErrors:
         assert run_config(tmp_path, "eval", config) == (4, False)
         assert f"bad trial row {rows[0]!r}" in capsys.readouterr().err
 
+    def test_nul_in_a_trial_id_exits_4_and_is_named(self, schema_corpus,
+                                                    tmp_path, capsys):
+        # without the check both rows would name the face s000:f000
+        config = schema_base_configs(schema_corpus)["eval"]
+        trials = tmp_path / "t.tsv"
+        bad = "s000:f000\x00\ts001:v000\tdifferent"
+        trials.write_text("\n".join([
+            "face_record_id\tvoice_record_id\tlabel",
+            "s000:f000\ts000:v001\tsame", bad,
+        ]) + "\n", encoding="utf-8")
+        config = with_value(config, ("trials",), str(trials))
+        capsys.readouterr()
+        assert run_config(tmp_path, "eval", config) == (4, False)
+        assert f"NUL character in trials file row {bad!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", [1, 4], ids=["speaker", "dim"])
+    def test_nul_in_a_manifest_row_exits_4(self, schema_corpus, tmp_path,
+                                           capsys, cell):
+        def edit(blob):
+            lines = blob.split(b"\n")
+            cells = lines[2].split(b"\t")
+            cells[cell] += b"\x00"
+            lines[2] = b"\t".join(cells)
+            return b"\n".join(lines)
+
+        capsys.readouterr()
+        assert self._corrupt_copy(
+            schema_corpus, tmp_path, "manifest.tsv", edit
+        ) == (4, False)
+        assert "NUL character in manifest row" in capsys.readouterr().err
+
+    def test_nul_in_a_store_record_id_exits_4(self, schema_corpus, tmp_path,
+                                              capsys):
+        # 17-byte header, u16 id length, then the first record id
+        code = self._corrupt_copy(
+            schema_corpus, tmp_path, "vspk.fve",
+            lambda blob: blob[:20] + b"\x00" + blob[21:],
+        )
+        assert code == (4, False)
+        assert "record id at byte 19 has a NUL" in capsys.readouterr().err
+
     def _corrupt_copy(self, corpus, tmp_path, name, edit):
         data = tmp_path / "data"
         shutil.copytree(corpus[1], data)

@@ -107,6 +107,20 @@ class TestStoreRoundTrip:
                            match=f"fag.fve: 1 trailing bytes at byte {len(data)}"):
             read_store(tmp_path / "ds")
 
+    @pytest.mark.parametrize("at", [0, 5, 9])  # first, middle and last byte
+    def test_nul_in_a_record_id_reports_offset(self, tmp_path, at):
+        # fid.fve's first record id, a:f000#fid, starts after its 17-byte
+        # header and 2-byte length; a numpy str would drop a trailing NUL
+        write_store(*store_pair(make_records()), tmp_path / "ds")
+        path = tmp_path / "ds" / "fid.fve"
+        data = bytearray(path.read_bytes())
+        assert data[19:29] == b"a:f000#fid"
+        data[19 + at] = 0
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError,
+                           match="fid.fve: record id at byte 19 has a NUL"):
+            read_store(tmp_path / "ds")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_names_file_and_record(self, tmp_path, bad):
         records = make_records()

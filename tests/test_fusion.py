@@ -119,7 +119,7 @@ def score_rows(a, b):
     a, b = np.atleast_2d(a), np.atleast_2d(b)
     rows = np.arange(len(a))
     return _score_inputs(identity_head(a.shape[1]), identity_head(b.shape[1]),
-                         a, rows, b, rows)
+                         (a, rows), rows, (b, rows), rows)
 
 
 def cosine(a, b):

@@ -530,6 +530,105 @@ class TestScoreTrialsMatchesOracle:
         assert got.tobytes() == scores[order].tobytes()
 
 
+def _xattn_dev_logits(model, ds, voice_at, face_at):
+    """Logits of the (voice_x[voice_at[i]], face_x[face_at[i]]) pairs, by
+    the chunking helper and forward call of `train_xattn`'s dev scoring."""
+    return traineval._in_chunks(lambda v, f: xattn_forward(model, v, f)[0],
+                                np.empty(len(face_at)), (ds.voice_x, voice_at),
+                                (ds.face_x, face_at))
+
+
+def _peak_beyond(outputs, fn, *args):
+    """Bytes that fn(*args) allocates at its peak under tracemalloc, less
+    `outputs` bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - outputs
+    finally:
+        tracemalloc.stop()
+
+
+class TestScoreDependsOnlyOnItsPair:
+    # Scoring projects distinct records, and cross-attention dev scoring
+    # runs its pairs, in chunks of exactly 64 rows, so on one numpy/BLAS
+    # build a row's bits do not depend on the other rows of its list. This
+    # is checked on the build the tests run on; a one-row matmul or a
+    # one-pair attention batch may round differently from a larger one.
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_heads_score_alone_and_among_other_records(self, data):
+        face_dim, voice_dim = data.draw(st.permutations([56, 80]))
+        ds, head_f, head_v = _scoring_case(
+            n_faces=data.draw(st.integers(1, 150)),
+            n_voices=data.draw(st.integers(1, 150)),
+            face_dim=face_dim, voice_dim=voice_dim,
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+            out_dim=data.draw(st.sampled_from([2, 7, 192])),
+        )
+        rng = make_rng(data.draw(st.integers(0, 99)))
+        trials = _random_trials(ds, data.draw(st.integers(1, 12)), rng)
+        scores = score_trials(head_f, head_v, trials, ds)
+        for i in range(len(trials)):
+            alone = score_trials(head_f, head_v, trials[i : i + 1], ds)
+            assert alone.tobytes() == scores[i : i + 1].tobytes()
+        more = np.concatenate([trials, _random_trials(ds, 200, rng)])
+        got = score_trials(head_f, head_v, more.view(np.recarray), ds)
+        assert got[: len(trials)].tobytes() == scores.tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_xattn_dev_logit_alone_and_in_its_list(self, data):
+        face_dim, voice_dim = data.draw(st.sampled_from([(56, 80), (20, 30)]))
+        n_faces, n_voices = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ds, _, _ = _scoring_case(n_faces, n_voices, face_dim, voice_dim, seed)
+        model = XAttnModel.init(make_rng(seed), voice_in_dim=voice_dim,
+                                face_in_dim=face_dim,
+                                d_model=data.draw(st.sampled_from([4, 8, 16])))
+        n = data.draw(st.integers(1, 150))
+        rng = make_rng(seed + 1)
+        voice_at = rng.integers(0, n_voices, n)
+        face_at = rng.integers(0, n_faces, n)
+        logits = _xattn_dev_logits(model, ds, voice_at, face_at)
+        for i in range(n):
+            alone = _xattn_dev_logits(model, ds, voice_at[i : i + 1],
+                                      face_at[i : i + 1])
+            assert alone.tobytes() == logits[i : i + 1].tobytes()
+
+
+class TestScoringMemory:
+    # Beyond its outputs (the float64 projections and their norms, or the
+    # logits, and the scores), scoring holds one chunk of rows and one block
+    # of trials, whatever the length of the list.
+    def test_head_scoring_peak_does_not_grow_with_the_records(self):
+        extra = []
+        for n in (1000, 8000):
+            rng = make_rng(n)
+            x = rng.standard_normal((n, 80)).astype(np.float32)
+            head = MappingHead.init(rng, 80, 192, p_drop=0.0)
+            rows = np.arange(n)
+            outputs = 2 * n * (192 + 1) * 8 + n * 8
+            extra.append(_peak_beyond(outputs, traineval._score_inputs, head, head,
+                                      (x, rng.permutation(n)), rows,
+                                      (x, rng.permutation(n)), rng.permutation(n)))
+        assert abs(extra[1] - extra[0]) < 1e6
+
+    def test_xattn_dev_scoring_peak_does_not_grow_with_the_pairs(self):
+        ds, _, _ = _scoring_case(200, 200, 56, 80, seed=81)
+        ds.face_x = ds.face_x.astype(np.float32)  # float32 as stored
+        ds.voice_x = ds.voice_x.astype(np.float32)
+        model = XAttnModel.init(make_rng(82), voice_in_dim=80, face_in_dim=56,
+                                d_model=8)
+        extra = []
+        for n in (500, 4000):
+            rng = make_rng(n)
+            extra.append(_peak_beyond(n * 8, _xattn_dev_logits, model, ds,
+                                      rng.integers(0, 200, n),
+                                      rng.integers(0, 200, n)))
+        assert abs(extra[1] - extra[0]) < 1e6
+
+
 def _sampled_pairs(face_speakers, voice_speakers, batch_size, seed):
     """(face record, voice record, label) of each pair `_sample_pairs` draws
     from a `_dataset`, records given as list indices (an input's first

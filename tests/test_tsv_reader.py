@@ -7,16 +7,19 @@ decoded in text mode, split into lines and cells as Python strings and
 turned into arrays. For every generated trial file or manifest both
 readers must return the same columns of the same dtypes, or raise the same
 error class with the same message. The manifest reference maps a dim
-beyond int64 to "bad dim", as the reader does.
+beyond int64 to "bad dim", as the reader does, and both references reject
+a NUL character, which a numpy str would drop from the end of a cell.
 """
 
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from fvassoc.cli import TRIALS_HEADER, read_trials_file, write_score_file
+from fvassoc.cli import (TRIALS_HEADER, _write_rows, read_trials_file,
+                         write_score_file)
 from fvassoc.embedstore import MANIFEST_HEADER, ModalityKind, _read_manifest
 from fvassoc.errors import FormatError
 from fvassoc.traineval import trial_table
@@ -30,19 +33,23 @@ def split_tsv_rows(rows, n_fields):
     return [cells[i::step] for i in range(n_fields)]
 
 
-def _ref_lines(path, what):
+def _ref_lines(path, what, header):
+    """The rows after the header, checked for UTF-8, the header and NUL."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {what} is not UTF-8 text") from exc
-    return [ln for ln in text.split("\n") if ln]
+    lines = [ln for ln in text.split("\n") if ln]
+    if not lines or lines[0] != header:
+        raise FormatError(f"{path}: bad {what.split()[0]} header")
+    for ln in lines[1:]:
+        if "\0" in ln:
+            raise FormatError(f"{path}: NUL character in {what} row {ln!r}")
+    return lines[1:]
 
 
 def ref_read_trials_file(path):
-    lines = _ref_lines(path, "trials file")
-    if not lines or lines[0] != TRIALS_HEADER:
-        raise FormatError(f"{path}: bad trials header")
-    rows = lines[1:]
+    rows = _ref_lines(path, "trials file", TRIALS_HEADER)
     cols = split_tsv_rows(rows, 3)
     if (cols is None
             or cols[2].count("same") + cols[2].count("different") != len(rows)):
@@ -53,10 +60,8 @@ def ref_read_trials_file(path):
 
 
 def ref_read_manifest(path):
-    lines = _ref_lines(path, "manifest")
-    if not lines or lines[0] != MANIFEST_HEADER:
-        raise FormatError(f"{path}: bad manifest header")
-    cols = split_tsv_rows(lines[1:], 5)
+    rows = _ref_lines(path, "manifest", MANIFEST_HEADER)
+    cols = split_tsv_rows(rows, 5)
     tags = [kind.tag for kind in ModalityKind]
     if cols is not None and set(cols[3]) <= set(tags):
         ids, speakers, languages, tag_col, dims = (np.array(c, str) for c in cols)
@@ -68,7 +73,7 @@ def ref_read_manifest(path):
             return ids, speakers, languages, codes[at], dims
         except (ValueError, OverflowError):
             pass
-    for ln in lines[1:]:
+    for ln in rows:
         parts = ln.split("\t")
         if len(parts) != 5:
             raise FormatError(f"{path}: bad manifest row {ln!r}")
@@ -89,16 +94,16 @@ def _outcome(read, path):
     return [(col.dtype, col.tolist()) for col in result]
 
 
-# ids: ASCII, non-ASCII (two-, three- and four-byte UTF-8), NUL bytes
-# anywhere, so also at the end, where a numpy str drops them
-_CHARS = st.sampled_from(list("ab:#_0") + ["é", "日", "🙂", "\x00", " "])
+# ids: ASCII and non-ASCII (two-, three- and four-byte UTF-8); a NUL is a
+# defect of its own (below)
+_CHARS = st.sampled_from(list("ab:#_0") + ["é", "日", "🙂", " "])
 _IDS = st.text(_CHARS, max_size=6)
 _LABELS = st.sampled_from(["same", "different"])
 _BAD_LABELS = st.sampled_from(["same\x00", "different\x00", "Same", "", "same "])
 _TAGS = st.sampled_from([kind.tag for kind in ModalityKind])
 _BAD_TAGS = st.sampled_from(["vspk\x00", "fag\x00", "zz", "", "fid "])
-# int() takes all of these; "64\x00" passes as a numpy str drops the NUL
-_DIMS = st.sampled_from(["64", "7", "12", "+8", " 9", "64\x00", "-3", "٦٤", "1_0"])
+# int() takes all of these
+_DIMS = st.sampled_from(["64", "7", "12", "+8", " 9", "-3", "٦٤", "1_0"])
 _BAD_DIMS = st.sampled_from(["6x", "", "\x00", "99999999999999999999"])
 
 TRIAL_ROWS = (st.tuples(_IDS, _IDS, _LABELS), st.tuples(_IDS, _IDS, _BAD_LABELS))
@@ -114,13 +119,13 @@ def tsv_files(draw, header, rows):
     """File bytes: a header and good rows, blank lines at the start, middle
     and end, "\\n", "\\r\\n" or "\\r" line ends, then none, one or two
     defects: a row with a bad cell, a row of one field or one field short
-    or long, a wrong header (one starts with a BOM) or a byte that is not
-    UTF-8. Half the files are all ASCII."""
+    or long, a wrong header (one starts with a BOM), a byte that is not
+    UTF-8 or a NUL byte anywhere. Half the files are all ASCII."""
     good, bad = rows
     n = len(header.split("\t"))
     lines = [header] + ["\t".join(draw(good)) for _ in range(draw(st.integers(0, 6)))]
-    defects = draw(st.lists(st.sampled_from(["cell", "width", "header", "utf8"]),
-                            max_size=2))
+    defects = draw(st.lists(st.sampled_from(["cell", "width", "header", "utf8",
+                                             "nul"]), max_size=2))
     for defect in defects:
         if defect == "header":
             lines[0] = draw(st.sampled_from([header + "\t", "\ufeff" + header,
@@ -140,6 +145,9 @@ def tsv_files(draw, header, rows):
     if "utf8" in defects:
         at = draw(st.integers(0, len(data)))
         data[at:at] = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+    if "nul" in defects:
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = b"\x00"
     return bytes(data)
 
 
@@ -166,17 +174,34 @@ def test_manifest_reader_matches_text_reference(tmp_path, data):
     assert _outcome(_read_manifest, path) == _outcome(ref_read_manifest, path)
 
 
-def test_nul_ended_and_non_ascii_ids_keep_their_dtype(tmp_path):
-    # numpy drops trailing NULs but sizes the dtype by the longest cell
+def test_non_ascii_ids_keep_their_dtype(tmp_path):
+    # a non-ASCII column is sized in characters, not in UTF-8 bytes
     path = tmp_path / "trials.tsv"
     path.write_bytes("\r\n".join([
-        "", TRIALS_HEADER, "日\x00\ta\x00\x00\tsame", "", "\tb\tdifferent", "",
+        "", TRIALS_HEADER, "日本\ta\tsame", "", "\tbbb\tdifferent", "",
     ]).encode("utf-8"))
     got = _outcome(read_trials_file, path)
     assert got == _outcome(ref_read_trials_file, path)
-    assert got[0] == (np.dtype("<U2"), ["日", ""])
-    assert got[1] == (np.dtype("<U3"), ["a", "b"])
+    assert got[0] == (np.dtype("<U2"), ["日本", ""])
+    assert got[1] == (np.dtype("<U3"), ["a", "bbb"])
     assert got[2] == (np.dtype(bool), [True, False])
+
+
+@pytest.mark.parametrize("read, header, rows", [
+    # two faces that a numpy str would both read as "a"
+    (read_trials_file, TRIALS_HEADER, ["a\tv\tsame", "a\x00\tv\tdifferent"]),
+    # two speakers that would merge, and a dim that would read as 64
+    (_read_manifest, MANIFEST_HEADER, ["r1\ts1\ten\tvspk\t64",
+                                       "r2\ts1\x00\ten\tvspk\t64"]),
+    (_read_manifest, MANIFEST_HEADER, ["r1\ts1\ten\tvspk\t64\x00"]),
+], ids=["trial-id", "manifest-speaker", "manifest-dim"])
+def test_nul_character_is_a_format_error_naming_its_row(tmp_path, read,
+                                                         header, rows):
+    path = tmp_path / "file.tsv"
+    path.write_text("\n".join([header, *rows, rows[0]]) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="NUL character in .* row") as exc:
+        read(path)
+    assert str(exc.value).endswith(f"row {rows[-1]!r}")
 
 
 def _trials(n):
@@ -214,3 +239,34 @@ def test_score_file_peak_does_not_grow_with_trials(tmp_path):
         scores = np.random.default_rng(0).uniform(-1, 1, n)
         peaks.append(_peak(write_score_file, tmp_path / "scores.tsv", trials, scores))
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def _ref_write_rows(path, header, trials, scores=None):
+    """The former writer: a tab join per row and "{:.9g}".format per score."""
+    rows = [[f, v, "same" if same else "different"]
+            for f, v, same in trials.tolist()]
+    if scores is not None:
+        for row, score in zip(rows, scores.tolist()):
+            row.append("{:.9g}".format(score))
+    Path(path).write_text("".join(f"{ln}\n" for ln in
+                                  [header, *map("\t".join, rows)]),
+                          encoding="utf-8")
+
+
+@pytest.mark.parametrize("with_scores", [True, False])
+def test_block_formatter_writes_the_per_row_bytes(tmp_path, with_scores):
+    # -0.0, the smallest subnormals, +-1e300 and values that need all nine
+    # digits; ids with two-, three- and four-byte UTF-8; 4,100 rows, so more
+    # than one 4,096-row block
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-310, 1e300, -1e300,
+               1 / 3, -0.999999999, 1.0, np.nextafter(1.0, 2.0), 123456789.5]
+    n = 4100
+    scores = np.resize(special, n) * np.where(np.arange(n) % 7 == 3, -1.0, 1.0)
+    faces = [f"é{i % 13}:日{i % 5}" for i in range(n)]
+    voices = [f"🙂{i % 11}#v" for i in range(n)]
+    trials = trial_table(faces, voices, np.arange(n) % 3 == 0)
+    header = TRIALS_HEADER + ("\tscore" if with_scores else "")
+    args = (trials, scores) if with_scores else (trials,)
+    _write_rows(tmp_path / "new.tsv", header, *args)
+    _ref_write_rows(tmp_path / "ref.tsv", header, *args)
+    assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
