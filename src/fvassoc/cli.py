@@ -28,6 +28,7 @@ command (2 config/parse error, 3 protocol violation, 4 data/schema error,
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import sys
@@ -497,7 +498,18 @@ def build_parser():
     return parser
 
 
+def _keep_freed_heap():
+    """Keep freed heap for the next small step, not trimmed and faulted back
+    in. Sets both thresholds: any `mallopt` call stops glibc adapting them."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's dynamic ceiling
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None):
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     out = None
     try:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .aamloss import AamConfig, init_classifier, joint_step
-from .diffcore import EPS_NORM, AdamState, adam_step, make_rng
+from .diffcore import _ADAM_BLOCK, EPS_NORM, AdamState, adam_step, make_rng
 from .embedstore import split_folds
 from .errors import (
     ConfigError,
@@ -319,15 +319,22 @@ def _trial_rows(trials, dataset):
     position in `face_inputs` of every distinct face of the trials once, in
     sorted id order, and face_at[face_row[i]] is trial i's face; likewise
     for voices. Every id that names no record of its modality is reported,
-    sorted."""
+    sorted. Each trial id is looked up once among the sorted owner ids; the
+    owners found are numbered in that order."""
     out, unknown = [], []
     for kind, (rows, _) in zip(("face", "voice"), dataset.tables()):
-        ids, inverse = np.unique(trials[f"{kind}_id"], return_inverse=True)
-        unknown += [f"{kind} {i}" for i in np.setdiff1d(ids, rows.owner_id).tolist()]
         sorter = np.argsort(rows.owner_id)
-        pos = np.searchsorted(rows.owner_id, ids, sorter=sorter)
-        # an unknown id may land past the last owner (-1); it is raised below
-        out += [np.append(sorter, -1)[pos], inverse]
+        owners = rows.owner_id[sorter]
+        ids = np.ascontiguousarray(trials[f"{kind}_id"])
+        pos = np.searchsorted(owners, ids)
+        known = pos < len(owners)
+        known[known] = owners[pos[known]] == ids[known]
+        unknown += [f"{kind} {i}" for i in np.unique(ids[~known]).tolist()]
+        if unknown:
+            continue  # raised below, with the unknown ids of both modalities
+        used = np.zeros(len(owners), bool)
+        used[pos] = True
+        out += [sorter[used], np.cumsum(used)[pos] - 1]
     if unknown:
         raise LookupError_(f"unknown trial record ids: {', '.join(unknown)}")
     return out
@@ -434,20 +441,28 @@ def _early_stopping(cfg, dev_trials, params, step, score):
     """The loop, update and stopping rule of both trainers; returns (best, log).
 
     `step()` returns (loss fields, gradients keyed like `params`), and each
-    array of `params` then gets one in-place Adam update at rate cfg.lr;
+    element of `params` then gets one in-place Adam update at rate cfg.lr;
     `score()` scores `dev_trials`. Dev EER is logged as {"step", "dev_eer",
     **losses} at step 0, every `eval_every` steps and at `max_steps`.
     best["arrays"] copies `params` at the first evaluation with the lowest
     EER; training stops once more than `patience` evaluations in a row fail
-    to improve on it.
+    to improve on it. Arrays of at most one Adam block become views of one
+    buffer, updated in one call: Adam is elementwise, so the bits are unchanged.
     """
-    opt = {name: AdamState.for_param(arr, lr=cfg.lr) for name, arr in params.items()}
+    small = [name for name, arr in params.items() if arr.size <= _ADAM_BLOCK]
+    packed = np.concatenate([np.empty(0)] + [np.ravel(params[n]) for n in small])
+    for name, end in zip(small, np.cumsum([params[name].size for name in small])):
+        params[name] = packed[end - params[name].size : end].reshape(params[name].shape)
+    opt = {n: AdamState.for_param(params[n], lr=cfg.lr) for n in params if n not in small}
+    packed_opt = AdamState.for_param(packed, lr=cfg.lr)
     log, best, no_improve, losses = [], None, 0, {}
     for n in range(cfg.max_steps + 1):
         if n > 0:
-            losses, grads = step()
-            for name, arr in params.items():  # pop: no gradient outlives its update
-                adam_step(arr, grads.pop(name), opt[name])
+            losses, grads = step()  # pop: no gradient outlives its update
+            grad = np.concatenate([np.empty(0)] + [np.ravel(grads.pop(n)) for n in small])
+            adam_step(packed, grad, packed_opt)
+            for name, state in opt.items():
+                adam_step(params[name], grads.pop(name), state)
             if n % cfg.eval_every and n != cfg.max_steps:
                 continue
         eer = compute_eer(score(), dev_trials.label).eer

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -550,6 +551,38 @@ class TestXAttn:
             b / "checkpoint.fvh"
         ).read_bytes()
         assert reports_equal_modulo_timestamp(load_report(a), load_report(b))
+
+
+# After `main` sets glibc's allocator up, a step's freed arrays stay in the
+# heap for the next step. Under glibc's defaults each 300x192 float64
+# temporary is mmapped afresh: about 300 minor faults per call.
+_FAULTS_PY = r"""
+import resource, sys
+import numpy as np
+from fvassoc import cli
+from fvassoc.diffcore import l2_normalize_rows_backward
+cli.main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
+x, g = np.random.default_rng(0).standard_normal((2, 300, 192))
+l2_normalize_rows_backward(x, g)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    l2_normalize_rows_backward(x, g)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator set-up is glibc's mallopt")
+def test_main_keeps_freed_heap_for_the_next_step(tmp_path):
+    src = str(Path(fvassoc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PY, str(tmp_path / "missing.json"),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert int(proc.stdout) < 1000
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fvassoc import traineval
-from fvassoc.diffcore import make_rng
+from fvassoc.diffcore import _ADAM_BLOCK, AdamState, adam_step, make_rng
 from fvassoc.embedstore import (
     FULL_DIMS,
     ModalityKind,
@@ -530,6 +531,58 @@ class TestScoreTrialsMatchesOracle:
         assert got.tobytes() == scores[order].tobytes()
 
 
+def _reference_trial_rows(trials, dataset):
+    """`traineval._trial_rows` as it was before it looked each trial id up
+    among the sorted owner ids: np.unique over every trial id, then a
+    search of the distinct ids among the owners."""
+    out, unknown = [], []
+    for kind, (rows, _) in zip(("face", "voice"), dataset.tables()):
+        ids, inverse = np.unique(trials[f"{kind}_id"], return_inverse=True)
+        unknown += [f"{kind} {i}" for i in np.setdiff1d(ids, rows.owner_id).tolist()]
+        sorter = np.argsort(rows.owner_id)
+        pos = np.searchsorted(rows.owner_id, ids, sorter=sorter)
+        out += [np.append(sorter, -1)[pos], inverse]
+    if unknown:
+        raise LookupError_(f"unknown trial record ids: {', '.join(unknown)}")
+    return out
+
+
+_IDS = st.text(alphabet="ab\u00e9#0", min_size=1, max_size=4)
+
+
+class TestTrialRows:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_the_unique_based_reference(self, data):
+        tables = []
+        for _ in range(2):  # faces, voices: owners in any table order
+            owners = data.draw(st.lists(_IDS, max_size=8, unique=True))
+            tables.append(np.rec.fromarrays(
+                [np.array(owners, str), np.array(owners, str),
+                 np.array(owners, str), np.arange(len(owners))],
+                names="owner_id,speaker_id,language,row"))
+        ds = PairedDataset(*((t, np.zeros((len(t), 1), np.float32)) for t in tables))
+        n = data.draw(st.integers(0, 20))
+        columns = []
+        for t in tables:  # ids of the table's owners, or also any others
+            known = st.sampled_from(t.owner_id.tolist()) if len(t) else _IDS
+            ids = st.one_of(known, _IDS) if data.draw(st.booleans()) else known
+            columns.append(data.draw(st.lists(ids, min_size=n, max_size=n)))
+        trials = trial_table(*columns, [False] * n)
+        try:
+            want = _reference_trial_rows(trials, ds)
+        except LookupError_ as exc:
+            with pytest.raises(LookupError_) as got:
+                traineval._trial_rows(trials, ds)
+            assert str(got.value) == str(exc)
+            return
+        got = traineval._trial_rows(trials, ds)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
 def _xattn_dev_logits(model, ds, voice_at, face_at):
     """Logits of the (voice_x[voice_at[i]], face_x[face_at[i]]) pairs, by
     the chunking helper and forward call of `train_xattn`'s dev scoring."""
@@ -869,7 +922,7 @@ def _assert_same_runs(trainer, trials, *splits):
 def _traced_training(trainer, **kw):
     """Run one trainer on a small split, recording what `_early_stopping`
     is given and every `adam_step` call. Returns (params, initial copies of
-    them, ids of the arrays adam_step updated, in call order, best, log)."""
+    them, the arrays adam_step updated, in call order, best, log)."""
     ds, _, _ = make_dataset()
     spk = ds.speakers()
     trials = default_dev_trials(ds, spk[:2], quick_cfg(), make_rng(0))
@@ -882,13 +935,39 @@ def _traced_training(trainer, **kw):
         return loop(cfg, dev_trials, params, step, score)
 
     def adam_step(param, grad, state):
-        updated.append(id(param))
+        updated.append(param)
         return adam(param, grad, state)
 
     with mock.patch.object(traineval, "_early_stopping", early_stopping), \
             mock.patch.object(traineval, "adam_step", adam_step):
         best, log = TRAINERS[trainer](ds.subset(spk[2:]), trials, ds, **kw)
     return seen["params"], seen["initial"], updated, best, log
+
+
+def _per_array_early_stopping(cfg, dev_trials, params, step, score):
+    """`traineval._early_stopping` with one `adam_step` call per array per
+    step, as before small arrays shared one buffer: the reference for the
+    packed update."""
+    opt = {name: AdamState.for_param(arr, lr=cfg.lr) for name, arr in params.items()}
+    log, best, no_improve, losses = [], None, 0, {}
+    for n in range(cfg.max_steps + 1):
+        if n > 0:
+            losses, grads = step()
+            for name, arr in params.items():
+                adam_step(arr, grads.pop(name), opt[name])
+            if n % cfg.eval_every and n != cfg.max_steps:
+                continue
+        eer = compute_eer(score(), dev_trials.label).eer
+        log.append({"step": n, "dev_eer": eer, **losses})
+        if best is None or eer < best["dev_eer"]:
+            arrays = {name: arr.copy() for name, arr in params.items()}
+            best = {"arrays": arrays, "dev_eer": eer, "step": n}
+            no_improve = 0
+        else:
+            no_improve += 1
+            if no_improve > cfg.patience:
+                break
+    return best, log
 
 
 class TestOneUpdate:
@@ -932,20 +1011,63 @@ class TestOneUpdate:
             trainer, max_steps=6, eval_every=2, patience=10
         )
         assert log[-1]["step"] == 6
-        counts = {i: updated.count(i) for i in set(updated)}
-        assert counts == {id(arr): 6 for arr in params.values()}
+        buffers = list({id(b): b for b in updated}.values())
+        assert len(updated) == 6 * len(buffers)
+        for a, b in itertools.combinations(buffers, 2):
+            assert not np.shares_memory(a, b)
+        # each (contiguous) array lies inside exactly one updated buffer,
+        # and together the arrays fill the buffers
+        for arr in params.values():
+            (owner,) = [b for b in buffers if np.shares_memory(arr, b)]
+            lo, start = owner.ctypes.data, arr.ctypes.data
+            assert lo <= start and start + arr.nbytes <= lo + owner.nbytes
+        assert sum(b.size for b in buffers) == sum(a.size for a in params.values())
 
     @pytest.mark.parametrize("trainer", TRAINERS)
     def test_zero_lr_keeps_the_initial_arrays(self, trainer):
         params, initial, updated, best, log = _traced_training(
             trainer, lr=0.0, max_steps=6, eval_every=2, patience=10
         )
-        assert log[-1]["step"] == 6 and len(updated) == 6 * len(params)
+        assert log[-1]["step"] == 6
+        assert updated and len(updated) == 6 * len({id(b) for b in updated})
         assert best["arrays"].keys() == initial.keys() == params.keys()
         for name, arr in initial.items():
             for got in (best["arrays"][name], params[name]):
                 assert got.dtype == arr.dtype and got.shape == arr.shape
                 assert got.tobytes() == arr.tobytes()
+
+    # heads at out_dim 192 pack every array; at out_dim 2048 the weights
+    # are larger than an Adam block and clf.weight (8 speakers) is exactly
+    # one. xattn packs its 0-d out_b, and at d_model 128 eight arrays of
+    # exactly one block.
+    @pytest.mark.parametrize("trainer, kw", [
+        ("heads", {}), ("heads", {"out_dim": 2048}),
+        ("xattn", {}), ("xattn", {"d_model": 128}),
+    ])
+    def test_packed_update_is_bitwise_one_call_per_array(self, trainer, kw):
+        ds, _, _ = make_dataset()
+        spk = ds.speakers()
+        trials = default_dev_trials(ds, spk[:2], quick_cfg(), make_rng(0))
+        runs = []
+        for loop in (traineval._early_stopping, _per_array_early_stopping):
+            def recorded(cfg, dev_trials, params, step, score, loop=loop):
+                best, log = loop(cfg, dev_trials, params, step, score)
+                runs.append((best, log, params))
+                return best, log
+
+            with mock.patch.object(traineval, "_early_stopping", recorded):
+                TRAINERS[trainer](ds.subset(spk[2:]), trials, ds, max_steps=8,
+                                  eval_every=2, patience=10, **kw)
+        (best, log, last), (want_best, want_log, want_last) = runs
+        assert log == want_log and log[-1]["step"] == 8
+        assert best["step"] == want_best["step"]
+        if kw:
+            assert _ADAM_BLOCK in {arr.size for arr in last.values()}
+        for got, want in ((best["arrays"], want_best["arrays"]), (last, want_last)):
+            assert got.keys() == want.keys()
+            for name, arr in want.items():
+                assert got[name].shape == arr.shape
+                assert got[name].tobytes() == arr.tobytes()
 
 
 class _Trained(Exception):
