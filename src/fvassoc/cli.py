@@ -35,7 +35,6 @@ import sys
 import textwrap
 import time
 from dataclasses import asdict, fields, is_dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -402,22 +401,41 @@ def read_trials_file(path):
 
 
 _WRITE_BLOCK = 4096  # rows formatted and written at a time
+_LABELS = np.array([b"different", b"same"]).view(np.uint8).reshape(2, -1)
+
+
+def _utf8_cells(ids):
+    """The UTF-8 bytes of each id of a str array as a 0-padded uint8 row: an
+    ASCII column narrowed from its code points, any other encoding each
+    distinct id once."""
+    points = np.ascontiguousarray(ids).view(np.uint32).reshape(len(ids), -1)
+    if points.max(initial=0) < 128:
+        return points.astype(np.uint8)
+    names, at = np.unique(ids, return_inverse=True)
+    names = np.array([name.encode() for name in names.tolist()])
+    return names.view(np.uint8).reshape(len(names), -1)[at]
 
 
 def _write_rows(path, header, trials, scores=None):
     """Write `header`, then per trial its ids, label and, if given, score
-    (as "%.9g"), one block of rows at a time, each formatted by one `%`."""
-    row = "%s\t%s\t%s\n" if scores is None else "%s\t%s\t%s\t%.9g\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    (as "%.9g"), one block of rows at a time. A block's fields are 0-padded
+    byte rows, each score formatted by one `%` per block as "%-16.9g" (no
+    "%.9g" is longer) with its padding spaces zeroed; the block is written
+    without its zero bytes, which no field holds."""
+    face, voice, label = trials.face_id, trials.voice_id, trials.label.view(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
         for i in range(0, len(trials), _WRITE_BLOCK):
             block = slice(i, i + _WRITE_BLOCK)
-            cols = [trials.face_id[block].tolist(), trials.voice_id[block].tolist(),
-                    np.where(trials.label[block], "same", "different").tolist()]
+            sep = np.full((len(label[block]), 1), 9, np.uint8)  # "\t"
+            fields = [_utf8_cells(face[block]), sep, _utf8_cells(voice[block]), sep,
+                      _LABELS[label[block]], sep + 1]  # "\n"
             if scores is not None:
-                cols.append(scores[block].tolist())
-            flat = tuple(chain.from_iterable(zip(*cols)))
-            fh.write(row * len(cols[0]) % flat)
+                text = "%-16.9g\n" * len(sep) % tuple(scores[block].tolist())
+                cells = np.frombuffer(text.encode(), np.uint8).reshape(len(sep), 17)
+                fields[-1:] = [sep, cells * (cells != 32)]  # " " -> 0
+            rows = np.concatenate(fields, axis=1)
+            fh.write(rows[rows != 0].tobytes())
 
 
 def write_score_file(path, trials, scores):

@@ -36,6 +36,7 @@ a file's bytes with no Python object per row, and reads the file as text
 only to name a bad row.
 """
 
+import contextlib
 import struct
 from enum import IntEnum
 from pathlib import Path
@@ -109,51 +110,67 @@ def read_tsv(path, header, what, choices):
     NUL character, naming the first row that holds one. No Python
     object is made per row or cell; a non-ASCII column decodes each
     distinct cell once."""
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = Path(path).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {what} is not UTF-8 text") from exc
-    while b"\n\n" in data:
-        data = data.replace(b"\n\n", b"\n")
-    data = data.strip(b"\n") + b"\n"  # every line, the last too, ends in "\n"
-    head = header.encode() + b"\n"
-    if not data.startswith(head):  # "trials file" -> "bad trials header"
+    data = data.lstrip(b"\n")  # a copy only if blank lines lead
+    if not data.endswith(b"\n"):  # every line, the last too, ends in "\n"
+        data += b"\n"
+    buf = np.frombuffer(data, np.uint8)
+    newline = buf == 10
+    blank = np.flatnonzero(newline[1:] & newline[:-1]) + 1  # "\n" after "\n"
+    if blank.size:
+        buf, newline = np.delete(buf, blank), np.delete(newline, blank)
+    head = np.frombuffer(header.encode() + b"\n", np.uint8)
+    if not np.array_equal(buf[: len(head)], head):  # "bad trials header"
         raise FormatError(f"{path}: bad {what.split()[0]} header")
-    buf = np.frombuffer(data, np.uint8, offset=len(head))
+    buf, newline = buf[len(head) :], newline[len(head) :]
     if not buf.all():  # a numpy str would drop a trailing NUL
         bad = next(ln for ln in tsv_rows(path) if "\0" in ln)
         raise FormatError(f"{path}: NUL character in {what} row {bad!r}")
-    ends = np.flatnonzero((buf == 9) | (buf == 10))  # each cell's end
+    ends = np.flatnonzero(newline | (buf == 9))  # each cell's end
     n = header.count("\t") + 1
     # every row has n fields just when each n-th cell, and no other, ends a line
-    newline = buf[ends] == 10
+    newline = newline[ends]
     if newline.sum() * n != len(ends) or not newline[n - 1 :: n].all():
         return None
     starts = np.concatenate([[0], ends + 1])[: len(ends)].reshape(-1, n)
     lens = ends.reshape(-1, n) - starts
     padded = np.concatenate([buf, np.zeros(max(lens.max(initial=0), 1), np.uint8)])
-    del data, buf, ends, newline
+    del data, buf, ends, newline, blank
     columns = []
     for j in range(n):
         width = max(lens[:, j].max(initial=0), 1)
-        cells = np.lib.stride_tricks.sliding_window_view(padded, width)[starts[:, j]]
-        cells[np.arange(width) >= lens[:, j, None]] = 0  # (rows, width), 0-padded
-        as_bytes = cells.view(f"S{width}")[:, 0]
+        # every `width`-byte window of the file as one item, and per length
+        # L a row of L ones: one gather each cuts and 0-pads every cell
+        windows = np.ndarray(len(padded) - width + 1, f"S{width}", padded, strides=(1,))
+        keep = np.tri(width + 1, width, -1, np.uint8).view(f"S{width}")[:, 0]
+        as_bytes = windows[starts[:, j]]
+        cells = as_bytes.view(np.uint8).reshape(-1, width)  # (rows, width)
+        cells *= keep[lens[:, j]].view(np.uint8).reshape(-1, width)
         if j in choices:  # lengths too: "same\0" is not "same"
             hits = [(lens[:, j] == len(v)) & (as_bytes == v) for v in choices[j]]
             if not np.logical_or.reduce(hits).all():
                 return None
             columns.append(np.argmax(hits, axis=0).astype(np.int8))
-        elif cells.max(initial=0) < 128:  # ASCII: each byte is one character
-            columns.append(cells.astype(np.uint32).view(f"U{width}")[:, 0])
-        else:  # decode each distinct cell once, sized by its characters
-            names, at = np.unique(as_bytes, return_inverse=True)
-            chars = lens[:, j] - ((cells & 0xC0) == 0x80).sum(axis=1)
-            width = max(chars.max(initial=0), 1)
-            names = np.array([x.decode() for x in names.tolist()], f"U{width}")
-            columns.append(names[at])
+        else:
+            columns.append(_decode(cells))
     return columns
+
+
+def _decode(cells):
+    """The str of each row of a 0-padded uint8 matrix of UTF-8 bytes, as
+    np.array(strs, str) holds them: ASCII widened from its bytes, any other
+    decoded once per distinct row."""
+    if cells.max(initial=0) < 128:  # each byte is one character
+        return cells.astype(np.uint32).view(f"U{cells.shape[1]}")[:, 0]
+    rows = np.ascontiguousarray(cells).view(f"S{cells.shape[1]}")[:, 0]
+    names, at = np.unique(rows, return_inverse=True)
+    return np.array([name.decode() for name in names.tolist()], str)[at]
 
 
 def tsv_rows(path):
@@ -178,12 +195,29 @@ def write_store_file(path, modality, ids, vecs, rows):
         fh.writelines(parts)
 
 
+def _read_fixed_width(data, dim, count):
+    """(ids, vecs) of a store's `count` records, read as one strided byte
+    view, if every id has one byte length and is UTF-8 with no NUL; else
+    None, and the records are read one at a time."""
+    width = int.from_bytes(data[17:19], "little")
+    size = 2 + width + 4 * dim
+    if count and width and len(data) == 17 + count * size:
+        records = np.frombuffer(data, np.uint8, offset=17).reshape(count, size)
+        raw = records[:, 2 : 2 + width]
+        if (records[:, :2] == records[0, :2]).all() and raw.all():
+            vecs = np.ascontiguousarray(records[:, 2 + width :]).view("<f4")
+            with contextlib.suppress(UnicodeDecodeError):  # else None
+                return _decode(raw), vecs
+
+
 def read_store_file(path):
     """Read one .fve file; returns (modality, ids, vecs): a str array of
     record ids and a float32 matrix whose row i is record i's vector.
 
     Bytes after the last record, a record id with a NUL character, or a
     vector holding NaN or +-inf (named by its record), are a FormatError.
+    A file whose ids all have one byte length is read by `_read_fixed_width`,
+    any other, or one with a bad id, record by record.
     """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != MAGIC:
@@ -195,6 +229,17 @@ def read_store_file(path):
         raise FormatError(f"{path}: unsupported version {version}")
     if modality_code not in (0, 1, 2, 3):
         raise FormatError(f"{path}: bad modality code {modality_code}")
+    ids, vecs = (_read_fixed_width(data, dim, count)
+                 or _read_records(path, data, dim, count))
+    # a float64 sum of float32 values is non-finite only if one of them is
+    bad = np.flatnonzero(~np.isfinite(vecs.sum(axis=1, dtype=np.float64)))
+    if bad.size:
+        raise FormatError(f"{path}: record {ids[bad[0]]} has a non-finite value")
+    return ModalityKind(modality_code), ids, vecs
+
+
+def _read_records(path, data, dim, count):
+    """(ids, vecs) of a store's records, read one at a time."""
     view = memoryview(data)
     off = 17
     ids, blocks = [], []
@@ -218,11 +263,7 @@ def read_store_file(path):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes at byte {off}")
     # one copy of all vectors; a vector's offset need not be 4-byte aligned
     vecs = np.frombuffer(bytearray().join(blocks), dtype="<f4").reshape(count, dim)
-    # a float64 sum of float32 values is non-finite only if one of them is
-    bad = np.flatnonzero(~np.isfinite(vecs.sum(axis=1, dtype=np.float64)))
-    if bad.size:
-        raise FormatError(f"{path}: record {ids[bad[0]]} has a non-finite value")
-    return ModalityKind(modality_code), np.array(ids, dtype=str), vecs
+    return np.array(ids, dtype=str), vecs
 
 
 def _read_manifest(path):

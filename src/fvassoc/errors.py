@@ -6,6 +6,10 @@ problems 2, protocol violations 3, data/schema problems 4 (every
 error that ends a command.
 """
 
+import contextlib
+import math
+import os
+
 
 class FvError(Exception):
     status = 5
@@ -23,6 +27,18 @@ def check_min(cfg, **minimums):
         value = getattr(cfg, name)
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
+def check_fits(keys, *shape, itemsize=8):
+    """Raise ConfigError naming the config `keys` that size an array of
+    `shape` if its bytes exceed the machine's physical memory."""
+    need = math.prod(shape) * itemsize
+    with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            size = " x ".join(map(str, shape))
+            raise ConfigError(f"config {keys}: a {size} array of {need} bytes, more "
+                              f"than the {have} bytes of physical memory")
 
 
 class ProtocolViolationError(FvError):

@@ -24,7 +24,7 @@ from .embedstore import (
     write_store,
     write_store_file,
 )
-from .errors import ConfigError, check_min
+from .errors import ConfigError, check_fits, check_min
 
 SMALL_DIMS = {
     ModalityKind.VOICE_SPEAKER: 64,
@@ -50,6 +50,11 @@ class SynthConfig:
         for kind in ModalityKind:
             if self.dims.get(kind, 0) < 1:
                 raise ConfigError(f"missing or bad dim for {kind.tag}")
+        n, k = self.n_speakers, self.latent_dim
+        check_fits("n_speakers and latent_dim", n, k + 64)  # latents, ids, ages
+        check_fits("dims and latent_dim", max(self.dims.values()), k)  # projections
+        check_fits("n_speakers, records_per_speaker and dims",
+                   n * self.records_per_speaker, sum(self.dims.values()), itemsize=4)
         probs = self.languages.values()
         if not probs or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError("language probabilities must be >= 0 and sum to 1")

@@ -21,7 +21,9 @@ corpora with fine-tuning, and every manifest consumed by an unheard run is
 audited for excluded-language leakage (hard failure on any hit).
 """
 
+import itertools
 import math
+import random
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -38,6 +40,7 @@ from .errors import (
     SamplingError,
     SchemaError,
     ShapeError,
+    check_fits,
     check_min,
 )
 from .fusion import (
@@ -258,7 +261,10 @@ def _operating_points(tar, non):
     """FAR/FRR at every distinct threshold (accept means score >= t)."""
     tar = np.sort(np.asarray(tar, dtype=np.float64))
     non = np.sort(np.asarray(non, dtype=np.float64))
-    thresholds = np.unique(np.concatenate([tar, non]))
+    # np.unique's own sort and dedupe, which for floats it does not hash; a
+    # plain np.unique call would import numpy.ma for its masked-array check
+    thresholds = np.sort(np.concatenate([tar, non]))
+    thresholds = thresholds[np.concatenate([[True], thresholds[1:] != thresholds[:-1]])]
     thresholds = np.concatenate([thresholds, [np.inf]])
     far = 1.0 - np.searchsorted(non, thresholds, side="left") / len(non)
     frr = np.searchsorted(tar, thresholds, side="left") / len(tar)
@@ -314,22 +320,47 @@ def compute_eer(scores, labels):
 _SCORE_BLOCK = 256
 
 
+def _id_keys(ids, attempt, width):
+    """The uint64 key of each id of a str array: the sum of c[j] *
+    (its code point j) mod 2^64, over the attempt-th fixed set c of `width`
+    odd constants. Zero padding adds nothing: any str width keys alike."""
+    rng = random.Random(attempt)  # not numpy's: eval then never imports numpy.random
+    c = np.array([rng.getrandbits(64) | 1 for _ in range(width)], np.uint64)
+    chars = ids.itemsize // 4
+    keys = np.empty(len(ids), np.uint64)
+    for i in range(0, len(ids), 16384):  # code points widened a block at a time
+        points = np.ascontiguousarray(ids[i : i + 16384]).view(np.uint32)
+        keys[i : i + 16384] = points.reshape(-1, chars) @ c[:chars]
+    return keys
+
+
 def _trial_rows(trials, dataset):
     """(face_at, face_row, voice_at, voice_row): face_at holds the table
     position in `face_inputs` of every distinct face of the trials once, in
     sorted id order, and face_at[face_row[i]] is trial i's face; likewise
     for voices. Every id that names no record of its modality is reported,
-    sorted. Each trial id is looked up once among the sorted owner ids; the
-    owners found are numbered in that order."""
+    sorted. Ids are joined by `_id_keys`, made again with the next constant
+    set until no two owners share a key: each distinct trial key is searched
+    among the owners' sorted keys, and each trial's candidate owner is then
+    confirmed by string equality, so keys never change a result."""
     out, unknown = [], []
     for kind, (rows, _) in zip(("face", "voice"), dataset.tables()):
         sorter = np.argsort(rows.owner_id)
         owners = rows.owner_id[sorter]
-        ids = np.ascontiguousarray(trials[f"{kind}_id"])
-        pos = np.searchsorted(owners, ids)
-        known = pos < len(owners)
-        known[known] = owners[pos[known]] == ids[known]
-        unknown += [f"{kind} {i}" for i in np.unique(ids[~known]).tolist()]
+        ids = trials[f"{kind}_id"]
+        width = max(owners.itemsize, ids.itemsize) // 4
+        for attempt in itertools.count():
+            keys = _id_keys(owners, attempt, width)
+            by_key = np.argsort(keys)  # ranks of the owners, in key order
+            keys, by_id = keys[by_key], owners[by_key]
+            if not ((keys[1:] == keys[:-1]) & (by_id[1:] != by_id[:-1])).any():
+                break
+        distinct, inverse = np.unique(_id_keys(ids, attempt, width), return_inverse=True)
+        at = np.searchsorted(keys, distinct)[inverse]
+        known = at < len(owners)
+        pos = by_key[at[known]]
+        known[known] = owners[pos] == ids[known]
+        unknown += [f"{kind} {i}" for i in sorted(set(ids[~known].tolist()))]
         if unknown:
             continue  # raised below, with the unknown ids of both modalities
         used = np.zeros(len(owners), bool)
@@ -402,6 +433,7 @@ def score_trials(head_face, head_voice, trials, dataset):
 
 def _init_params(dataset, cfg, n_speakers, init_arrays=None):
     """Both heads, new or copied from `init_arrays`, and the classifier."""
+    check_fits("out_dim", cfg.out_dim, max(dataset.face_dim, dataset.voice_dim, n_speakers))
     rng = make_rng(cfg.seed ^ 0x5EED)
     params = {}
     for prefix, dim in (("head_face", dataset.face_dim),
@@ -739,6 +771,8 @@ class XAttnTrainConfig:
 
     def validate(self):
         _check_common(self, d_model=1)
+        check_fits("d_model", self.d_model, self.d_model)  # each attention weight
+        check_fits("batch_size and d_model", self.batch_size, self.d_model)
 
 
 def _by_speaker(at, spk, n):

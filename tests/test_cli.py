@@ -936,6 +936,34 @@ def test_negative_seed_override_exits_2(schema_corpus, tmp_path, command):
     assert run_config(tmp_path, command, config, "--seed", "-1") == (2, False)
 
 
+# (command, key path): each value sizes an array, and at 2^40 no machine's
+# physical memory holds it, so the command exits 2 naming the key before
+# anything of that size is allocated
+_TOO_LARGE = [
+    ("train", ("train", "out_dim")),
+    ("crossval", ("train", "out_dim")),
+    ("xattn", ("train", "d_model")),
+    ("xattn", ("train", "batch_size")),
+    ("synth", ("synth", "n_speakers")),
+    ("synth", ("synth", "latent_dim")),
+    ("synth", ("synth", "records_per_speaker")),
+    ("synth", ("synth", "dims", "vspk")),
+]
+
+
+@pytest.mark.parametrize("command,path", _TOO_LARGE,
+                         ids=[f"{c}:{'.'.join(p)}" for c, p in _TOO_LARGE])
+def test_size_beyond_physical_memory_exits_2_naming_its_key(
+        schema_corpus, tmp_path, capsys, command, path):
+    config = schema_base_configs(schema_corpus)[command]
+    if path[-1] == "vspk":
+        config = with_value(config, path[:-1], dict(_SMALL))
+    assert run_config(tmp_path, command, with_value(config, path, 2**40)) == (2, False)
+    err = capsys.readouterr().err
+    assert "error: config " in err and "of physical memory" in err
+    assert ("dims" if path[-1] == "vspk" else path[-1]) in err
+
+
 def _epilog_keys():
     """Command -> every config key the --help epilog lists for it, a block's
     keys as "block.key"."""

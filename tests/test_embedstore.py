@@ -1,13 +1,22 @@
+import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fvassoc import embedstore
 from fvassoc.diffcore import make_rng
 from fvassoc.embedstore import (
     FULL_DIMS,
+    MAGIC,
     ModalityKind,
     assemble_face_inputs,
     assemble_voice_inputs,
     read_store,
+    read_store_file,
     split_folds,
     write_store,
     write_store_file,
@@ -197,6 +206,117 @@ class TestStoreRoundTrip:
         with pytest.raises(SchemaError, match=f"{tag}.fve: record a:v000#vspk "
                            "is stored twice"):
             read_store(tmp_path / "ds")
+
+
+def store_bytes(ids, vecs, dim):
+    """A .fve file of modality 2 holding record i's id bytes ids[i] and
+    vector vecs[i], written field by field so that any bytes may be ids."""
+    parts = [MAGIC, struct.pack("<IBII", 1, 2, dim, len(ids))]
+    for ident, vec in zip(ids, vecs):
+        parts += [struct.pack("<H", len(ident)), ident,
+                  np.asarray(vec, "<f4").tobytes()]
+    return b"".join(parts)
+
+
+def read_both_ways(data):
+    """read_store_file on `data` as it reads it, and with the strided view
+    turned off, so record by record; each a result or a FormatError's
+    message. Also whether the view read it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.fve"
+        path.write_bytes(data)
+        results, returned = [], []
+        real = embedstore._read_fixed_width
+
+        def spy(*args):
+            returned.append(real(*args))
+            return returned[-1]
+
+        for fixed_width in (spy, lambda *args: None):
+            with mock.patch.object(embedstore, "_read_fixed_width", fixed_width):
+                try:
+                    results.append(read_store_file(path))
+                except FormatError as exc:
+                    results.append(str(exc).replace(str(path), "<file>"))
+    return results, returned[0] is not None
+
+
+# ids of 1-, 2-, 3- and 4-byte UTF-8 characters
+_STORE_IDS = st.text(alphabet="ab#\u00e9\u4e2d\U0001f600", max_size=4)
+
+
+class TestFixedWidthView:
+    """A store whose ids all have one byte length is read as one strided
+    view; any other, or one with a bad id, record by record. Both give the
+    same arrays and the same errors."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_view_and_loop_read_the_same(self, data):
+        ids = data.draw(st.lists(_STORE_IDS, max_size=6))
+        if data.draw(st.booleans()):  # one byte length: pad each with "x"
+            width = max((len(i.encode()) for i in ids), default=0)
+            ids = [i + "x" * (width - len(i.encode())) for i in ids]
+        dim = data.draw(st.integers(0, 3))
+        vecs = make_rng(len(ids)).standard_normal((len(ids), dim))
+        (view, loop), viewed = read_both_ways(
+            store_bytes([i.encode() for i in ids], vecs, dim))
+        lengths = {len(i.encode()) for i in ids}
+        assert viewed == (len(lengths) == 1 and 0 not in lengths)
+        assert view[0] == loop[0] == ModalityKind.FACE_IDENTITY
+        assert view[1].dtype == loop[1].dtype == np.array(ids, str).dtype
+        assert view[1].tolist() == loop[1].tolist() == ids
+        assert view[2].dtype == loop[2].dtype == np.float32
+        assert view[2].shape == loop[2].shape == (len(ids), dim)
+        assert view[2].tobytes() == loop[2].tobytes()
+        assert view[2].tobytes() == vecs.astype("<f4").tobytes()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_first_bad_record_in_file_order_is_named_by_both(self, data):
+        n = data.draw(st.integers(1, 6))
+        fixed = data.draw(st.booleans())
+        ids = [f"r{i:02d}" if fixed else "r" * (i + 1) for i in range(n)]
+        ids = [i.encode() for i in ids]
+        vecs = np.ones((n, 2))
+        faults = data.draw(st.lists(st.tuples(
+            st.sampled_from(["nul", "utf8", "nan"]), st.integers(0, n - 1)),
+            min_size=1, max_size=3))
+        for fault, at in faults:
+            if fault == "nul":
+                ids[at] = ids[at][:-1] + b"\0"
+            elif fault == "utf8":
+                ids[at] = b"\xff" + ids[at][1:]
+            else:
+                vecs[at, 1] = np.nan
+        (view, loop), _ = read_both_ways(store_bytes(ids, vecs, 2))
+        assert isinstance(view, str) and view == loop
+        id_faults = [at for fault, at in faults if fault != "nan"]
+        if id_faults:  # an id is checked before any vector
+            offset = 17 + min(id_faults) * (2 + len(ids[0]) + 8) if fixed else None
+            assert "record id at byte" in view
+            if offset is not None:
+                assert f"at byte {offset + 2} " in view
+        else:
+            first = min(at for _, at in faults)
+            assert view == f"<file>: record {ids[first].decode()} has a non-finite value"
+
+    @pytest.mark.parametrize("tail", [b"", b"\0", b"\0" * 11])
+    def test_empty_store_and_trailing_bytes(self, tail):
+        data = store_bytes([], [], 3) + tail
+        (view, loop), viewed = read_both_ways(data)
+        assert not viewed
+        if tail:
+            assert view == loop == f"<file>: {len(tail)} trailing bytes at byte 17"
+        else:
+            assert view[1].shape == (0,) and view[2].shape == (0, 3)
+            assert view[1].dtype == loop[1].dtype and view[2].dtype == loop[2].dtype
+
+    def test_truncated_fixed_width_store_is_read_record_by_record(self):
+        data = store_bytes([b"aa", b"bb", b"cc"], np.ones((3, 2)), 2)
+        (view, loop), viewed = read_both_ways(data[:-3])
+        assert not viewed
+        assert view == loop == "<file>: truncated record at byte 43"
 
 
 def records_of(langs):

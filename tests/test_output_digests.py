@@ -15,6 +15,8 @@ EXPECTED_FILES = [
                                   "manifest.tsv", "vag.fve", "vspk.fve")),
     "eval/report.json",
     "eval/scores.tsv",
+    "eval_utf8/report.json",
+    "eval_utf8/scores.tsv",
     *(f"{d}/{name}" for d in ("no_de", "no_en")
       for name in ("fag.fve", "fid.fve", "manifest.tsv", "vag.fve", "vspk.fve")),
     "pretrain-finetune/finetuned_fold0.fvh",
@@ -24,6 +26,8 @@ EXPECTED_FILES = [
     "scenarios/report.json",
     "train/checkpoint.fvh",
     "train/report.json",
+    *(f"utf8/{name}" for name in ("fag.fve", "fid.fve", "manifest.tsv",
+                                  "vag.fve", "vspk.fve")),
     "xattn/checkpoint.fvh",
     "xattn/dev_trials.tsv",
     "xattn/report.json",

@@ -583,6 +583,50 @@ class TestTrialRows:
             assert np.array_equal(g, w)
 
 
+class TestTrialRowsWhenKeysCollide:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_key_colliding_gives_the_reference_result(self, data):
+        # under the first constant set every id keys to 0: owners that share
+        # a key are keyed again, and every trial id's candidate is confirmed
+        # by its string alone
+        real = traineval._id_keys
+
+        def colliding(ids, attempt, width):
+            if attempt == 0:
+                return np.zeros(len(ids), np.uint64)
+            return real(ids, attempt, width)
+
+        tables = []
+        for _ in range(2):
+            owners = data.draw(st.lists(_IDS, max_size=4, unique=True))
+            tables.append(np.rec.fromarrays(
+                [np.array(owners, str)] * 3 + [np.arange(len(owners))],
+                names="owner_id,speaker_id,language,row"))
+        ds = PairedDataset(*((t, np.zeros((len(t), 1), np.float32)) for t in tables))
+        n = data.draw(st.integers(0, 12))
+        columns = []
+        for t in tables:  # mostly ids of the table's owners
+            ids = st.sampled_from(t.owner_id.tolist()) if len(t) else _IDS
+            ids = st.one_of(ids, ids, ids, _IDS)
+            columns.append(data.draw(st.lists(ids, min_size=n, max_size=n)))
+        trials = trial_table(*columns, [False] * n)
+        try:
+            want = _reference_trial_rows(trials, ds)
+        except LookupError_ as exc:
+            want = str(exc)
+        with mock.patch.object(traineval, "_id_keys", colliding):
+            try:
+                got = traineval._trial_rows(trials, ds)
+            except LookupError_ as exc:
+                got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+            return
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def _xattn_dev_logits(model, ds, voice_at, face_at):
     """Logits of the (voice_x[voice_at[i]], face_x[face_at[i]]) pairs, by
     the chunking helper and forward call of `train_xattn`'s dev scoring."""
@@ -835,6 +879,70 @@ class TestTraining:
         eers = [e["dev_eer"] for e in log]
         best_idx = eers.index(min(eers))
         assert len(eers) - 1 - best_idx <= patience + 1
+
+
+# dev scores of trials labeled [same, same, different, different] and their EER
+_LOW = [1.0, 1.0, 0.0, 0.0]  # EER 0
+_MID = [1.0, 0.0, 1.0, 0.0]  # EER 0.5
+_HIGH = [0.0, 0.0, 1.0, 1.0]  # EER 1
+
+
+def _scripted_run(script, **cfg):
+    """`_early_stopping` with a fake step (a constant gradient, so that each
+    Adam step moves the arrays) and a fake score that returns the
+    evaluations' dev scores in `script` order and keeps a copy of the
+    arrays it scored, the last entry being the arrays themselves. One array
+    is above one Adam block, one below."""
+    params = {"small": np.zeros(3), "large": np.zeros(_ADAM_BLOCK + 1)}
+    scored = []
+
+    def step():
+        return {"loss": 1.0}, {name: np.ones_like(a) for name, a in params.items()}
+
+    def score():
+        scored.append({name: a.copy() for name, a in params.items()})
+        return np.array(script[len(scored) - 1])
+
+    trials = trial_table(list("abcd"), list("abcd"), [True, True, False, False])
+    best, log = traineval._early_stopping(
+        TrainConfig(**{"lr": 0.1, "max_steps": 100, **cfg}), trials, params,
+        step, score)
+    return best, log, scored + [params]
+
+
+class TestEarlyStoppingRule:
+    def test_scripted_scores_give_their_eers(self):
+        labels = np.array([True, True, False, False])
+        assert [compute_eer(np.array(s), labels).eer
+                for s in (_LOW, _MID, _HIGH)] == [0.0, 0.5, 1.0]
+
+    def test_best_is_the_first_minimum_and_its_arrays(self):
+        # evaluation 3 ties the best and does not replace it
+        script = [_MID, _LOW, _MID, _LOW, _HIGH, _MID]
+        best, log, scored = _scripted_run(script, eval_every=3, patience=3)
+        assert [e["dev_eer"] for e in log] == [0.5, 0.0, 0.5, 0.0, 1.0, 0.5]
+        assert [e["step"] for e in log] == [0, 3, 6, 9, 12, 15]
+        assert best["step"] == 3 and best["dev_eer"] == 0.0
+        for name in ("small", "large"):
+            assert np.array_equal(best["arrays"][name], scored[1][name])
+            assert not np.array_equal(best["arrays"][name], scored[-2][name])
+            assert not np.shares_memory(best["arrays"][name], scored[-1][name])
+
+    @pytest.mark.parametrize("patience", [1, 2, 4])
+    def test_patience_ends_the_loop_after_its_evaluation(self, patience):
+        # the best is at evaluation 1; the loop stops at the evaluation that
+        # makes `patience` + 1 in a row without improvement
+        script = [_MID, _LOW] + [_MID] * 10
+        best, log, scored = _scripted_run(script, eval_every=2, patience=patience)
+        assert len(log) == len(scored) - 1 == patience + 3
+        assert log[-1]["step"] == 2 * (patience + 2)
+        assert best["step"] == 2
+
+    def test_max_steps_ends_a_run_that_keeps_improving(self):
+        script = [_HIGH, _MID, _LOW, _LOW]
+        best, log, _ = _scripted_run(script, max_steps=5, eval_every=2, patience=1)
+        assert [e["step"] for e in log] == [0, 2, 4, 5]
+        assert best["step"] == 4
 
 
 class TestSubsetIsAnIndex:

@@ -24,6 +24,15 @@ scoring blocks (`traineval._SCORE_BLOCK`) and part of a fourth: a fault
 at a block boundary, such as a trial left unscored, shows in
 `eval/scores.tsv`.
 
+The `eval_utf8` run scores the same trials on a copy of the corpus,
+`utf8`, in which every owner id of a speaker whose number is a multiple of
+3 has an "\u00e9" after its leading "s" and of one whose number is 2 more
+than a multiple of 3 a "\u4e2d", in its record ids and in the trial file.
+Its ids are then non-ASCII and of 9, 10 and 11 bytes: its stores are read
+record by record, not as one strided view, its trial ids are joined by
+non-ASCII code points, and its score file's ids are encoded per distinct
+id. Its scores are those of `eval`, but its file is not.
+
 The `xattn` run holds out 40% of the speakers and trains at lr 0.03 for up
 to 60 steps, so its best dev EER comes after step 0 (step 40 on OpenBLAS
 0.3.31): its checkpoint then holds trained weights, and a change to the
@@ -41,7 +50,7 @@ import tempfile
 from pathlib import Path
 
 from fvassoc.cli import main as cli_main
-from fvassoc.embedstore import read_store, write_store
+from fvassoc.embedstore import read_store, record_table, write_store
 
 TRAIN = {"lr": 0.01, "batch_size": 16, "max_steps": 40, "patience": 3,
          "eval_every": 20, "seed": 5, "p_drop": 0.5, "n_dev_target": 80,
@@ -53,19 +62,25 @@ SYNTH = {"n_speakers": 14, "latent_dim": 8, "dims": "small",
          "languages": {"en": 0.4, "de": 0.4, "fr": 0.2}}
 
 
-def eval_trials():
-    """The `eval` trial file: trial n < 30 pairs the face of speaker
-    order[n % 10] with the voice of order[n % 10] (rows 0-9, same speaker),
-    order[(n + 3) % 10] (rows 10-19) or order[(n + 6) % 10] (rows 20-29).
-    Rows 30-813 pair face i of speaker a, for each a and then each i, with
-    voice (a + i + b) % 4 of speaker b, for b = 0 .. 13."""
+def utf8_id(rid):
+    """A record or owner id of the `utf8` corpus: "s<NNN>..." with "\u00e9"
+    after the "s" when NNN % 3 is 0, "\u4e2d" when it is 2."""
+    return rid[0] + ["\u00e9", "", "\u4e2d"][int(rid[1:4]) % 3] + rid[1:]
+
+
+def eval_trials(name=str):
+    """The `eval` trial file, each id spelled name(id): trial n < 30 pairs
+    the face of speaker order[n % 10] with the voice of order[n % 10] (rows
+    0-9, same speaker), order[(n + 3) % 10] (rows 10-19) or order[(n + 6) %
+    10] (rows 20-29). Rows 30-813 pair face i of speaker a, for each a and
+    then each i, with voice (a + i + b) % 4 of speaker b, for b = 0 .. 13."""
     order = [9, 2, 11, 5, 0, 7, 13, 3, 6, 1]
     pairs = [(order[n % 10], order[(n + 3 * (n // 10)) % 10]) for n in range(30)]
     rows = [(a, a % 4, b, b % 3) for a, b in pairs]
     rows += [(a, i, b, (a + i + b) % 4)
              for a in range(14) for i in range(4) for b in range(14)]
     return "face_record_id\tvoice_record_id\tlabel\n" + "".join(
-        f"s{a:03d}:f{i:03d}\ts{b:03d}:v{j:03d}\t"
+        f"{name(f's{a:03d}:f{i:03d}')}\t{name(f's{b:03d}:v{j:03d}')}\t"
         f"{'same' if a == b else 'different'}\n" for a, i, b, j in rows
     )
 
@@ -85,11 +100,15 @@ def run_all(work):
     inputs = work / "inputs"
     inputs.mkdir()
     (inputs / "trials.tsv").write_text(eval_trials())
+    (inputs / "trials_utf8.tsv").write_text(eval_trials(utf8_id), encoding="utf-8")
     data, no_en, no_de = (str(work / d) for d in ("data", "no_en", "no_de"))
     run(work, "data", "synth", {"synth": SYNTH})
     vectors, records = read_store(data)
     for lang, dst in (("en", "no_en"), ("de", "no_de")):
         write_store(vectors, records[records.language != lang], work / dst)
+    ids = [utf8_id(rid) for rid in records.record_id.tolist()]
+    write_store(vectors, record_table(ids, *(records[f] for f in (
+        "speaker_id", "language", "modality", "row"))), work / "utf8")
     run(work, "train", "train",
         {"data": data, "dev_fraction": 0.25, "train": TRAIN})
     run(work, "crossval", "crossval", {"data": data, "n_folds": 3, "train": TRAIN})
@@ -101,6 +120,9 @@ def run_all(work):
     run(work, "eval", "eval", {
         "checkpoint": str(work / "train" / "checkpoint.fvh"), "data": data,
         "trials": str(inputs / "trials.tsv")})
+    run(work, "eval_utf8", "eval", {
+        "checkpoint": str(work / "train" / "checkpoint.fvh"),
+        "data": str(work / "utf8"), "trials": str(inputs / "trials_utf8.tsv")})
     run(work, "xattn", "xattn",
         {"data": data, "dev_fraction": 0.4, "train": XATTN})
     run(work, "scenarios", "scenarios", {
