@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import (
-    EPS_NORM,
-    as_mat,
-    l2_normalize_rows,
-    l2_normalize_rows_backward,
-)
+from .diffcore import EPS_NORM, as_mat, l2_normalize_rows_backward, unit_rows
 from .errors import ConfigError, ShapeError
 from .fusion import head_backward, head_forward, head_from_arrays
 
@@ -74,56 +69,59 @@ def _margin_pieces(cos_t, cfg):
     return value, deriv
 
 
-def aam_loss_and_grad(x, clf_weight, cfg, targets):
+def aam_loss_and_grad(x, clf_weight, cfg, targets, clf_unit=None):
     """Mean softmax cross-entropy over AAM logits with exact gradients.
 
     Returns (loss, grad_x, grad_clf_weight). A row of `x` with norm at most
     EPS_NORM has no direction: it adds zero loss and zero gradient but still
-    counts in the batch size that the mean divides by.
+    counts in the batch size that the mean divides by. `clf_unit` is
+    `unit_rows(clf_weight)` when the caller has it already.
     """
     cfg.validate()
     x = as_mat(x)
     w = as_mat(clf_weight)
-    n, n_classes = x.shape[0], w.shape[0]
-    targets = _check_targets(targets, n, n_classes)
-    keep = np.linalg.norm(x, axis=1) > EPS_NORM
-    if not keep.all():
-        # dropout can zero a whole input row while the head bias is still 0
-        grad_x = np.zeros_like(x)
-        if not keep.any():
-            return 0.0, grad_x, np.zeros_like(w)
-        loss, grad_kept, grad_w = aam_loss_and_grad(x[keep], w, cfg, targets[keep])
-        frac = keep.sum() / n  # the kept rows' mean, re-divided by n
-        grad_x[keep] = grad_kept * frac
-        return float(loss * frac), grad_x, grad_w * frac
+    n = x.shape[0]
+    targets = _check_targets(targets, n, w.shape[0])
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    keep = norms[:, 0] > EPS_NORM
+    if keep.all():
+        return _aam(x, norms, targets, cfg, w, clf_unit or unit_rows(w))
+    # dropout can zero a whole input row while the head bias is still 0
+    grad_x = np.zeros_like(x)
+    if not keep.any():
+        return 0.0, grad_x, np.zeros_like(w)
+    loss, grad_kept, grad_w = _aam(x[keep], norms[keep], targets[keep], cfg,
+                                   w, clf_unit or unit_rows(w))
+    frac = keep.sum() / n  # the kept rows' mean, re-divided by n
+    grad_x[keep] = grad_kept * frac
+    return float(loss * frac), grad_x, grad_w * frac
 
-    xn = l2_normalize_rows(x)
-    wn = l2_normalize_rows(w)
-    cos_raw = xn @ wn.T
-    cos = np.clip(cos_raw, -1.0, 1.0)
+
+def _aam(x, norms, targets, cfg, w, w_unit):
+    """`aam_loss_and_grad` of rows that all have a direction, from their
+    `norms` and the classifier's `unit_rows`, reusing buffers in place."""
+    n = x.shape[0]
+    xn, wn = x / norms, w_unit[1]
+    cos = np.clip(xn @ wn.T, -1.0, 1.0)
     rows = np.arange(n)
     value, deriv = _margin_pieces(cos[rows, targets], cfg)
-    logits = cfg.scale * cos
+    logits = np.multiply(cos, cfg.scale, out=cos)
     logits[rows, targets] = cfg.scale * value
 
     # stable log-softmax cross-entropy
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    loss = -float(log_probs[rows, targets].mean())
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    logits -= np.log(probs.sum(axis=1, keepdims=True))  # now log-probabilities
+    loss = -float(logits[rows, targets].mean())
 
-    probs = np.exp(log_probs)
-    g_logits = probs.copy()
-    g_logits[rows, targets] -= 1.0
-    g_logits /= n
-
-    g_cos = g_logits * cfg.scale
-    g_cos[rows, targets] *= deriv
+    g = np.exp(logits, out=probs)  # d loss / d logits
+    g[rows, targets] -= 1.0
+    g /= n
+    g *= cfg.scale  # d loss / d cos
+    g[rows, targets] *= deriv
     # clip is inactive except at exact +-1; treat as pass-through there
-    g_xn = g_cos @ wn
-    g_wn = g_cos.T @ xn
-    grad_x = l2_normalize_rows_backward(x, g_xn)
-    grad_w = l2_normalize_rows_backward(w, g_wn)
+    grad_x = l2_normalize_rows_backward(x, g @ wn, (norms, xn))
+    grad_w = l2_normalize_rows_backward(w, g.T @ xn, w_unit)
     return loss, grad_x, grad_w
 
 
@@ -134,7 +132,10 @@ def joint_step(params, p_drop, face_x, face_targets, voice_x, voice_targets,
     `params` holds head_face.weight/.bias, head_voice.weight/.bias and
     clf.weight. Each modality batch runs its head (train mode, dropout
     `p_drop`) into the SAME classifier, whose gradient sums both parts.
-    Nothing is updated. Returns (face loss, voice loss, grads by name).
+    Both losses share one normalization of it; each part of its gradient
+    takes its own normalize-backward before the sum, which keeps the order
+    of the floating-point sums. Nothing is updated. Returns (face loss,
+    voice loss, grads by name).
     """
     clf = params["clf.weight"]
     for t in (face_targets, voice_targets):
@@ -145,8 +146,9 @@ def joint_step(params, p_drop, face_x, face_targets, voice_x, voice_targets,
     fy, f_cache = head_forward(head_face, face_x, train=True, rng=rng)
     vy, v_cache = head_forward(head_voice, voice_x, train=True, rng=rng)
 
-    f_loss, g_fy, g_w_face = aam_loss_and_grad(fy, clf, cfg, face_targets)
-    v_loss, g_vy, g_w_voice = aam_loss_and_grad(vy, clf, cfg, voice_targets)
+    clf_unit = unit_rows(clf)
+    f_loss, g_fy, g_w_face = aam_loss_and_grad(fy, clf, cfg, face_targets, clf_unit)
+    v_loss, g_vy, g_w_voice = aam_loss_and_grad(vy, clf, cfg, voice_targets, clf_unit)
     g_fw, g_fb, _ = head_backward(head_face, f_cache, g_fy)
     g_vw, g_vb, _ = head_backward(head_voice, v_cache, g_vy)
 

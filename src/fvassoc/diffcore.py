@@ -35,22 +35,26 @@ def as_mat(x):
     return a
 
 
-def l2_normalize_rows(x):
-    """Divide each row by its Euclidean norm.
-
-    Rows with norm <= EPS_NORM are rejected: there is no meaningful
-    direction to normalize onto.
-    """
+def unit_rows(x):
+    """(norms, x / norms): each row's Euclidean norm, as a column, and the
+    row divided by it. Rows with norm <= EPS_NORM are rejected: there is no
+    meaningful direction to normalize onto."""
     x = as_mat(x)
-    norms = np.linalg.norm(x, axis=1)
-    bad = np.nonzero(norms <= EPS_NORM)[0]
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    bad = np.flatnonzero(norms[:, 0] <= EPS_NORM)
     if bad.size:
-        raise DegenerateVectorError(f"row {bad[0]} has norm {norms[bad[0]]:g}")
-    return x / norms[:, None]
+        raise DegenerateVectorError(f"row {bad[0]} has norm {norms[bad[0], 0]:g}")
+    return norms, x / norms
 
 
-def l2_normalize_rows_backward(x, grad_out):
-    """Jacobian-vector product of row normalization.
+def l2_normalize_rows(x):
+    """Divide each row by its Euclidean norm (see `unit_rows`)."""
+    return unit_rows(x)[1]
+
+
+def l2_normalize_rows_backward(x, grad_out, unit=None):
+    """Jacobian-vector product of row normalization, from `unit` =
+    unit_rows(x) when the caller has it, in one buffer reused in place.
 
     Per row: grad_x = (g - (g . u) u) / ||x||  with u = x / ||x||.
     """
@@ -58,12 +62,12 @@ def l2_normalize_rows_backward(x, grad_out):
     g = as_mat(grad_out)
     if g.shape != x.shape:
         raise ShapeError(f"normalize backward: grad {g.shape} vs input {x.shape}")
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    bad = np.nonzero(norms[:, 0] <= EPS_NORM)[0]
-    if bad.size:
-        raise DegenerateVectorError(f"row {bad[0]} has norm {norms[bad[0], 0]:g}")
-    u = x / norms
-    return (g - (g * u).sum(axis=1, keepdims=True) * u) / norms
+    norms, u = unit or unit_rows(x)
+    out = g * u
+    np.multiply(out.sum(axis=1, keepdims=True), u, out=out)
+    np.subtract(g, out, out=out)
+    out /= norms
+    return out
 
 
 def dropout_mask(rng, shape, p_drop):

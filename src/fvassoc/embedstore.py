@@ -340,27 +340,29 @@ def read_store(in_dir):
         code, rids, vecs = read_store_file(path)
         if code != kind:
             raise SchemaError(f"{path}: modality code {code.tag} != filename tag")
-        # each stored id's manifest index, joined through the sorted ids
-        at = np.searchsorted(by_id, rids)
-        known = at < len(ids)
-        known[known] = by_id[at[known]] == rids[known]
-        entry = order[at[known]]
-        first = np.zeros(len(entry), bool)
-        first[np.unique(entry, return_index=True)[1]] = True
-        bad = ~known
-        bad[known] = ((tags[entry] != kind) | (dims[entry] != vecs.shape[1])
-                      | held[entry] | ~first)
-        if bad.any():
-            i = int(bad.argmax())
-            e = order[at[i]] if known[i] else None
-            problem = "missing from manifest" if e is None else "is stored twice"
-            if e is not None and not held[e]:  # no earlier store holds it
-                if tags[e] != kind:
-                    problem = (f"has manifest tag {ModalityKind(tags[e]).tag} "
-                               f"!= store tag {kind.tag}")
-                elif dims[e] != vecs.shape[1]:
-                    problem = f"dim {vecs.shape[1]} != manifest dim {dims[e]}"
-            raise SchemaError(f"{path}: record {rids[i]} {problem}")
+        entry = np.flatnonzero(tags == kind)  # the order write_store lists them in
+        if not (len(entry) == len(rids) and (ids[entry] == rids).all()
+                and (dims[entry] == vecs.shape[1]).all()):
+            at = np.searchsorted(by_id, rids)
+            known = at < len(ids)
+            known[known] = by_id[at[known]] == rids[known]
+            entry = order[at[known]]
+            first = np.zeros(len(entry), bool)
+            first[np.unique(entry, return_index=True)[1]] = True
+            bad = ~known
+            bad[known] = ((tags[entry] != kind) | (dims[entry] != vecs.shape[1])
+                          | held[entry] | ~first)
+            if bad.any():
+                i = int(bad.argmax())
+                e = order[at[i]] if known[i] else None
+                problem = "missing from manifest" if e is None else "is stored twice"
+                if e is not None and not held[e]:  # no earlier store holds it
+                    if tags[e] != kind:
+                        problem = (f"has manifest tag {ModalityKind(tags[e]).tag} "
+                                   f"!= store tag {kind.tag}")
+                    elif dims[e] != vecs.shape[1]:
+                        problem = f"dim {vecs.shape[1]} != manifest dim {dims[e]}"
+                raise SchemaError(f"{path}: record {rids[i]} {problem}")
         held[entry], row[entry], vectors[kind] = True, np.arange(len(entry)), vecs
     if not held.all():
         raise SchemaError(
@@ -384,26 +386,29 @@ def assemble_concat_inputs(vectors, records, identity_kind, agegender_kind):
     """
     sides = []
     for kind in (identity_kind, agegender_kind):
-        recs = records[records.modality == kind]
-        owners = recs.record_id  # np.char.partition fails on no strings
-        owners = np.char.partition(owners, "#")[:, 0] if len(owners) else owners
+        at = np.flatnonzero(records.modality == kind)  # its records' entries
+        owners = records.record_id[at]  # a copy, cut below at each first "#"
+        chars = owners.view(np.uint32).reshape(len(at), owners.itemsize // 4)
+        chars[np.logical_or.accumulate(chars == ord("#"), axis=1)] = 0
         # a repeated owner: its later records follow it in a stable sort
         order = np.argsort(owners, kind="stable")
         again = order[1:][owners[order[1:]] == owners[order[:-1]]]
         if again.size:
             raise SchemaError(f"owner {owners[again.min()]}: two {kind.tag} records")
-        sides.append((owners, recs))
+        sides.append((owners, at))
     (ident_owners, ident), (ageg_owners, ageg) = sides
     owners, at_ident, at_ageg = np.intersect1d(
         ident_owners, ageg_owners, assume_unique=True, return_indices=True
     )
-    skipped = np.setxor1d(ident_owners, ageg_owners, assume_unique=True).tolist()
+    only = [np.delete(ident_owners, at_ident), np.delete(ageg_owners, at_ageg)]
+    skipped = np.sort(np.concatenate(only)).tolist()  # as np.setxor1d sorts them
     if not len(owners):
         raise EmptyDatasetError(
             f"no assemblable {identity_kind.tag}+{agegender_kind.tag} inputs"
         )
     ident, ageg = ident[at_ident], ageg[at_ageg]
-    mismatch = np.flatnonzero(ident.speaker_id != ageg.speaker_id)
+    speakers = records.speaker_id[ident]
+    mismatch = np.flatnonzero(speakers != records.speaker_id[ageg])
     if mismatch.size:
         raise SchemaError(
             f"owner {owners[mismatch[0]]}: speaker mismatch across modalities"
@@ -411,12 +416,12 @@ def assemble_concat_inputs(vectors, records, identity_kind, agegender_kind):
     split = vectors[identity_kind].shape[1]
     x = np.empty((len(owners), split + vectors[agegender_kind].shape[1]),
                  np.float32)
-    for cols, kind, at in ((slice(None, split), identity_kind, ident.row),
-                           (slice(split, None), agegender_kind, ageg.row)):
+    for cols, kind, at in ((slice(None, split), identity_kind, records.row[ident]),
+                           (slice(split, None), agegender_kind, records.row[ageg])):
         for i in range(0, len(at), 256):  # a gathered copy of 256 rows at most
             x[i : i + 256, cols] = vectors[kind][at[i : i + 256]]
     rows = np.rec.fromarrays(
-        [owners, ident.speaker_id, ident.language, np.arange(len(owners))],
+        [owners, speakers, records.language[ident], np.arange(len(owners))],
         names="owner_id,speaker_id,language,row",
     )
     return (rows, x), skipped

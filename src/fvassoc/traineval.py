@@ -97,9 +97,18 @@ class TrainConfig:
         self.aam.validate()
 
 
+def _codes(column, names):
+    """Position of each entry of a str column in the sorted str array
+    `names`, or -1 if absent (numpy's set routines would import numpy.ma)."""
+    at = np.searchsorted(names, column)
+    hit = at < len(names)
+    hit[hit] = names[at[hit]] == column[hit]
+    return np.where(hit, at, -1)
+
+
 def _isin(column, names):
     """Mask of the entries of a str column that are among `names`."""
-    return np.isin(column, np.array(list(names), dtype=str))
+    return _codes(column, np.sort(np.array(list(names), dtype=str))) >= 0
 
 
 class PairedDataset:
@@ -119,9 +128,9 @@ class PairedDataset:
         return (self.face_inputs, self.face_x), (self.voice_inputs, self.voice_x)
 
     def speakers(self):
-        return np.intersect1d(
-            self.face_inputs.speaker_id, self.voice_inputs.speaker_id
-        ).tolist()
+        """Sorted ids of the speakers with both a face and a voice."""
+        faces = set(self.face_inputs.speaker_id.tolist())
+        return sorted(faces.intersection(self.voice_inputs.speaker_id.tolist()))
 
     def subset(self, speakers=None, voice_language=None):
         faces, voices = self.face_inputs, self.voice_inputs
@@ -139,8 +148,8 @@ class PairedDataset:
         codes = np.array([speaker_index[s] for s in names], dtype=np.int64)
         out = []
         for rows, _ in self.tables():
-            rows = rows[np.isin(rows.speaker_id, names)]
-            out += [rows.row, codes[np.searchsorted(names, rows.speaker_id)]]
+            at = _codes(rows.speaker_id, names)
+            out += [rows.row[at >= 0], codes[at[at >= 0]]]
         return tuple(out)
 
 
@@ -169,7 +178,7 @@ class _HeldOutRecords:
         voices = voices[_isin(voices.speaker_id, held)]
         self.face_ids, self.voice_ids = faces.owner_id, voices.owner_id
         self.face_spk, self.voice_spk = faces.speaker_id, voices.speaker_id
-        names, code = np.unique(
+        names, code = np.unique(  # with indices, np.unique needs no numpy.ma
             np.concatenate([self.face_spk, self.voice_spk]), return_inverse=True
         )
         self.face_code, self.voice_code = np.split(code, [len(faces)])
@@ -199,11 +208,11 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
     record counts, so time and memory grow with faces + voices + trials,
     not with faces x voices.
     """
-    held = np.array(list(held_out_speakers), dtype=str)
+    held = set(held_out_speakers)
     rec = _HeldOutRecords(dataset, held)
-    lacking = np.setdiff1d(held, np.intersect1d(rec.face_spk, rec.voice_spk))
-    if lacking.size:
-        raise SamplingError(f"held-out speaker {lacking[0]} lacks a modality")
+    lacking = held - (set(rec.face_spk.tolist()) & set(rec.voice_spk.tolist()))
+    if lacking:
+        raise SamplingError(f"held-out speaker {min(lacking)} lacks a modality")
 
     if n_target > rec.n_same:
         raise SamplingError(
@@ -387,7 +396,9 @@ def _in_chunks(forward, out, *inputs):
     """Fill and return `out` with forward(*(x[at] for x, at in inputs)), run
     on `_CHUNK` rows at a time, the last chunk padded with its own rows."""
     for start in range(0, len(out), _CHUNK):
-        rows = [x[np.resize(at[start : start + _CHUNK], _CHUNK)] for x, at in inputs]
+        rows = [at[start : start + _CHUNK] for _, at in inputs]
+        rows = [x.take(at if len(at) == _CHUNK else np.resize(at, _CHUNK), axis=0)
+                for (x, _), at in zip(inputs, rows)]
         out[start : start + _CHUNK] = forward(*rows)[: len(out) - start]
     return out
 
@@ -397,9 +408,10 @@ def _score_inputs(head_face, head_voice, faces, face_row, voices, voice_row):
     = (x, at), trial i's face input is x[at[face_row[i]]]; likewise voices.
 
     Each distinct input is projected once, `_in_chunks`, and its norm taken
-    once; a projected vector of norm <= EPS_NORM cannot be scored. The
-    projected rows and their norms are gathered and scored `_SCORE_BLOCK`
-    trials at a time.
+    once, over its 64-row slices (a row's norm depends on that row only); a
+    projected vector of norm <= EPS_NORM cannot be scored. The projected
+    rows and their norms are gathered (`take`: faster than indexing) and
+    scored `_SCORE_BLOCK` trials at a time.
     """
     if head_face.out_dim != head_voice.out_dim:
         raise ShapeError(f"cannot score {head_face.out_dim}-dim face projections "
@@ -408,8 +420,8 @@ def _score_inputs(head_face, head_voice, faces, face_row, voices, voice_row):
     for head, (x, at) in ((head_face, faces), (head_voice, voices)):
         y = _in_chunks(lambda rows: head_forward(head, rows)[0],
                        np.empty((len(at), head.out_dim)), (x, at))
-        norm = _in_chunks(lambda rows: np.linalg.norm(rows, axis=1),
-                          np.empty(len(at)), (y, np.arange(len(at))))
+        norm = np.concatenate([np.empty(0)] + [
+            np.linalg.norm(y[i : i + _CHUNK], axis=1) for i in range(0, len(at), _CHUNK)])
         if np.any(norm <= EPS_NORM):
             raise DegenerateVectorError("cannot score a zero vector")
         projected += [y, norm]
@@ -418,7 +430,9 @@ def _score_inputs(head_face, head_voice, faces, face_row, voices, voice_row):
     for start in range(0, len(face_row), _SCORE_BLOCK):
         block = slice(start, start + _SCORE_BLOCK)
         f, v = face_row[block], voice_row[block]
-        scores[block] = (yf[f] * yv[v]).sum(axis=1) / (norm_f[f] * norm_v[v])
+        products = yf.take(f, axis=0)
+        products *= yv.take(v, axis=0)
+        scores[block] = products.sum(axis=1) / (norm_f[f] * norm_v[v])
     return scores
 
 
@@ -463,8 +477,8 @@ def _dev_inputs(cfg, train_ds, dev_trials, eval_ds):
         raise ConfigError("dev trial list is empty")
     face_at, face_row, voice_at, voice_row = _trial_rows(dev_trials, eval_ds)
     faces, voices = eval_ds.face_inputs[face_at], eval_ds.voice_inputs[voice_at]
-    if _isin(np.union1d(faces.speaker_id, voices.speaker_id),
-             train_ds.speakers()).any():
+    train = train_ds.speakers()
+    if _isin(faces.speaker_id, train).any() or _isin(voices.speaker_id, train).any():
         raise ConfigError("dev trials must be speaker-disjoint from training")
     return faces.row, face_row, voices.row, voice_row
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvassoc.aamloss import (
     AamConfig,
@@ -10,6 +11,7 @@ from fvassoc.aamloss import (
     joint_step,
 )
 from fvassoc.diffcore import (
+    EPS_NORM,
     AdamState,
     adam_step,
     as_mat,
@@ -17,7 +19,7 @@ from fvassoc.diffcore import (
     make_rng,
 )
 from fvassoc.errors import DegenerateVectorError
-from fvassoc.fusion import MappingHead
+from fvassoc.fusion import MappingHead, head_backward, head_forward, head_from_arrays
 from testlib import finite_difference_grad, rel_error, softmax_xent_on_cosines
 
 
@@ -247,3 +249,134 @@ class TestJointStep:
             losses.append(fl + vl)
         avg = np.convolve(losses, np.ones(10) / 10, mode="valid")
         assert avg[-1] < avg[0]
+
+
+# ---------------------------------------------------------------------------
+# joint_step normalizes the classifier once for both losses; these
+# references normalize it once per loss, each with its own backward, as the
+# loss did before, and must agree to the bit.
+
+
+def _normalize(x):
+    norms = np.linalg.norm(x, axis=1)
+    bad = np.nonzero(norms <= EPS_NORM)[0]
+    if bad.size:
+        raise DegenerateVectorError(f"row {bad[0]} has norm {norms[bad[0]]:g}")
+    return x / norms[:, None]
+
+
+def _normalize_backward(x, g):
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    u = x / norms
+    return (g - (g * u).sum(axis=1, keepdims=True) * u) / norms
+
+
+def reference_aam(x, w, cfg, targets):
+    """One modality's loss and gradients, normalizing `w` itself."""
+    x, targets = as_mat(x), np.asarray(targets)
+    n = x.shape[0]
+    keep = np.linalg.norm(x, axis=1) > EPS_NORM
+    if not keep.all():
+        grad_x = np.zeros_like(x)
+        if not keep.any():
+            return 0.0, grad_x, np.zeros_like(w)
+        loss, grad_kept, grad_w = reference_aam(x[keep], w, cfg, targets[keep])
+        frac = keep.sum() / n
+        grad_x[keep] = grad_kept * frac
+        return float(loss * frac), grad_x, grad_w * frac
+    xn, wn = _normalize(x), _normalize(w)
+    cos = np.clip(xn @ wn.T, -1.0, 1.0)
+    rows = np.arange(n)
+    value, deriv = _margin_pieces(cos[rows, targets], cfg)
+    logits = cfg.scale * cos
+    logits[rows, targets] = cfg.scale * value
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = -float(log_probs[rows, targets].mean())
+    g_logits = np.exp(log_probs)
+    g_logits[rows, targets] -= 1.0
+    g_logits /= n
+    g_cos = g_logits * cfg.scale
+    g_cos[rows, targets] *= deriv
+    return (loss, _normalize_backward(x, g_cos @ wn),
+            _normalize_backward(w, g_cos.T @ xn))
+
+
+def reference_joint_step(params, p_drop, face_x, face_t, voice_x, voice_t,
+                         cfg, rng):
+    """joint_step with two independent losses whose classifier gradients
+    are summed afterwards."""
+    heads = [head_from_arrays(params, p, p_drop) for p in ("head_face", "head_voice")]
+    out = [head_forward(h, x, train=True, rng=rng)
+           for h, x in zip(heads, (face_x, voice_x))]
+    losses = [reference_aam(y, params["clf.weight"], cfg, t)
+              for (y, _), t in zip(out, (face_t, voice_t))]
+    grads = {"clf.weight": losses[0][2] + losses[1][2]}
+    for prefix, head, (_, cache), (_, g_y, _) in zip(
+            ("head_face", "head_voice"), heads, out, losses):
+        grads[f"{prefix}.weight"], grads[f"{prefix}.bias"], _ = head_backward(
+            head, cache, g_y)
+    return losses[0][0], losses[1][0], grads
+
+
+@st.composite
+def joint_instances(draw):
+    """Params, batches and a p_drop; zero biases, and some input rows zero,
+    so whole rows reach the loss with no direction."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_face, n_voice = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    in_face, in_voice = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    out_dim, n_classes = draw(st.integers(1, 48)), draw(st.integers(1, 40))
+    rng = make_rng(seed)
+    params = {"head_face.weight": rng.standard_normal((out_dim, in_face)),
+              "head_face.bias": np.zeros(out_dim),
+              "head_voice.weight": rng.standard_normal((out_dim, in_voice)),
+              "head_voice.bias": np.zeros(out_dim),
+              "clf.weight": rng.standard_normal((n_classes, out_dim))}
+    face_x = rng.standard_normal((n_face, in_face))
+    voice_x = rng.standard_normal((n_voice, in_voice))
+    face_x[draw(st.lists(st.integers(0, n_face - 1), max_size=n_face))] = 0.0
+    voice_x[draw(st.lists(st.integers(0, n_voice - 1), max_size=n_voice))] = 0.0
+    targets = [rng.integers(0, n_classes, n) for n in (n_face, n_voice)]
+    p_drop = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    return params, p_drop, face_x, targets[0], voice_x, targets[1], seed
+
+
+class TestSharedNormalization:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(joint_instances(), st.sampled_from([0.0, 0.2, 0.5]))
+    def test_joint_step_matches_two_independent_losses_bit_for_bit(
+            self, instance, margin):
+        params, p_drop, fx, ft, vx, vt, seed = instance
+        cfg = AamConfig(scale=30.0, margin=margin)
+        got = joint_step(params, p_drop, fx, ft, vx, vt, cfg, make_rng(seed))
+        want = reference_joint_step(params, p_drop, fx, ft, vx, vt, cfg,
+                                    make_rng(seed))
+        assert got[0] == want[0] and got[1] == want[1]
+        assert sorted(got[2]) == sorted(want[2])
+        for name, grad in want[2].items():
+            assert np.array_equal(got[2][name], grad), name
+
+    @pytest.mark.parametrize("zeroed", [[0], [1, 3], [0, 1, 2, 3]])
+    def test_zeroed_rows_take_the_kept_rows_branch_bit_for_bit(self, zeroed):
+        params = make_params(6)  # zero biases: a zero input row stays zero
+        rng = make_rng(7)
+        fx, vx = rng.standard_normal((2, 4, 10))
+        fx[zeroed] = 0.0
+        args = (params, 0.0, fx, [0, 1, 2, 3], vx, [3, 2, 1, 0], AamConfig())
+        got = joint_step(*args, make_rng(8))
+        want = reference_joint_step(*args, make_rng(8))
+        assert got[0] == want[0] and got[1] == want[1]
+        for name, grad in want[2].items():
+            assert np.array_equal(got[2][name], grad), name
+
+    def test_zero_classifier_row_raises_with_the_row_and_norm(self):
+        params = make_params(3, n_classes=4)
+        params["clf.weight"][2] = 0.0
+        x = make_rng(4).standard_normal((3, 10))
+        with pytest.raises(DegenerateVectorError, match=r"^row 2 has norm 0$"):
+            joint_step(params, 0.0, x, [0, 1, 3], x, [1, 2, 3], AamConfig(),
+                       make_rng(5))
+        with pytest.raises(DegenerateVectorError, match=r"^row 2 has norm 0$"):
+            reference_joint_step(params, 0.0, x, [0, 1, 3], x, [1, 2, 3],
+                                 AamConfig(), make_rng(5))

@@ -585,6 +585,62 @@ def test_main_keeps_freed_heap_for_the_next_step(tmp_path):
     assert int(proc.stdout) < 1000
 
 
+# numpy's set routines call a plain np.unique, whose masked-array check
+# imports numpy.ma (13-18 ms); no command may go through one.
+_NUMPY_MA_PY = r"""
+import sys
+from fvassoc import cli
+code = cli.main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.fixture(scope="module")
+def command_configs(tmp_path_factory):
+    """Command -> config file, one per command, on tiny corpora; eval's
+    checkpoint is trained here."""
+    tmp = tmp_path_factory.mktemp("commands")
+    data = make_data(tmp, n_speakers=8)
+    block = quick_train_block(max_steps=4, eval_every=2, n_dev_target=20,
+                              n_dev_nontarget=20)
+    configs = {
+        "synth": {"synth": json.loads(Path(synth_config(tmp)).read_text())["synth"]},
+        "train": {"data": data, "dev_fraction": 0.25, "train": block},
+        "crossval": {"data": data, "n_folds": 2, "train": block},
+        "pretrain-finetune": {"pretrain_data": data, "finetune_data": data,
+                              "n_folds": 2, "dev_fraction": 0.25,
+                              "pretrain": block, "finetune": block},
+        "xattn": {"data": data, "dev_fraction": 0.25,
+                  "train": {"d_model": 8, "max_steps": 4, "eval_every": 2}},
+    }
+    paths = {name: write_config(tmp / f"{name}.json", cfg)
+             for name, cfg in configs.items()}
+    assert main(["train", "--config", paths["train"], "--out", str(tmp / "ckpt")]) == 0
+    trials = tmp / "trials.tsv"
+    trials.write_text("face_record_id\tvoice_record_id\tlabel\n"
+                      "s000:f000\ts000:v001\tsame\n"
+                      "s000:f001\ts001:v000\tdifferent\n")
+    paths["eval"] = write_config(tmp / "eval.json", {
+        "checkpoint": str(tmp / "ckpt" / "checkpoint.fvh"), "data": data,
+        "trials": str(trials)})
+    paths["scenarios"] = scenarios_config(tmp, scenario_dirs(tmp))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "crossval",
+                                     "pretrain-finetune", "scenarios", "eval",
+                                     "xattn"])
+def test_no_command_imports_numpy_ma(command_configs, tmp_path, command):
+    src = str(Path(fvassoc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PY, command, "--config",
+         command_configs[command], "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # Config schema: strict JSON types, ranges, decode errors and --help
 

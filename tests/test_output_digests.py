@@ -17,7 +17,7 @@ EXPECTED_FILES = [
     "eval/scores.tsv",
     "eval_utf8/report.json",
     "eval_utf8/scores.tsv",
-    *(f"{d}/{name}" for d in ("no_de", "no_en")
+    *(f"{d}/{name}" for d in ("narrow", "no_de", "no_en")
       for name in ("fag.fve", "fid.fve", "manifest.tsv", "vag.fve", "vspk.fve")),
     "pretrain-finetune/finetuned_fold0.fvh",
     "pretrain-finetune/finetuned_fold1.fvh",
@@ -26,6 +26,8 @@ EXPECTED_FILES = [
     "scenarios/report.json",
     "train/checkpoint.fvh",
     "train/report.json",
+    "train_narrow/checkpoint.fvh",
+    "train_narrow/report.json",
     *(f"utf8/{name}" for name in ("fag.fve", "fid.fve", "manifest.tsv",
                                   "vag.fve", "vspk.fve")),
     "xattn/checkpoint.fvh",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -18,6 +19,7 @@ from fvassoc.embedstore import (
 )
 from fvassoc.errors import (
     ConfigError,
+    EmptyDatasetError,
     LookupError_,
     MetricError,
     ProtocolViolationError,
@@ -1402,3 +1404,80 @@ class TestScenarios:
             with pytest.raises(SamplingError, match=f"german_unheard: fine-tune "
                                f"corpus has {n_speakers} speakers"):
                 run_scenarios(corpora, None, quick_cfg())
+
+
+# ---------------------------------------------------------------------------
+# Speaker and owner sets are built with Python sets and dict lookups; numpy's
+# set routines over the same str columns are the reference.
+
+# ASCII and multi-byte characters; no NUL, which a numpy str would drop
+_ID_CHARS = st.sampled_from(list("ab0_:-") + ["é", "中", "\U0001f600"])
+_IDS = st.text(_ID_CHARS, max_size=4)
+
+
+def _as_str(names):
+    return np.array(names, dtype=str)
+
+
+class TestSpeakerSetsMatchNumpy:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(_IDS, max_size=12), st.lists(_IDS, max_size=12),
+           st.lists(_IDS, max_size=6))
+    def test_speakers_subset_and_matrices(self, face_spk, voice_spk, names):
+        ds = PairedDataset(_table("f", face_spk, np.zeros((len(face_spk), 2))),
+                           _table("v", voice_spk, np.zeros((len(voice_spk), 2))))
+        assert ds.speakers() == np.intersect1d(_as_str(face_spk),
+                                               _as_str(voice_spk)).tolist()
+        sub = ds.subset(names)
+        index = {s: 7 * i for i, s in enumerate(dict.fromkeys(names))}
+        got = ds.matrices(index)
+        keys = _as_str(sorted(index))
+        codes = np.array([index[s] for s in keys.tolist()], np.int64)
+        for k, ((rows, _), (sub_rows, _)) in enumerate(zip(ds.tables(), sub.tables())):
+            mine = np.isin(rows.speaker_id, _as_str(names))
+            assert sub_rows.owner_id.tolist() == rows.owner_id[mine].tolist()
+            mapped = rows[np.isin(rows.speaker_id, keys)]
+            assert got[2 * k].tolist() == mapped.row.tolist()
+            assert got[2 * k + 1].tolist() == codes[
+                np.searchsorted(keys, mapped.speaker_id)].tolist()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(_IDS, max_size=12), st.lists(_IDS, max_size=12),
+           st.lists(_IDS, max_size=6))
+    def test_held_out_codes_and_the_lacking_modality_check(self, face_spk,
+                                                           voice_spk, held):
+        ds = PairedDataset(_table("f", face_spk, np.zeros((len(face_spk), 2))),
+                           _table("v", voice_spk, np.zeros((len(voice_spk), 2))))
+        rec = traineval._HeldOutRecords(ds, held)
+        _, code = np.unique(np.concatenate([rec.face_spk, rec.voice_spk]),
+                            return_inverse=True)
+        assert rec.face_code.tolist() + rec.voice_code.tolist() == code.tolist()
+        lacking = np.setdiff1d(_as_str(held),
+                               np.intersect1d(rec.face_spk, rec.voice_spk))
+        if lacking.size:
+            with pytest.raises(SamplingError, match=re.escape(
+                    f"held-out speaker {lacking[0]} lacks a modality")):
+                generate_trials(ds, held, 0, 0, make_rng(0))
+        else:
+            assert len(generate_trials(ds, held, 0, 0, make_rng(0))) == 0
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(_IDS, unique=True, max_size=10),
+           st.lists(_IDS, unique=True, max_size=10))
+    def test_skipped_owners(self, ident, ageg):
+        ids = [f"{o}#vspk" for o in ident] + [f"{o}#vag" for o in ageg]
+        n = len(ids)
+        records = record_table(_as_str(ids), _as_str(["s"] * n), _as_str(["en"] * n),
+                               np.array([0] * len(ident) + [1] * len(ageg)),
+                               np.r_[np.arange(len(ident)), np.arange(len(ageg))])
+        vectors = {ModalityKind(0): np.zeros((len(ident), 3), np.float32),
+                   ModalityKind(1): np.zeros((len(ageg), 2), np.float32)}
+        owners = np.intersect1d(_as_str(ident), _as_str(ageg))
+        if not owners.size:
+            with pytest.raises(EmptyDatasetError):
+                assemble_voice_inputs(vectors, records)
+            return
+        (rows, _), skipped = assemble_voice_inputs(vectors, records)
+        assert rows.owner_id.tolist() == owners.tolist()
+        assert skipped == np.setxor1d(_as_str(ident), _as_str(ageg),
+                                      assume_unique=True).tolist()

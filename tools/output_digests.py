@@ -40,6 +40,13 @@ cross-attention update shows in `xattn/checkpoint.fvh`, not only in the
 losses its report logs. At lr 0.001 with a 25% dev split the dev EER stays
 0.5 at every evaluation, so the best step is 0 and the checkpoint holds the
 untrained initial weights.
+
+The `train_narrow` run trains at p_drop 0.9 on `narrow`, a copy of the
+corpus whose face records keep only their first 3 identity and 1
+age-gender columns. Dropout then zeroes whole 4-wide face inputs (about
+two in three at the first step, while the head bias is still 0), so the
+AAM loss takes its kept-rows branch, which no other run reaches: every
+other input is at least 56 columns wide and runs at p_drop 0.5.
 """
 
 import contextlib
@@ -50,13 +57,15 @@ import tempfile
 from pathlib import Path
 
 from fvassoc.cli import main as cli_main
-from fvassoc.embedstore import read_store, record_table, write_store
+from fvassoc.embedstore import ModalityKind, read_store, record_table, write_store
 
 TRAIN = {"lr": 0.01, "batch_size": 16, "max_steps": 40, "patience": 3,
          "eval_every": 20, "seed": 5, "p_drop": 0.5, "n_dev_target": 80,
          "n_dev_nontarget": 80}
 XATTN = {"d_model": 8, "lr": 0.03, "batch_size": 16, "max_steps": 60,
          "patience": 3, "eval_every": 20, "seed": 5}
+# columns each face record keeps in the `narrow` corpus
+NARROW = {ModalityKind.FACE_IDENTITY: 3, ModalityKind.FACE_AGE_GENDER: 1}
 SYNTH = {"n_speakers": 14, "latent_dim": 8, "dims": "small",
          "noise_sigma": 0.01, "records_per_speaker": 4, "seed": 1,
          "languages": {"en": 0.4, "de": 0.4, "fr": 0.2}}
@@ -109,8 +118,13 @@ def run_all(work):
     ids = [utf8_id(rid) for rid in records.record_id.tolist()]
     write_store(vectors, record_table(ids, *(records[f] for f in (
         "speaker_id", "language", "modality", "row"))), work / "utf8")
+    write_store({kind: vecs[:, : NARROW.get(kind)] for kind, vecs in vectors.items()},
+                records, work / "narrow")
     run(work, "train", "train",
         {"data": data, "dev_fraction": 0.25, "train": TRAIN})
+    run(work, "train_narrow", "train", {"data": str(work / "narrow"),
+                                         "dev_fraction": 0.25,
+                                         "train": dict(TRAIN, p_drop=0.9)})
     run(work, "crossval", "crossval", {"data": data, "n_folds": 3, "train": TRAIN})
     run(work, "crossval7", "crossval",
         {"data": data, "n_folds": 7, "train": TRAIN})
