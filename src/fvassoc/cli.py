@@ -110,10 +110,12 @@ def _parse_dims(value, where):
 
 
 def _parse_languages(value, where):
-    return {
-        tag: _check_type(p, float, f"{where}.{tag}")
-        for tag, p in _check_type(value, dict, where).items()
-    }
+    languages = _check_type(value, dict, where)
+    bad = [tag for tag in languages if set(tag) & set("\t\n\r\0")]
+    if bad:  # a manifest row, one line of tab-separated fields, could not hold it
+        raise ConfigError(f"{where}: language tag {bad[0]!r} holds a tab, line end or NUL")
+    return {tag: _check_type(p, float, f"{where}.{tag}")
+            for tag, p in languages.items()}
 
 
 # SynthConfig fields with a JSON spelling of their own -> (parser, default).
@@ -368,19 +370,15 @@ def cmd_scenarios(cfg, out):
         _check_keys(_check_type(entry, dict, where), stages, where)
         for stage in sorted(entry.keys() | {"pretrain"}):
             _check_type(entry.get(stage), str, f"{where}.{stage}")
+    settings = {key: cfg[key] for key in ("n_trials_target", "n_trials_nontarget",
+                                          "dev_fraction")}
+    traineval.check_scenarios(scenarios, **settings)
     corpora = {
         name: {stage: load_dataset(path)[:2] for stage, path in entry.items()}
         for name, entry in scenarios.items()
     }
     _, test_ds, _ = load_dataset(cfg["test_data"])
-    table = traineval.run_scenarios(
-        corpora,
-        test_ds,
-        train,
-        n_trials_target=cfg["n_trials_target"],
-        n_trials_nontarget=cfg["n_trials_nontarget"],
-        dev_fraction=cfg["dev_fraction"],
-    )
+    table = traineval.run_scenarios(corpora, test_ds, train, **settings)
     out.commit(cfg, table)
     for name, row in table["scenarios"].items():
         print(f"{name}: EER {row['eer']:.4f}")
@@ -461,7 +459,7 @@ def cmd_eval(cfg, out):
         raise MetricError("empty trial file")
     scores, report = traineval.score_arrays(arrays, trials, ds)
     out.write("scores.tsv", write_score_file, trials, scores)
-    out.commit(cfg, {"eval": report.to_dict(), "score_file": "scores.tsv"})
+    out.commit(cfg, {"eval": asdict(report), "score_file": "scores.tsv"})
     print(f"eval: EER {report.eer:.4f} over {len(trials)} trials")
 
 

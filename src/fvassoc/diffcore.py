@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateVectorError,
-    NumericError,
-    ShapeError,
-)
+from .errors import DegenerateVectorError, NumericError, ShapeError, check_fraction
 
 EPS_NORM = 1e-12
 
@@ -75,8 +70,7 @@ def dropout_mask(rng, shape, p_drop):
 
     Eval mode never calls this; the eval path is exactly the identity.
     """
-    if not 0.0 <= p_drop < 1.0:
-        raise ConfigError(f"p_drop must be in [0, 1), got {p_drop}")
+    check_fraction(p_drop=p_drop)
     if p_drop == 0.0:
         return np.ones(shape, dtype=np.float64)
     keep = rng.random(shape) >= p_drop

@@ -29,6 +29,13 @@ def check_min(cfg, **minimums):
             raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
+def check_fraction(**values):
+    """Raise ConfigError unless each value `name` is in [0, 1)."""
+    for name, value in values.items():
+        if not 0.0 <= value < 1.0:
+            raise ConfigError(f"{name} must be in [0, 1), got {value}")
+
+
 def check_fits(keys, *shape, itemsize=8):
     """Raise ConfigError naming the config `keys` that size an array of
     `shape` if its bytes exceed the machine's physical memory."""

@@ -1,6 +1,9 @@
 """Experiment engine: trials, EER, early stopping, CV, and scenarios.
 
 A PairedDataset holds the assembled concatenated inputs of both modalities.
+Its `matrices()` numbers the speakers with a face and a voice in sorted
+order, the one numbering: the shared classifier's rows, the cross-attention
+sampler's groups, and the codes of dev-trial sampling (of a held-out subset).
 Verification trials pair one face input with one voice input and are labeled
 same/different by speaker id. A trial list is one record array of face_id,
 voice_id and label (`trial_table`), whether sampled or read from a file, and
@@ -41,6 +44,7 @@ from .errors import (
     SchemaError,
     ShapeError,
     check_fits,
+    check_fraction,
     check_min,
 )
 from .fusion import (
@@ -61,9 +65,6 @@ class EvalReport:
     n_target: int
     n_nontarget: int
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def _check_common(cfg, **minimums):
     """Range checks shared by TrainConfig and XAttnTrainConfig, plus the
@@ -71,8 +72,7 @@ def _check_common(cfg, **minimums):
     # 0 is allowed: a frozen run keeps its initial weights
     if not (math.isfinite(cfg.lr) and cfg.lr >= 0):
         raise ConfigError(f"lr must be finite and >= 0, got {cfg.lr}")
-    if not 0.0 <= cfg.p_drop < 1.0:
-        raise ConfigError(f"p_drop must be in [0, 1), got {cfg.p_drop}")
+    check_fraction(p_drop=cfg.p_drop)
     check_min(cfg, seed=0, batch_size=1, max_steps=0, patience=1, eval_every=1,
               **minimums)
 
@@ -141,15 +141,15 @@ class PairedDataset:
             voices = voices[voices.language == voice_language]
         return PairedDataset((faces, self.face_x), (voices, self.voice_x))
 
-    def matrices(self, speaker_index):
-        """(at_face, y_face, at_voice, y_voice) of the records of mapped
-        speakers, in table order: x[at] are their inputs, y their codes."""
-        names = np.array(sorted(speaker_index), dtype=str)
-        codes = np.array([speaker_index[s] for s in names], dtype=np.int64)
-        out = []
+    def matrices(self):
+        """(n, at_face, y_face, at_voice, y_voice): the n `speakers()` coded
+        0 .. n-1 in sorted order, and their records in table order: x[at]
+        are the records' inputs, y their speakers' codes."""
+        names = np.array(self.speakers(), dtype=str)
+        out = [len(names)]
         for rows, _ in self.tables():
             at = _codes(rows.speaker_id, names)
-            out += [rows.row[at >= 0], codes[at[at >= 0]]]
+            out += [rows.row[at >= 0], at[at >= 0]]
         return tuple(out)
 
 
@@ -165,27 +165,36 @@ def trial_table(face_ids, voice_ids, labels):
     return np.rec.fromarrays(columns, names="face_id,voice_id,label")
 
 
+def _by_speaker(at, spk, n):
+    """(at, start, count): the rows `at` grouped by their speaker code in
+    `spk` (0 .. n-1), in given order within a group; group s is entries
+    start[s] .. start[s] + count[s] - 1 of the returned `at`."""
+    count = np.bincount(spk, minlength=n)
+    return at[np.argsort(spk, kind="stable")], np.cumsum(count) - count, count
+
+
 class _HeldOutRecords:
     """Held-out faces and voices, in dataset order, with per-face pair counts.
 
-    Speakers get int codes; `same_per_face[f]` is the number of voices that
-    share face f's speaker. The pair pools themselves are never built.
+    Speakers are coded by the held-out subset's `matrices()`, and voice
+    positions grouped by speaker (`_by_speaker`): speaker s's voices
+    are by_spk[start[s] : start[s] + n_voices[s]]. `same_per_face[f]` is the
+    number of voices that share face f's speaker. The pair pools themselves
+    are never built. Every held-out speaker needs a face and a voice.
     """
 
     def __init__(self, dataset, held):
-        faces, voices = dataset.face_inputs, dataset.voice_inputs
-        faces = faces[_isin(faces.speaker_id, held)]
-        voices = voices[_isin(voices.speaker_id, held)]
-        self.face_ids, self.voice_ids = faces.owner_id, voices.owner_id
-        self.face_spk, self.voice_spk = faces.speaker_id, voices.speaker_id
-        names, code = np.unique(  # with indices, np.unique needs no numpy.ma
-            np.concatenate([self.face_spk, self.voice_spk]), return_inverse=True
-        )
-        self.face_code, self.voice_code = np.split(code, [len(faces)])
-        self.n_voices = np.bincount(self.voice_code, minlength=len(names))
+        sub, held = dataset.subset(held), set(held)
+        n, _, self.face_code, _, self.voice_code = sub.matrices()
+        if n < len(held):  # then some held-out speaker lacks a face or a voice
+            lacking = held.difference(sub.speakers())
+            raise SamplingError(f"held-out speaker {min(lacking)} lacks a modality")
+        self.face_ids, self.voice_ids = sub.face_inputs.owner_id, sub.voice_inputs.owner_id
+        self.by_spk, self.start, self.n_voices = _by_speaker(
+            np.arange(len(self.voice_ids)), self.voice_code, n)
         self.same_per_face = self.n_voices[self.face_code]
         self.n_same = int(self.same_per_face.sum())
-        self.n_cross = len(faces) * len(voices) - self.n_same
+        self.n_cross = len(self.face_ids) * len(self.voice_ids) - self.n_same
 
 
 def _locate(per_face, idx):
@@ -208,12 +217,7 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
     record counts, so time and memory grow with faces + voices + trials,
     not with faces x voices.
     """
-    held = set(held_out_speakers)
-    rec = _HeldOutRecords(dataset, held)
-    lacking = held - (set(rec.face_spk.tolist()) & set(rec.voice_spk.tolist()))
-    if lacking:
-        raise SamplingError(f"held-out speaker {min(lacking)} lacks a modality")
-
+    rec = _HeldOutRecords(dataset, held_out_speakers)
     if n_target > rec.n_same:
         raise SamplingError(
             f"requested {n_target} target trials, only {rec.n_same} possible"
@@ -225,11 +229,7 @@ def generate_trials(dataset, held_out_speakers, n_target, n_nontarget, rng):
         )
     same_idx = rng.choice(rec.n_same, size=n_target, replace=False)
     cross_idx = rng.choice(rec.n_cross, size=n_nontarget, replace=False)
-
-    # Voices grouped by speaker, each group in voice order; group s occupies
-    # slots start[s] .. start[s] + n_voices[s] - 1 of `by_spk`.
-    by_spk = np.argsort(rec.voice_code, kind="stable")
-    start = np.cumsum(rec.n_voices) - rec.n_voices
+    by_spk, start = rec.by_spk, rec.start
 
     # Same-speaker: the k-th pair of face f is the k-th voice of its speaker.
     f_same, k = _locate(rec.same_per_face, np.sort(same_idx))
@@ -380,13 +380,6 @@ def _trial_rows(trials, dataset):
     return out
 
 
-def _trial_inputs(trials, dataset):
-    """`_trial_rows`, each `at` paired with its input matrix as (x, at)."""
-    face_at, face_row, voice_at, voice_row = _trial_rows(trials, dataset)
-    return ((dataset.face_x, dataset.face_inputs.row[face_at]), face_row,
-            (dataset.voice_x, dataset.voice_inputs.row[voice_at]), voice_row)
-
-
 # Rows per forward call in scoring: a row's projection or logit then does not
 # depend on the other rows of its list, and temporaries hold one chunk.
 _CHUNK = 64
@@ -438,7 +431,10 @@ def _score_inputs(head_face, head_voice, faces, face_row, voices, voice_row):
 
 def score_trials(head_face, head_voice, trials, dataset):
     """Cosine scores of trials in eval mode (no dropout), trial order kept."""
-    return _score_inputs(head_face, head_voice, *_trial_inputs(trials, dataset))
+    face_at, face_row, voice_at, voice_row = _trial_rows(trials, dataset)
+    return _score_inputs(head_face, head_voice,
+                         (dataset.face_x, dataset.face_inputs.row[face_at]), face_row,
+                         (dataset.voice_x, dataset.voice_inputs.row[voice_at]), voice_row)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +529,8 @@ def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
     """
     face_at, face_row, voice_at, voice_row = _dev_inputs(cfg, train_ds,
                                                          dev_trials, eval_ds)
-    speakers = train_ds.speakers()
-    speaker_index = {s: i for i, s in enumerate(speakers)}
-    params = _init_params(train_ds, cfg, len(speakers), init_arrays)
-    af, yf, av, yv = train_ds.matrices(speaker_index)
+    n, af, yf, av, yv = train_ds.matrices()
+    params = _init_params(train_ds, cfg, n, init_arrays)
     xf, xv = train_ds.face_x, train_ds.voice_x
     rng = make_rng(cfg.seed)
 
@@ -562,16 +556,14 @@ def train_with_early_stopping(train_ds, dev_trials, eval_ds, cfg,
 
 def held_out(dataset, held, cfg, rng):
     """(training subset without the `held` speakers, dev trials of `held`)."""
-    held_set = set(held)
-    train_ds = dataset.subset([s for s in dataset.speakers() if s not in held_set])
+    train_ds = dataset.subset(set(dataset.speakers()).difference(held))
     return train_ds, default_dev_trials(dataset, held, cfg, rng)
 
 
 def dev_split(dataset, dev_fraction, cfg):
     """The seeded speaker-level dev split of `dataset` under cfg.seed:
     (training subset, dev trials, sorted dev speakers)."""
-    if not 0.0 <= dev_fraction < 1.0:
-        raise ConfigError(f"dev_fraction must be in [0, 1), got {dev_fraction}")
+    check_fraction(dev_fraction=dev_fraction)
     speakers = dataset.speakers()
     # at least 2 dev speakers, else no cross-speaker dev trials exist
     n_dev = max(2, int(round(dev_fraction * len(speakers))))
@@ -704,6 +696,17 @@ def audit_manifest(records, excluded_language):
     return records.record_id[records.language == excluded_language].tolist()
 
 
+def check_scenarios(entries, n_trials_target, n_trials_nontarget, dev_fraction):
+    """The checks of `run_scenarios` that read no corpus; `entries` maps each
+    scenario to its {"pretrain": ..., "finetune": ...}, corpora or paths."""
+    if min(n_trials_target, n_trials_nontarget) < 1:
+        raise ConfigError("n_trials_target and n_trials_nontarget must be >= 1")
+    for name, recipe in SCENARIOS.items():
+        if recipe["unheard"] and entries[name].get("finetune") is None:
+            raise ConfigError(f"{name}: fine-tune corpus required")
+    check_fraction(dev_fraction=dev_fraction)
+
+
 def run_scenarios(corpora, test_ds, cfg, n_trials_target=200,
                   n_trials_nontarget=200, dev_fraction=0.1):
     """Execute all four scenario recipes and assemble a results table.
@@ -716,14 +719,11 @@ def run_scenarios(corpora, test_ds, cfg, n_trials_target=200,
     violation) and for enough fine-tune speakers to give its dev fold two.
     """
     cfg.validate()
-    if min(n_trials_target, n_trials_nontarget) < 1:
-        raise ConfigError("n_trials_target and n_trials_nontarget must be >= 1")
+    check_scenarios(corpora, n_trials_target, n_trials_nontarget, dev_fraction)
     for name, recipe in SCENARIOS.items():
         if not recipe["unheard"]:
             continue
         entry, language = corpora[name], recipe["test_language"]
-        if entry.get("finetune") is None:
-            raise ConfigError(f"{name}: fine-tune corpus required")
         for stage in ("pretrain", "finetune"):
             bad = audit_manifest(entry[stage][0], language)
             if bad:
@@ -755,7 +755,7 @@ def run_scenarios(corpora, test_ds, cfg, n_trials_target=200,
                                     make_rng(cfg.seed + 0xE7))
         _, report = score_arrays(arrays, trials, scen_test)
         results[name] = {
-            **report.to_dict(),
+            **asdict(report),
             "finetuned": recipe["unheard"],
             "test_language": recipe["test_language"],
         }
@@ -787,14 +787,6 @@ class XAttnTrainConfig:
         _check_common(self, d_model=1)
         check_fits("d_model", self.d_model, self.d_model)  # each attention weight
         check_fits("batch_size and d_model", self.batch_size, self.d_model)
-
-
-def _by_speaker(at, spk, n):
-    """(at, start, count): the rows `at` grouped by their speaker code in
-    `spk` (0 .. n-1), in given order within a group; group s is entries
-    start[s] .. start[s] + count[s] - 1 of the returned `at`."""
-    count = np.bincount(spk, minlength=n)
-    return at[np.argsort(spk, kind="stable")], np.cumsum(count) - count, count
 
 
 def _sample_pairs(xf, faces, xv, voices, batch_size, rng):
@@ -838,10 +830,8 @@ def train_xattn(train_ds, dev_trials, eval_ds, cfg):
         p_drop=cfg.p_drop,
         residual=cfg.residual,
     )
-    code = {s: i for i, s in enumerate(train_ds.speakers())}
-    af, yf, av, yv = train_ds.matrices(code)
-    faces = _by_speaker(af, yf, len(code))
-    voices = _by_speaker(av, yv, len(code))
+    n, af, yf, av, yv = train_ds.matrices()
+    faces, voices = _by_speaker(af, yf, n), _by_speaker(av, yv, n)
 
     def step():
         xf, xv, y = _sample_pairs(train_ds.face_x, faces, train_ds.voice_x, voices,

@@ -495,6 +495,32 @@ class TestScenarios:
         assert main(["scenarios", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "scenarios.english_heard: finetune" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("english_unheard", None, "english_unheard: fine-tune corpus required"),
+        ("n_trials_target", 0, "n_trials_target and n_trials_nontarget"),
+        ("n_trials_nontarget", -1, "n_trials_target and n_trials_nontarget"),
+        ("dev_fraction", 1.0, "dev_fraction must be in [0, 1)"),
+        ("dev_fraction", -0.1, "dev_fraction must be in [0, 1)"),
+    ])
+    def test_scenario_settings_exit_2_before_any_corpus(self, tmp_path, capsys,
+                                                        key, value, message):
+        # no path exists: reading any corpus would exit 4
+        missing = str(tmp_path / "missing")
+        both = {"pretrain": missing, "finetune": missing}
+        scenarios = {"english_heard": {"pretrain": missing},
+                     "german_heard": {"pretrain": missing},
+                     "english_unheard": both, "german_unheard": both}
+        config = {"test_data": missing, "train": quick_train_block(),
+                  "scenarios": scenarios}
+        if key in scenarios:
+            scenarios[key] = {"pretrain": missing}  # no fine-tune corpus
+        else:
+            config[key] = value
+        cfg = write_config(tmp_path / "scen.json", config)
+        capsys.readouterr()
+        assert main(["scenarios", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestXAttn:
     def test_report_tagged_and_deterministic(self, tmp_path):
@@ -775,6 +801,9 @@ _WRONG_TYPE = {
                     st.booleans(), st.none(), _ANY_LIST),
 }
 _SMALL = {"vspk": 64, "vag": 16, "fid": 48, "fag": 8}
+# language tags that a manifest row could not hold
+_UNWRITABLE_LANGUAGES = [{"e\tn": 1.0}, {"e\nn": 1.0}, {"e\rn": 1.0},
+                         {"e\u0000n": 1.0}]
 _OUT_OF_RANGE = {
     "lr": [-0.01, -1], "batch_size": [0, -4], "max_steps": [-1, -3],
     "patience": [0], "eval_every": [0], "seed": [-1], "scale": [0.0, -1.0],
@@ -787,7 +816,7 @@ _OUT_OF_RANGE = {
     "dims": ["medium", dict(_SMALL, vspk=0), dict(_SMALL, vspk=2.5),
              dict(_SMALL, vspk="64"), {"vspk": 64}, dict(_SMALL, xx=1)],
     "languages": [{}, {"en": 0.5}, {"en": 1.5, "de": -0.5}, {"en": "1"},
-                  {"en": None}],
+                  {"en": None}, *_UNWRITABLE_LANGUAGES],
     "scenarios": [{}, {"english_heard": {"pretrain": "x"}},
                   {"nope": {"pretrain": "x"}}],
 }
@@ -1061,6 +1090,16 @@ def test_help_epilog_lists_exactly_the_accepted_keys(schema_corpus):
         for command, config in configs.items()
     }
     assert _epilog_keys() == expected
+
+
+@pytest.mark.parametrize("languages", _UNWRITABLE_LANGUAGES)
+def test_language_tag_a_manifest_cannot_hold_exits_2(tmp_path, capsys, languages):
+    cfg = write_config(tmp_path / "s.json", {"synth": {"languages": languages}})
+    capsys.readouterr()
+    out = tmp_path / "d"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+    assert "synth.languages" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_without_languages_writes_one_language(tmp_path):

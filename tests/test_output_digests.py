@@ -19,6 +19,8 @@ EXPECTED_FILES = [
     "eval_utf8/scores.tsv",
     *(f"{d}/{name}" for d in ("narrow", "no_de", "no_en")
       for name in ("fag.fve", "fid.fve", "manifest.tsv", "vag.fve", "vspk.fve")),
+    *(f"resorted/{name}" for name in ("fag.fve", "fid.fve", "manifest.tsv",
+                                      "vag.fve", "vspk.fve")),
     "pretrain-finetune/finetuned_fold0.fvh",
     "pretrain-finetune/finetuned_fold1.fvh",
     "pretrain-finetune/pretrained.fvh",
@@ -28,11 +30,16 @@ EXPECTED_FILES = [
     "train/report.json",
     "train_narrow/checkpoint.fvh",
     "train_narrow/report.json",
+    "train_resorted/checkpoint.fvh",
+    "train_resorted/report.json",
     *(f"utf8/{name}" for name in ("fag.fve", "fid.fve", "manifest.tsv",
                                   "vag.fve", "vspk.fve")),
     "xattn/checkpoint.fvh",
     "xattn/dev_trials.tsv",
     "xattn/report.json",
+    "xattn_resorted/checkpoint.fvh",
+    "xattn_resorted/dev_trials.tsv",
+    "xattn_resorted/report.json",
 ]
 
 

@@ -733,11 +733,10 @@ def _sampled_pairs(face_speakers, voice_speakers, batch_size, seed):
     from a `_dataset`, records given as list indices (an input's first
     element)."""
     ds = _dataset(face_speakers, voice_speakers)
-    code = {s: i for i, s in enumerate(ds.speakers())}
-    af, yf, av, yv = ds.matrices(code)
+    n, af, yf, av, yv = ds.matrices()
     xf, xv, y = traineval._sample_pairs(
-        ds.face_x, traineval._by_speaker(af, yf, len(code)),
-        ds.voice_x, traineval._by_speaker(av, yv, len(code)),
+        ds.face_x, traineval._by_speaker(af, yf, n),
+        ds.voice_x, traineval._by_speaker(av, yv, n),
         batch_size, make_rng(seed),
     )
     return xf[:, 0].astype(int).tolist(), xv[:, 0].astype(int).tolist(), y
@@ -1091,8 +1090,7 @@ class TestOneUpdate:
         assert list(params) == ["head_face.weight", "head_face.bias",
                                 "head_voice.weight", "head_voice.bias",
                                 "clf.weight"]
-        index = {s: i for i, s in enumerate(ds.speakers())}
-        af, yf, av, yv = ds.matrices(index)
+        _, af, yf, av, yv = ds.matrices()
         rng = make_rng(1)
         _, _, grads = joint_step(params, cfg.p_drop, ds.face_x[af[:8]], yf[:8],
                                  ds.voice_x[av[:8]], yv[:8], cfg.aam, rng)
@@ -1419,47 +1417,82 @@ def _as_str(names):
     return np.array(names, dtype=str)
 
 
+@st.composite
+def _numbering_cases(draw):
+    """(face speakers, voice speakers, held-out speakers), all drawn from one
+    small pool of ids: speakers repeat, some lack a face, a voice or both,
+    and either table may be empty."""
+    pool = st.sampled_from(draw(st.lists(_IDS, min_size=1, max_size=6, unique=True)))
+    return tuple(draw(st.lists(pool, max_size=size)) for size in (12, 12, 6))
+
+
+def _speaker_dataset(face_spk, voice_spk):
+    """A dataset of `_table`s of the speakers, each table's `row` column
+    reversed, so that a record's row is not its table position."""
+    tables = [_table(kind, spk, np.zeros((len(spk), 2)))
+              for kind, spk in (("f", face_spk), ("v", voice_spk))]
+    for rows, _ in tables:
+        rows.row[:] = rows.row[::-1].copy()
+    return PairedDataset(*tables)
+
+
+def _reference_held_out(ds, held):
+    """The held-out coding as `_HeldOutRecords` made it before it took
+    `PairedDataset.matrices`' numbering: (face ids, voice ids, face codes,
+    voice codes, by_spk, start, n_voices), with codes from np.unique over the
+    held-out records' speakers and voices grouped by a stable argsort."""
+    faces, voices = (rows[np.isin(rows.speaker_id, _as_str(held))]
+                     for rows, _ in ds.tables())
+    names, code = np.unique(np.concatenate([faces.speaker_id, voices.speaker_id]),
+                            return_inverse=True)
+    face_code, voice_code = np.split(code, [len(faces)])
+    n_voices = np.bincount(voice_code, minlength=len(names))
+    return (faces.owner_id, voices.owner_id, face_code, voice_code,
+            np.argsort(voice_code, kind="stable"), np.cumsum(n_voices) - n_voices,
+            n_voices)
+
+
 class TestSpeakerSetsMatchNumpy:
     @settings(max_examples=200, deadline=None, database=None)
-    @given(st.lists(_IDS, max_size=12), st.lists(_IDS, max_size=12),
-           st.lists(_IDS, max_size=6))
-    def test_speakers_subset_and_matrices(self, face_spk, voice_spk, names):
-        ds = PairedDataset(_table("f", face_spk, np.zeros((len(face_spk), 2))),
-                           _table("v", voice_spk, np.zeros((len(voice_spk), 2))))
-        assert ds.speakers() == np.intersect1d(_as_str(face_spk),
-                                               _as_str(voice_spk)).tolist()
+    @given(_numbering_cases())
+    def test_speakers_subset_and_matrices(self, case):
+        face_spk, voice_spk, names = case
+        ds = _speaker_dataset(face_spk, voice_spk)
+        common = np.intersect1d(_as_str(face_spk), _as_str(voice_spk))
+        assert ds.speakers() == common.tolist()
         sub = ds.subset(names)
-        index = {s: 7 * i for i, s in enumerate(dict.fromkeys(names))}
-        got = ds.matrices(index)
-        keys = _as_str(sorted(index))
-        codes = np.array([index[s] for s in keys.tolist()], np.int64)
+        n, *got = ds.matrices()
+        assert n == len(common)
         for k, ((rows, _), (sub_rows, _)) in enumerate(zip(ds.tables(), sub.tables())):
             mine = np.isin(rows.speaker_id, _as_str(names))
             assert sub_rows.owner_id.tolist() == rows.owner_id[mine].tolist()
-            mapped = rows[np.isin(rows.speaker_id, keys)]
-            assert got[2 * k].tolist() == mapped.row.tolist()
-            assert got[2 * k + 1].tolist() == codes[
-                np.searchsorted(keys, mapped.speaker_id)].tolist()
+            # codes are ranks among the speakers with a face and a voice
+            coded = np.isin(rows.speaker_id, common)
+            assert got[2 * k].tolist() == rows.row[coded].tolist()
+            assert got[2 * k + 1].tolist() == np.searchsorted(
+                common, rows.speaker_id[coded]).tolist()
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(st.lists(_IDS, max_size=12), st.lists(_IDS, max_size=12),
-           st.lists(_IDS, max_size=6))
-    def test_held_out_codes_and_the_lacking_modality_check(self, face_spk,
-                                                           voice_spk, held):
-        ds = PairedDataset(_table("f", face_spk, np.zeros((len(face_spk), 2))),
-                           _table("v", voice_spk, np.zeros((len(voice_spk), 2))))
-        rec = traineval._HeldOutRecords(ds, held)
-        _, code = np.unique(np.concatenate([rec.face_spk, rec.voice_spk]),
-                            return_inverse=True)
-        assert rec.face_code.tolist() + rec.voice_code.tolist() == code.tolist()
-        lacking = np.setdiff1d(_as_str(held),
-                               np.intersect1d(rec.face_spk, rec.voice_spk))
+    @given(_numbering_cases())
+    def test_held_out_codes_and_the_lacking_modality_check(self, case):
+        face_spk, voice_spk, held = case
+        ds = _speaker_dataset(face_spk, voice_spk)
+        lacking = np.setdiff1d(_as_str(held), np.intersect1d(_as_str(face_spk),
+                                                             _as_str(voice_spk)))
         if lacking.size:
-            with pytest.raises(SamplingError, match=re.escape(
-                    f"held-out speaker {lacking[0]} lacks a modality")):
+            message = re.escape(f"held-out speaker {lacking[0]} lacks a modality")
+            with pytest.raises(SamplingError, match=message):
+                traineval._HeldOutRecords(ds, held)
+            with pytest.raises(SamplingError, match=message):
                 generate_trials(ds, held, 0, 0, make_rng(0))
-        else:
-            assert len(generate_trials(ds, held, 0, 0, make_rng(0))) == 0
+            return
+        rec = traineval._HeldOutRecords(ds, held)
+        want = _reference_held_out(ds, held)
+        got = (rec.face_ids, rec.voice_ids, rec.face_code, rec.voice_code,
+               rec.by_spk, rec.start, rec.n_voices)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert rec.same_per_face.tolist() == want[-1][want[2]].tolist()
+        assert len(generate_trials(ds, held, 0, 0, make_rng(0))) == 0
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.lists(_IDS, unique=True, max_size=10),

@@ -41,6 +41,17 @@ losses its report logs. At lr 0.001 with a 25% dev split the dev EER stays
 0.5 at every evaluation, so the best step is 0 and the checkpoint holds the
 untrained initial weights.
 
+The `train_resorted` and `xattn_resorted` runs train on `resorted`, a copy
+of the corpus in which owner s<NNN> belongs to the speaker named
+utf8_id("s<MMM>"), MMM = 13 - NNN in three digits, so that its speakers do
+not sort in its owners' order (within each of utf8_id's three spellings,
+they sort in the reverse order). Both trainers number speakers in sorted
+order (`PairedDataset.matrices`), and in training a speaker's number is its
+row of the classifier. Every other corpus lists its speakers in sorted
+order, so there a change that numbers them in first-seen order leaves every
+digest unchanged; here it changes `train_resorted/checkpoint.fvh` and
+`xattn_resorted/checkpoint.fvh`.
+
 The `train_narrow` run trains at p_drop 0.9 on `narrow`, a copy of the
 corpus whose face records keep only their first 3 identity and 1
 age-gender columns. Dropout then zeroes whole 4-wide face inputs (about
@@ -120,6 +131,10 @@ def run_all(work):
         "speaker_id", "language", "modality", "row"))), work / "utf8")
     write_store({kind: vecs[:, : NARROW.get(kind)] for kind, vecs in vectors.items()},
                 records, work / "narrow")
+    last = SYNTH["n_speakers"] - 1
+    speakers = [utf8_id(f"s{last - int(s[1:]):03d}") for s in records.speaker_id.tolist()]
+    write_store(vectors, record_table(records.record_id, speakers, *(records[f] for f in (
+        "language", "modality", "row"))), work / "resorted")
     run(work, "train", "train",
         {"data": data, "dev_fraction": 0.25, "train": TRAIN})
     run(work, "train_narrow", "train", {"data": str(work / "narrow"),
@@ -139,6 +154,11 @@ def run_all(work):
         "data": str(work / "utf8"), "trials": str(inputs / "trials_utf8.tsv")})
     run(work, "xattn", "xattn",
         {"data": data, "dev_fraction": 0.4, "train": XATTN})
+    resorted = str(work / "resorted")
+    run(work, "train_resorted", "train",
+        {"data": resorted, "dev_fraction": 0.25, "train": TRAIN})
+    run(work, "xattn_resorted", "xattn",
+        {"data": resorted, "dev_fraction": 0.4, "train": XATTN})
     run(work, "scenarios", "scenarios", {
         "test_data": data, "n_trials_target": 15, "n_trials_nontarget": 15,
         "dev_fraction": 0.25, "train": TRAIN,
