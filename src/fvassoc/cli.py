@@ -17,8 +17,9 @@ type is the key's type), to the type of a required key (`str` for a path,
 `dict` for the scenarios table), or to a config dataclass whose block is
 parsed from its fields. Types are strict: a bool takes only true/false, an
 int only a JSON integer, a float an integer or a finite number. Ranges are
-checked by each dataclass's validate() and, for top-level numbers, by the
-traineval function that uses them.
+checked by each dataclass's validate() and, for top-level numbers, by
+`load_config` (dev_fraction, n_folds >= 2) before any corpus is read, or by
+the traineval function that uses them when a bound needs the corpus.
 
 Exit statuses: 0 success, else the `status` of the FvError that ended the
 command (2 config/parse error, 3 protocol violation, 4 data/schema error,
@@ -41,7 +42,8 @@ import numpy as np
 
 from . import embedstore, synthgen, traineval
 from .embedstore import ModalityKind, read_store, read_tsv, tsv_rows
-from .errors import ConfigError, FormatError, FvError, MetricError, SchemaError
+from .errors import (ConfigError, FormatError, FvError, MetricError, SchemaError,
+                     check_fraction)
 from .fusion import load_checkpoint, save_checkpoint
 from .synthgen import SynthConfig
 from .traineval import PairedDataset, TrainConfig, XAttnTrainConfig, trial_table
@@ -162,7 +164,8 @@ def _parse_block(cls, obj, where, seed_override):
 def load_config(command, path, seed_override=None):
     """The config of `command` read from the JSON file at `path`: every key
     of CONFIG_SCHEMA[command] with its default filled in, and each block a
-    validated dataclass whose seed is `seed_override` when one is given."""
+    validated dataclass whose seed is `seed_override` when one is given;
+    dev_fraction and n_folds are range-checked too."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -182,6 +185,10 @@ def load_config(command, path, seed_override=None):
             cfg[key] = _check_type(raw[key], spec, key)
         else:
             cfg[key] = _check_type(raw.get(key, spec), type(spec), key)
+    if "dev_fraction" in cfg:
+        check_fraction(dev_fraction=cfg["dev_fraction"])
+    if "n_folds" in cfg:
+        traineval.check_n_folds(cfg["n_folds"])
     return cfg
 
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVectorError, NumericError, ShapeError, check_fraction
+from .errors import (ConfigError, DegenerateVectorError, NumericError, ShapeError,
+                     check_fraction)
 
 EPS_NORM = 1e-12
 
@@ -65,23 +66,17 @@ def l2_normalize_rows_backward(x, grad_out, unit=None):
     return out
 
 
-def dropout_mask(rng, shape, p_drop):
-    """Inverted-dropout mask: 0 with probability p_drop, else 1/(1-p_drop).
-
-    Eval mode never calls this; the eval path is exactly the identity.
-    """
+def dropout(x, p_drop, rng):
+    """(x * mask, mask): inverted dropout of the float64 matrix `x`, whose
+    mask is 0 with probability p_drop, else 1/(1-p_drop), drawn from `rng`.
+    At p_drop 0 (eval mode) it is (x, None) and draws nothing."""
     check_fraction(p_drop=p_drop)
     if p_drop == 0.0:
-        return np.ones(shape, dtype=np.float64)
-    keep = rng.random(shape) >= p_drop
-    return keep.astype(np.float64) / (1.0 - p_drop)
-
-
-def apply_dropout(x, mask):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != mask.shape:
-        raise ShapeError(f"dropout: input {x.shape} vs mask {mask.shape}")
-    return x * mask
+        return x, None
+    if rng is None:
+        raise ConfigError("train-mode forward with p_drop > 0 needs an rng")
+    mask = (rng.random(x.shape) >= p_drop).astype(np.float64) / (1.0 - p_drop)
+    return x * mask, mask
 
 
 _ADAM_BLOCK = 16384  # elements per block of the in-place Adam update

@@ -340,29 +340,26 @@ def read_store(in_dir):
         code, rids, vecs = read_store_file(path)
         if code != kind:
             raise SchemaError(f"{path}: modality code {code.tag} != filename tag")
-        entry = np.flatnonzero(tags == kind)  # the order write_store lists them in
-        if not (len(entry) == len(rids) and (ids[entry] == rids).all()
-                and (dims[entry] == vecs.shape[1]).all()):
-            at = np.searchsorted(by_id, rids)
-            known = at < len(ids)
-            known[known] = by_id[at[known]] == rids[known]
-            entry = order[at[known]]
-            first = np.zeros(len(entry), bool)
-            first[np.unique(entry, return_index=True)[1]] = True
-            bad = ~known
-            bad[known] = ((tags[entry] != kind) | (dims[entry] != vecs.shape[1])
-                          | held[entry] | ~first)
-            if bad.any():
-                i = int(bad.argmax())
-                e = order[at[i]] if known[i] else None
-                problem = "missing from manifest" if e is None else "is stored twice"
-                if e is not None and not held[e]:  # no earlier store holds it
-                    if tags[e] != kind:
-                        problem = (f"has manifest tag {ModalityKind(tags[e]).tag} "
-                                   f"!= store tag {kind.tag}")
-                    elif dims[e] != vecs.shape[1]:
-                        problem = f"dim {vecs.shape[1]} != manifest dim {dims[e]}"
-                raise SchemaError(f"{path}: record {rids[i]} {problem}")
+        at = np.searchsorted(by_id, rids)
+        known = at < len(ids)
+        known[known] = by_id[at[known]] == rids[known]
+        entry = order[at[known]]
+        first = np.zeros(len(entry), bool)
+        first[np.unique(entry, return_index=True)[1]] = True
+        bad = ~known
+        bad[known] = ((tags[entry] != kind) | (dims[entry] != vecs.shape[1])
+                      | held[entry] | ~first)
+        if bad.any():
+            i = int(bad.argmax())
+            e = order[at[i]] if known[i] else None
+            problem = "missing from manifest" if e is None else "is stored twice"
+            if e is not None and not held[e]:  # no earlier store holds it
+                if tags[e] != kind:
+                    problem = (f"has manifest tag {ModalityKind(tags[e]).tag} "
+                               f"!= store tag {kind.tag}")
+                elif dims[e] != vecs.shape[1]:
+                    problem = f"dim {vecs.shape[1]} != manifest dim {dims[e]}"
+            raise SchemaError(f"{path}: record {rids[i]} {problem}")
         held[entry], row[entry], vectors[kind] = True, np.arange(len(entry)), vecs
     if not held.all():
         raise SchemaError(

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffcore import apply_dropout, as_mat, dropout_mask
+from .diffcore import as_mat, dropout
 from .errors import ConfigError, FormatError, SchemaError, ShapeError
 
 
@@ -58,14 +58,7 @@ def head_forward(head, x, train=False, rng=None):
     x = as_mat(x)
     if x.shape[1] != head.in_dim:
         raise ShapeError(f"head_forward: input {x.shape} vs in_dim {head.in_dim}")
-    if train and head.p_drop > 0.0:
-        if rng is None:
-            raise ConfigError("train-mode forward with p_drop > 0 needs an rng")
-        mask = dropout_mask(rng, x.shape, head.p_drop)
-        xd = apply_dropout(x, mask)
-    else:
-        mask = None
-        xd = x
+    xd, mask = dropout(x, head.p_drop if train else 0.0, rng)
     y = xd @ head.weight.T + head.bias
     return y, (xd, mask)
 
@@ -201,16 +194,9 @@ def xattn_forward(model, voice_x, face_x, train=False, rng=None):
         raise ShapeError(f"face input {face_x.shape} vs in_dim {model.face_in_dim}")
     if voice_x.shape[0] != face_x.shape[0]:
         raise ShapeError("voice and face batches differ in size")
-    masks = (None, None)
-    if train and model.p_drop > 0.0:
-        if rng is None:
-            raise ConfigError("train-mode forward with p_drop > 0 needs an rng")
-        mv = dropout_mask(rng, voice_x.shape, model.p_drop)
-        mf = dropout_mask(rng, face_x.shape, model.p_drop)
-        voice_x = apply_dropout(voice_x, mv)
-        face_x = apply_dropout(face_x, mf)
-        masks = (mv, mf)
-
+    p_drop = model.p_drop if train else 0.0
+    voice_x, mv = dropout(voice_x, p_drop, rng)  # the voice mask is drawn first
+    face_x, mf = dropout(face_x, p_drop, rng)
     vt = tokenize(voice_x, model.d_model)
     ft = tokenize(face_x, model.d_model)
     # layer 1: face tokens attend to voice tokens
@@ -219,7 +205,7 @@ def xattn_forward(model, voice_x, face_x, train=False, rng=None):
     v2, cache2 = _attn_forward(vt, f1, model.params, "layer1", model.residual)
     pooled = v2.mean(axis=1)
     logits = pooled @ model.params["out_w"] + model.params["out_b"]
-    cache = (vt, ft, cache1, cache2, v2, pooled, masks)
+    cache = (vt, ft, cache1, cache2, v2, pooled, (mv, mf))
     return logits, cache
 
 
@@ -311,7 +297,8 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: truncated checkpoint at byte {len(data)}")
     try:
         meta = json.loads(data[off : off + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # not UTF-8 or JSON, nested too deeply, or holding an integer too long
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: bad checkpoint meta block: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: checkpoint meta is not a JSON object")

@@ -583,10 +583,12 @@ def score_arrays(arrays, trials, dataset):
     return scores, compute_eer(scores, trials.label)
 
 
-def _check_n_folds(n_folds, n_speakers):
+def check_n_folds(n_folds, n_speakers=None):
+    """ConfigError unless n_folds >= 2 and, given `n_speakers`, every fold
+    holds 2 speakers or more (a one-speaker fold has no non-target trial)."""
     if n_folds < 2:  # one fold would hold out every speaker
         raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
-    if n_folds > n_speakers // 2:  # a one-speaker fold has no non-target trial
+    if n_speakers is not None and n_folds > n_speakers // 2:
         raise ConfigError(f"n_folds {n_folds} leaves a fold of fewer than 2 "
                           f"speakers: {n_speakers} speakers allow at most "
                           f"{n_speakers // 2} folds")
@@ -600,7 +602,7 @@ def cross_validate(dataset, cfg, save, n_folds=7, init_arrays=None):
     """
     cfg.validate()
     speakers = dataset.speakers()
-    _check_n_folds(n_folds, len(speakers))
+    check_n_folds(n_folds, len(speakers))
     fold_reports = []
     for f, held in enumerate(split_folds(speakers, n_folds, make_rng(cfg.seed))):
         fold_seed = cfg.seed * 1009 + f
@@ -646,7 +648,7 @@ def pretrain_then_finetune(pre_ds, ft_ds, cfg_pre, cfg_ft, save, n_folds=7,
         raise SchemaError(
             "pretrain and finetune corpora have different embedding dims"
         )
-    _check_n_folds(n_folds, len(ft_ds.speakers()))
+    check_n_folds(n_folds, len(ft_ds.speakers()))
     best, _, dev_spk = pretrain(pre_ds, cfg_pre, dev_fraction)
     save(None, best["arrays"])
     cv = cross_validate(ft_ds, cfg_ft, save, n_folds=n_folds,

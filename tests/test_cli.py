@@ -522,6 +522,26 @@ class TestScenarios:
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("train", "dev_fraction", 1.5, "dev_fraction must be in [0, 1)"),
+    ("xattn", "dev_fraction", 1.5, "dev_fraction must be in [0, 1)"),
+    ("pretrain-finetune", "dev_fraction", 1.5, "dev_fraction must be in [0, 1)"),
+    ("crossval", "n_folds", 1, "n_folds must be >= 2"),
+    ("pretrain-finetune", "n_folds", 1, "n_folds must be >= 2"),
+])
+def test_top_level_numbers_exit_2_before_any_corpus(tmp_path, capsys, command,
+                                                    key, value, message):
+    # no path exists: reading any corpus would exit 4
+    missing = str(tmp_path / "missing")
+    config = {k: missing for k, spec in CONFIG_SCHEMA[command].items() if spec is str}
+    config[key] = value
+    cfg = write_config(tmp_path / "c.json", config)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestXAttn:
     def test_report_tagged_and_deterministic(self, tmp_path):
         data = make_data(tmp_path, n_speakers=8)
@@ -1360,6 +1380,24 @@ class TestDecodeErrors:
         capsys.readouterr()
         assert run_config(tmp_path, "eval", config) == (4, False)
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"a": ' + b"1" * 5000 + b"}",
+    ], ids=["too_deeply_nested", "over_long_integer"])
+    def test_undecodable_checkpoint_meta_exits_4(self, schema_corpus, tmp_path,
+                                                 capsys, meta):
+        # magic, u32 version, u32 meta length, then the meta block
+        blob = Path(schema_corpus[2]).read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        ckpt = tmp_path / "meta.fvh"
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(meta)) + meta
+                         + blob[12 + meta_len:])
+        config = with_value(schema_base_configs(schema_corpus)["eval"],
+                            ("checkpoint",), str(ckpt))
+        capsys.readouterr()
+        assert run_config(tmp_path, "eval", config) == (4, False)
+        assert "meta.fvh: bad checkpoint meta block" in capsys.readouterr().err
 
     def test_an_array_named_twice_in_the_checkpoint_exits_4(
             self, schema_corpus, tmp_path, capsys):

@@ -9,8 +9,7 @@ from fvassoc.diffcore import (
     ADAM_EPS,
     AdamState,
     adam_step,
-    apply_dropout,
-    dropout_mask,
+    dropout,
     l2_normalize_rows,
     l2_normalize_rows_backward,
     make_rng,
@@ -57,19 +56,23 @@ class TestL2Normalize:
 
 class TestDropout:
     def test_p_zero_is_identity(self):
-        mask = dropout_mask(make_rng(0), (4, 5), 0.0)
         x = make_rng(1).standard_normal((4, 5))
-        assert np.array_equal(apply_dropout(x, mask), x)
+        rng = make_rng(0)
+        y, mask = dropout(x, 0.0, rng)
+        assert y is x and mask is None
+        # nothing was drawn
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
 
     def test_kept_fraction_and_scale(self):
-        mask = dropout_mask(make_rng(3), (1, 100_000), 0.9)
+        y, mask = dropout(np.ones((1, 100_000)), 0.9, make_rng(3))
         kept = mask != 0.0
         assert abs(kept.mean() - 0.1) <= 0.01
         assert np.allclose(mask[kept], 10.0)
+        assert np.array_equal(y, mask)
 
     def test_p_one_rejected(self):
         with pytest.raises(ConfigError):
-            dropout_mask(make_rng(0), (2, 2), 1.0)
+            dropout(np.ones((2, 2)), 1.0, make_rng(0))
 
 
 def _reference_adam_step(param, grad, state):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fvassoc.diffcore import make_rng
 from fvassoc.errors import (
+    ConfigError,
     DegenerateVectorError,
     FormatError,
     SchemaError,
@@ -266,6 +267,69 @@ class TestXAttn:
         m = toy_model()
         with pytest.raises(ShapeError):
             xattn_forward(m, np.zeros((1, 10)), np.zeros((1, 9)))
+
+
+class TestDropoutDraws:
+    """Each train-mode forward draws and applies its dropout masks bit for
+    bit as the two-step mask-then-apply helpers below did, in the same order
+    (the voice mask before the face mask in the cross-attention model)."""
+
+    @staticmethod
+    def reference_mask(rng, shape, p_drop):
+        keep = rng.random(shape) >= p_drop
+        return keep.astype(np.float64) / (1.0 - p_drop)
+
+    @staticmethod
+    def reference_apply(x, mask):
+        return np.asarray(x, dtype=np.float64) * mask
+
+    @pytest.mark.parametrize("p_drop", [0.3, 0.5, 0.9])
+    def test_head_forward_matches_the_reference(self, p_drop):
+        head = MappingHead.init(make_rng(30), in_dim=7, out_dim=3, p_drop=p_drop)
+        x = make_rng(31).standard_normal((6, 7))
+        rng, ref_rng = make_rng(32), make_rng(32)
+        y, (xd, mask) = head_forward(head, x, train=True, rng=rng)
+        ref_mask = self.reference_mask(ref_rng, x.shape, p_drop)
+        ref_xd = self.reference_apply(x, ref_mask)
+        assert mask.tobytes() == ref_mask.tobytes()
+        assert xd.tobytes() == ref_xd.tobytes()
+        assert y.tobytes() == (ref_xd @ head.weight.T + head.bias).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("p_drop", [0.3, 0.5])
+    def test_xattn_forward_matches_the_reference(self, p_drop):
+        m = toy_model(voice_in=12, face_in=8)
+        m.p_drop = p_drop
+        data = make_rng(40)
+        xv, xf = data.standard_normal((3, 12)), data.standard_normal((3, 8))
+        rng, ref_rng = make_rng(41), make_rng(41)
+        logits, cache = xattn_forward(m, xv, xf, train=True, rng=rng)
+        mv = self.reference_mask(ref_rng, xv.shape, p_drop)
+        mf = self.reference_mask(ref_rng, xf.shape, p_drop)
+        ref_logits, ref_cache = xattn_forward(
+            m, self.reference_apply(xv, mv), self.reference_apply(xf, mf)
+        )
+        masks = cache[6]
+        assert masks[0].tobytes() == mv.tobytes()
+        assert masks[1].tobytes() == mf.tobytes()
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # the backward pass multiplies each input gradient by its mask
+        _, gv, gf = xattn_backward(m, cache, np.ones(3), input_grads=True)
+        _, ref_gv, ref_gf = xattn_backward(m, ref_cache, np.ones(3), input_grads=True)
+        assert gv.tobytes() == (ref_gv * mv).tobytes()
+        assert gf.tobytes() == (ref_gf * mf).tobytes()
+
+    def test_head_train_forward_with_dropout_needs_an_rng(self):
+        head = MappingHead.init(make_rng(1), in_dim=3, out_dim=2, p_drop=0.5)
+        with pytest.raises(ConfigError, match="needs an rng"):
+            head_forward(head, np.ones((2, 3)), train=True)
+
+    def test_xattn_train_forward_with_dropout_needs_an_rng(self):
+        m = toy_model()
+        m.p_drop = 0.3
+        with pytest.raises(ConfigError, match="needs an rng"):
+            xattn_forward(m, np.ones((2, 11)), np.ones((2, 9)), train=True)
 
 
 def _reference_attn_forward(xq, xkv, layer, residual):

@@ -37,6 +37,9 @@ EXPECTED_FILES = [
     "xattn/checkpoint.fvh",
     "xattn/dev_trials.tsv",
     "xattn/report.json",
+    "xattn_dropout/checkpoint.fvh",
+    "xattn_dropout/dev_trials.tsv",
+    "xattn_dropout/report.json",
     "xattn_resorted/checkpoint.fvh",
     "xattn_resorted/dev_trials.tsv",
     "xattn_resorted/report.json",

@@ -41,6 +41,13 @@ losses its report logs. At lr 0.001 with a 25% dev split the dev EER stays
 0.5 at every evaluation, so the best step is 0 and the checkpoint holds the
 untrained initial weights.
 
+The `xattn_dropout` run is the `xattn` run at p_drop 0.3. Every other
+cross-attention run trains at p_drop 0, so it alone draws dropout masks,
+one for the voice input and then one for the face input at each step, and
+a change to those draws or their order shows in the losses its report
+logs at each evaluation, even where its best step is 0, and in its
+checkpoint (its best step is 20 on OpenBLAS 0.3.31).
+
 The `train_resorted` and `xattn_resorted` runs train on `resorted`, a copy
 of the corpus in which owner s<NNN> belongs to the speaker named
 utf8_id("s<MMM>"), MMM = 13 - NNN in three digits, so that its speakers do
@@ -154,6 +161,8 @@ def run_all(work):
         "data": str(work / "utf8"), "trials": str(inputs / "trials_utf8.tsv")})
     run(work, "xattn", "xattn",
         {"data": data, "dev_fraction": 0.4, "train": XATTN})
+    run(work, "xattn_dropout", "xattn",
+        {"data": data, "dev_fraction": 0.4, "train": dict(XATTN, p_drop=0.3)})
     resorted = str(work / "resorted")
     run(work, "train_resorted", "train",
         {"data": resorted, "dev_fraction": 0.25, "train": TRAIN})
