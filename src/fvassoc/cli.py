@@ -30,6 +30,7 @@ command (2 config/parse error, 3 protocol violation, 4 data/schema error,
 import argparse
 import contextlib
 import ctypes
+import functools
 import json
 import os
 import sys
@@ -340,8 +341,9 @@ def cmd_crossval(cfg, out):
 
 def cmd_pretrain_finetune(cfg, out):
     cfg_pre, cfg_ft = cfg["pretrain"], cfg["finetune"]
-    _, pre_ds, _ = load_dataset(cfg["pretrain_data"])
-    _, ft_ds, _ = load_dataset(cfg["finetune_data"])
+    load = functools.cache(load_dataset)  # a path named twice is read once
+    _, pre_ds, _ = load(cfg["pretrain_data"])
+    _, ft_ds, _ = load(cfg["finetune_data"])
 
     def save(fold, arrays):
         if fold is None:
@@ -380,11 +382,10 @@ def cmd_scenarios(cfg, out):
     settings = {key: cfg[key] for key in ("n_trials_target", "n_trials_nontarget",
                                           "dev_fraction")}
     traineval.check_scenarios(scenarios, **settings)
-    corpora = {
-        name: {stage: load_dataset(path)[:2] for stage, path in entry.items()}
-        for name, entry in scenarios.items()
-    }
-    _, test_ds, _ = load_dataset(cfg["test_data"])
+    load = functools.cache(load_dataset)  # in config order, each path once
+    corpora = {name: {stage: load(path)[:2] for stage, path in entry.items()}
+               for name, entry in scenarios.items()}
+    _, test_ds, _ = load(cfg["test_data"])
     table = traineval.run_scenarios(corpora, test_ds, train, **settings)
     out.commit(cfg, table)
     for name, row in table["scenarios"].items():

@@ -24,6 +24,7 @@ corpora with fine-tuning, and every manifest consumed by an unheard run is
 audited for excluded-language leakage (hard failure on any hit).
 """
 
+import functools
 import itertools
 import math
 import random
@@ -39,6 +40,7 @@ from .errors import (
     DegenerateVectorError,
     LookupError_,
     MetricError,
+    NumericError,
     ProtocolViolationError,
     SamplingError,
     SchemaError,
@@ -490,6 +492,7 @@ def _early_stopping(cfg, dev_trials, params, step, score):
     EER; training stops once more than `patience` evaluations in a row fail
     to improve on it. Arrays of at most one Adam block become views of one
     buffer, updated in one call: Adam is elementwise, so the bits are unchanged.
+    A non-finite Adam gradient or dev score is a NumericError naming the step.
     """
     small = [name for name, arr in params.items() if arr.size <= _ADAM_BLOCK]
     packed = np.concatenate([np.empty(0)] + [np.ravel(params[n]) for n in small])
@@ -502,12 +505,18 @@ def _early_stopping(cfg, dev_trials, params, step, score):
         if n > 0:
             losses, grads = step()  # pop: no gradient outlives its update
             grad = np.concatenate([np.empty(0)] + [np.ravel(grads.pop(n)) for n in small])
-            adam_step(packed, grad, packed_opt)
-            for name, state in opt.items():
-                adam_step(params[name], grads.pop(name), state)
+            try:
+                adam_step(packed, grad, packed_opt)
+                for name, state in opt.items():
+                    adam_step(params[name], grads.pop(name), state)
+            except NumericError as exc:
+                raise NumericError(f"training diverged at step {n}: {exc}") from exc
             if n % cfg.eval_every and n != cfg.max_steps:
                 continue
-        eer = compute_eer(score(), dev_trials.label).eer
+        scores = score()
+        if not np.isfinite(scores).all():
+            raise NumericError(f"training diverged at step {n}: non-finite dev scores")
+        eer = compute_eer(scores, dev_trials.label).eer
         log.append({"step": n, "dev_eer": eer, **losses})
         if best is None or eer < best["dev_eer"]:
             arrays = {name: arr.copy() for name, arr in params.items()}
@@ -597,8 +606,8 @@ def check_n_folds(n_folds, n_speakers=None):
 def cross_validate(dataset, cfg, save, n_folds=7, init_arrays=None):
     """Speaker-disjoint k-fold CV; per-fold dev trials come from the held-out
     fold, and each fold's best arrays go to save(fold, arrays) as it ends.
-    When `init_arrays` is given each fold is initialized from it and a
-    frozen-initialization baseline EER on the same trials is reported too.
+    When `init_arrays` is given each fold is initialized from it, and its
+    frozen baseline is the step-0 dev EER (the initial heads, same trials).
     """
     cfg.validate()
     speakers = dataset.speakers()
@@ -608,19 +617,13 @@ def cross_validate(dataset, cfg, save, n_folds=7, init_arrays=None):
         fold_seed = cfg.seed * 1009 + f
         train_ds, trials = held_out(dataset, held, cfg,
                                     make_rng(fold_seed ^ 0x7 * 0x1001))
-        best, _ = train_with_early_stopping(
-            train_ds, trials, dataset, replace(cfg, seed=fold_seed), init_arrays
-        )
+        best, log = train_with_early_stopping(
+            train_ds, trials, dataset, replace(cfg, seed=fold_seed), init_arrays)
         save(f, best.pop("arrays"))
-        entry = {
-            "fold": f,
-            "held_out_speakers": held,
-            "eer": best["dev_eer"],
-            "best_step": best["step"],
-        }
+        entry = {"fold": f, "held_out_speakers": held, "eer": best["dev_eer"],
+                 "best_step": best["step"]}
         if init_arrays is not None:
-            _, frozen = score_arrays(init_arrays, trials, dataset)
-            entry["frozen_init_eer"] = frozen.eer
+            entry["frozen_init_eer"] = log[0]["dev_eer"]
         fold_reports.append(entry)
     eers = np.array([r["eer"] for r in fold_reports])
     return {
@@ -741,10 +744,11 @@ def run_scenarios(corpora, test_ds, cfg, n_trials_target=200,
             )
     trial_cfg = replace(cfg, n_dev_target=n_trials_target,
                         n_dev_nontarget=n_trials_nontarget)
+    # once per corpus, by identity; shared safely, as fine-tuning copies them
+    pretrained = functools.cache(lambda ds: pretrain(ds, cfg, dev_fraction)[0]["arrays"])
     results = {}
     for name, recipe in SCENARIOS.items():
-        best, _, _ = pretrain(corpora[name]["pretrain"][1], cfg, dev_fraction)
-        arrays = best["arrays"]
+        arrays = pretrained(corpora[name]["pretrain"][1])
         if recipe["unheard"]:
             _, ft_ds = corpora[name]["finetune"]
             dev = split_folds(ft_ds.speakers(), _FT_DEV_FOLDS, make_rng(cfg.seed))[0]

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import shutil
 import struct
 import subprocess
@@ -63,6 +64,19 @@ def make_data(tmp_path, sub="data", **kw):
     out = tmp_path / sub
     assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
     return str(out)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its first argument in
+    the returned list, then calls the original."""
+    calls, original = [], getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def load_report(out_dir):
@@ -186,6 +200,27 @@ def test_zero_lr_still_trains(tmp_path, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+@pytest.mark.parametrize("command, reason", [
+    ("train", "non-finite dev scores"),
+    ("xattn", "non-finite values in adam gradient"),
+])
+def test_training_divergence_exits_5_naming_the_step(tmp_path, capsys, command,
+                                                     reason):
+    # both architectures diverge at lr 1e300, each with its own first symptom
+    train = quick_train_block(lr=1e300) if command == "train" else {
+        "d_model": 8, "lr": 1e300, "max_steps": 60, "eval_every": 20}
+    cfg = write_config(tmp_path / "diverge.json", {
+        "data": make_data(tmp_path, n_speakers=20), "dev_fraction": 0.25,
+        "train": train})
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: training diverged at step [1-9]\d*: {reason}\n", err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["batch_size", "seed", "scale"])
 def test_non_numeric_train_value_exits_2(tmp_path, key):
     data = make_data(tmp_path)
@@ -250,6 +285,18 @@ class TestPretrainFinetune:
         assert "frozen_mean_eer" in report
         assert (out / "pretrained.fvh").exists()
         assert (out / "finetuned_fold0.fvh").exists()
+
+    def test_one_path_for_both_corpora_is_read_once(self, tmp_path, monkeypatch):
+        data = make_data(tmp_path, n_speakers=10)
+        cfg = write_config(tmp_path / "pf.json", {
+            "pretrain_data": data, "finetune_data": data, "n_folds": 2,
+            "dev_fraction": 0.2, "pretrain": quick_train_block(max_steps=20),
+            "finetune": quick_train_block(max_steps=20),
+        })
+        loaded = count_calls(monkeypatch, fvassoc.cli, "load_dataset")
+        assert main(["pretrain-finetune", "--config", cfg,
+                     "--out", str(tmp_path / "pf")]) == 0
+        assert loaded == [data]
 
 
 class TestEval:
@@ -456,6 +503,32 @@ class TestScenarios:
         assert len(report["scenarios"]) == 4
         assert "overall_mean_eer" in report
         assert report["reference_eer_percent"]["overall"] == 23.99
+
+    def test_paper_recipe_reads_and_pretrains_each_corpus_once(self, tmp_path,
+                                                                monkeypatch):
+        # the paper's three corpora: all data (english_heard, and the test
+        # trials), English-excluded (german_heard, and english_unheard's
+        # pretrain and fine-tune) and German-excluded (german_unheard's)
+        dirs = scenario_dirs(tmp_path)
+        full, no_en, no_de = dirs["full"], dirs["no_en"], dirs["no_de"]
+        cfg = write_config(tmp_path / "paper.json", {
+            "test_data": full, "n_trials_target": 50, "n_trials_nontarget": 50,
+            "dev_fraction": 0.2,
+            "train": quick_train_block(max_steps=20, eval_every=10),
+            "scenarios": {
+                "english_heard": {"pretrain": full},
+                "german_heard": {"pretrain": no_en},
+                "english_unheard": {"pretrain": no_en, "finetune": no_en},
+                "german_unheard": {"pretrain": no_de, "finetune": no_de},
+            },
+        })
+        loaded = count_calls(monkeypatch, fvassoc.cli, "load_dataset")
+        pretrained = count_calls(monkeypatch, traineval, "pretrain")
+        assert main(["scenarios", "--config", cfg,
+                     "--out", str(tmp_path / "scen")]) == 0
+        assert loaded == [full, no_en, no_de]
+        assert len(pretrained) == 3
+        assert len({id(ds) for ds in pretrained}) == 3
 
     def test_injected_leakage_exits_3(self, tmp_path):
         dirs = scenario_dirs(tmp_path)
@@ -1530,6 +1603,31 @@ FUZZ = settings(max_examples=100, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def _checkpoint_fields(blob):
+    """{field: (struct format, byte offset)} of a .fvh file's header fields,
+    the first array's included."""
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    at = 12 + meta_len
+    return {"version": ("<I", 4), "meta_len": ("<I", 8), "n_arrays": ("<I", at),
+            "name_len": ("<H", at + 4), "rows": ("<I", at + 6),
+            "cols": ("<I", at + 10)}
+
+
+# a .fve file's header fields, the first record's id length included
+_STORE_FIELDS = {"dim": ("<I", 9), "count": ("<I", 13), "id_len": ("<H", 17)}
+_FIELD_VALUES = [0, 1, 2**16 - 1, 2**32 - 1]  # at most the field's maximum
+
+# meta blocks that no checkpoint writer makes: any JSON value, the nesting
+# that exhausts the decoder's recursion, integers past its digit limit, and
+# text that is not JSON
+_META_TEXT = st.one_of(
+    _JSON.map(json.dumps),
+    st.integers(1, 100_000).map(lambda n: "[" * n + "]" * n),
+    st.integers(1, 6000).map(lambda n: '{"a": %s}' % ("1" * n)),
+    st.text(max_size=8),
+)
+
+
 # corrupted values overflow in places; the exit status is what is checked
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestCorruptInputs:
@@ -1556,6 +1654,33 @@ class TestCorruptInputs:
         assert code in (0, 2, 3, 4, 5)
         if path == "checkpoint.fvh" and len(edited) < len(blob):
             assert code == 4
+
+    @pytest.mark.parametrize("name", ["checkpoint.fvh", *STORE_FILES])
+    def test_header_field_extremes(self, corrupt_inputs, name):
+        path = Path("data") / name if name in STORE_FILES else Path(name)
+        blob = (corrupt_inputs.inputs / path).read_bytes()
+        fields = _STORE_FIELDS if name in STORE_FILES else _checkpoint_fields(blob)
+        for field, (fmt, at) in fields.items():
+            for value in _FIELD_VALUES:
+                value = min(value, 256 ** struct.calcsize(fmt) - 1)
+                edited = bytearray(blob)
+                struct.pack_into(fmt, edited, at, value)
+                code = corrupt_inputs("eval", path, bytes(edited))
+                assert code in (0, 2, 3, 4), (field, value, code)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_drawn_checkpoint_meta(self, corrupt_inputs, data):
+        blob = (corrupt_inputs.inputs / "checkpoint.fvh").read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        meta = json.loads(blob[12 : 12 + meta_len])
+        # a drawn block, or the real one with one of its keys set to any value
+        text = data.draw(st.one_of(_META_TEXT, st.builds(
+            lambda key, value: json.dumps({**meta, key: value}),
+            st.sampled_from(sorted(meta)), _JSON)), label="meta")
+        raw = text.encode()
+        edited = blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + meta_len :]
+        assert corrupt_inputs("eval", "checkpoint.fvh", edited) in (0, 2, 3, 4)
 
     @FUZZ
     @given(data=st.data())

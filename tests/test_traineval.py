@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import re
@@ -44,8 +45,11 @@ from fvassoc.traineval import (
     cross_validate,
     default_dev_trials,
     generate_trials,
+    held_out,
+    pretrain,
     pretrain_then_finetune,
     run_scenarios,
+    score_arrays,
     score_trials,
     train_with_early_stopping,
     train_xattn,
@@ -1279,6 +1283,43 @@ class TestPretrainFinetune:
         for fold in res["finetune"]["folds"]:
             assert fold["eer"] == pytest.approx(fold["frozen_init_eer"], abs=1e-12)
 
+    def test_step_zero_dev_eer_is_the_initial_heads_score(self):
+        # cross_validate reports this entry as its frozen baseline; scoring
+        # the initial arrays the way eval does gives the same bits
+        ds_a, truth, _ = make_dataset(n_speakers=10, records_per_speaker=4)
+        ds_b, _, _ = make_dataset(n_speakers=10, records_per_speaker=4, seed=5,
+                                  base_truth=truth, jitter=0.5)
+        init = pretrain(ds_a, quick_cfg(max_steps=20), 0.2)[0]["arrays"]
+        train_ds, trials = held_out(ds_b, ds_b.speakers()[:3], quick_cfg(),
+                                    make_rng(3))
+        _, log = train_with_early_stopping(train_ds, trials, ds_b,
+                                           quick_cfg(max_steps=20), init)
+        assert log[0]["step"] == 0
+        assert log[0]["dev_eer"] == score_arrays(init, trials, ds_b)[1].eer
+
+    def test_frozen_baseline_is_each_folds_step_zero_eer(self, monkeypatch):
+        logs, train = [], traineval.train_with_early_stopping
+
+        def logged(*args):
+            best, log = train(*args)
+            logs.append(log)
+            return best, log
+
+        def forbidden(*args):
+            raise AssertionError("the initial heads were scored a second time")
+
+        monkeypatch.setattr(traineval, "train_with_early_stopping", logged)
+        monkeypatch.setattr(traineval, "score_arrays", forbidden)
+        ds_a, truth, _ = make_dataset(n_speakers=8, records_per_speaker=3)
+        ds_b, _, _ = make_dataset(n_speakers=8, records_per_speaker=3, seed=5,
+                                  base_truth=truth, jitter=0.3)
+        cfg = quick_cfg(max_steps=20, eval_every=10)
+        res = pretrain_then_finetune(ds_a, ds_b, cfg, cfg, no_save, n_folds=2)
+        folds = res["finetune"]["folds"]
+        assert len(logs) == 1 + len(folds)  # the pretrain, then one per fold
+        assert [f["frozen_init_eer"] for f in folds] == [
+            log[0]["dev_eer"] for log in logs[1:]]
+
     def test_report_contains_both_stages(self):
         ds_a, truth, _ = make_dataset(n_speakers=8, records_per_speaker=3)
         ds_b, _, _ = make_dataset(
@@ -1361,6 +1402,33 @@ class TestScenarios:
         }
         assert "overall_mean_eer" in table
         assert table["reference_eer_percent"]["overall"] == 23.99
+
+    @pytest.mark.parametrize("shared_by", [("german_heard", "english_unheard"),
+                                           ("english_unheard", "german_unheard")])
+    def test_shared_corpora_give_the_table_of_separate_copies(self, shared_by):
+        # sharing a corpus and its pretrained arrays must leave every result
+        # as separate copies give; in the paper's recipe german_heard and
+        # english_unheard share no_en, and when both unheard scenarios share
+        # a French-only corpus, german_unheard's model is the one that
+        # english_unheard fine-tuned from
+        corpora = self.build_corpora()
+        if "german_unheard" in shared_by:
+            fr_only = multilingual_corpus(3, languages={"fr": 1.0})
+            for name in shared_by:
+                corpora[name]["pretrain"] = fr_only
+        first, second = (corpora[name]["pretrain"] for name in shared_by)
+        assert first is second
+        copies = {name: copy.deepcopy(entry) for name, entry in corpora.items()}
+        test_ds, _, _ = make_dataset(
+            n_speakers=12, records_per_speaker=4, seed=3,
+            languages={"en": 0.5, "de": 0.5},
+        )
+        # out_dim 256 puts each head weight over one Adam block: updated in place
+        cfg = quick_cfg(max_steps=30, eval_every=15, out_dim=256)
+        shared, separate = (run_scenarios(c, test_ds, cfg, n_trials_target=20,
+                                          n_trials_nontarget=20)
+                            for c in (corpora, copies))
+        assert shared == separate
 
     def test_injected_leakage_is_hard_failure(self):
         corpora = self.build_corpora()
